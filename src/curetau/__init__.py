@@ -36,6 +36,7 @@ from .errors import (
 )
 from .inference import (
     BootstrapResult,
+    CountStatistic,
     TestResult,
     bootstrap_stats,
     cure_difference_test,

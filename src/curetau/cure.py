@@ -11,9 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWindowError, NoEventsError, SelectionFailedError
-from .km import km_fit, risk_table
-from .seeding import stream
+from .errors import (
+    DegenerateWeightError,
+    DegenerateWindowError,
+    NoEventsError,
+    SelectionFailedError,
+)
+from .km import _count_chunks, _km_rows, _sort_sample, km_fit, risk_table
 
 DEFAULT_B_GRID = tuple(np.round(np.arange(0.10, 0.91, 0.05), 2))
 
@@ -59,6 +63,31 @@ def eta_tail_from_sample(sample):
     return eta_tail(km_fit(sample, "event"), risk_table(sample))
 
 
+def _check_b(b):
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"b must lie in (0, 1), got {b}")
+
+
+def _extrapolate(s_tail, s_outer, s_inner):
+    """Window ratio and raw corrected cure rate from the event curve at
+    ``t_k``, ``b * t_k`` and ``b * b * t_k``; elementwise on arrays.
+
+    Returns ``(ratio, raw, flat, unit)``: ``flat`` marks a flat outer window
+    and ``unit`` a ratio of exactly one, where the correction is undefined
+    and ``ratio``/``raw`` carry no meaning.
+    """
+    outer_drop = s_tail - s_outer
+    flat = outer_drop == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (s_outer - s_inner) / np.where(flat, 1.0, outer_drop)
+        raw = s_tail - (s_outer - s_tail) / (ratio - 1.0)
+    return ratio, raw, flat, ratio == 1.0
+
+
+def _clamp_unit(raw):
+    return np.minimum(np.maximum(raw, 0.0), 1.0)
+
+
 def eta_extrapolated(event_curve, b, t_k):
     """Extrapolated cure-rate estimate from the tail of the event curve.
 
@@ -67,24 +96,21 @@ def eta_extrapolated(event_curve, b, t_k):
     estimate.  Raises ``DegenerateWindowError`` when the outer window is flat
     or the ratio equals one.
     """
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"b must lie in (0, 1), got {b}")
+    _check_b(b)
     if t_k <= 0:
         raise ValueError(f"largest event time must be positive, got {t_k}")
     s_outer = event_curve(b * t_k)
     s_inner = event_curve(b * b * t_k)
     s_tail = event_curve(t_k)
-    outer_drop = s_tail - s_outer
-    if outer_drop == 0.0:
+    ratio, raw, flat, unit = _extrapolate(s_tail, s_outer, s_inner)
+    if flat:
         raise DegenerateWindowError(
             f"flat tail window: curve equal at {b * t_k!r} and {t_k!r}"
         )
-    ratio = (s_outer - s_inner) / outer_drop
-    if ratio == 1.0:
+    if unit:
         raise DegenerateWindowError("window ratio equals one; correction undefined")
-    raw = s_tail - (s_outer - s_tail) / (ratio - 1.0)
     return CureRateEstimate(
-        value=float(min(max(raw, 0.0), 1.0)),
+        value=float(_clamp_unit(raw)),
         method="extrapolated",
         raw_value=float(raw),
         b=float(b),
@@ -92,11 +118,22 @@ def eta_extrapolated(event_curve, b, t_k):
     )
 
 
-def _eta_extrapolated_or_nan(event_curve, b, t_k):
-    try:
-        return eta_extrapolated(event_curve, b, t_k).value
-    except DegenerateWindowError:
-        return np.nan
+def _cure_rate_rows(km, b=None):
+    """Cure rate of each count-weighted replicate in ``km`` (a ``_KMRows``).
+
+    The tail value, or with ``b`` the extrapolated value, computed as
+    ``eta_tail`` and ``eta_extrapolated`` compute it on the resample.  NaN
+    marks the rows on which that scalar path raises: no events, a vanishing
+    censoring weight (``risk_table``) or a degenerate window.
+    """
+    rows = np.arange(km.surv.shape[0])
+    tail = km.surv[rows, km.last_event]
+    if b is None:
+        return np.where(km.defined, tail, np.nan)
+    _check_b(b)
+    t_k = km.distinct[km.last_event]
+    _, raw, flat, unit = _extrapolate(tail, km.at(b * t_k), km.at(b * b * t_k))
+    return np.where(km.defined & ~flat & ~unit, _clamp_unit(raw), np.nan)
 
 
 @dataclass(frozen=True)
@@ -120,6 +157,13 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     nonparametric bootstrap resamples (one shared set of resamples, so the
     comparison uses common random numbers and is invariant to grid order).
     Ties break toward the larger ``b``.  Returns ``(b_star, diagnostics)``.
+
+    Replicate ``r`` is the resample drawn from ``stream(seed, r)``, held as
+    one row of subject counts; rows are evaluated together, at most
+    ``km.COUNT_CHUNK_ELEMENTS // n`` at a time (81 at n = 200), so memory
+    stays at a few (rows x n) arrays.  Each replicate's estimate is
+    bit-identical to ``eta_extrapolated`` on ``km_fit`` of the resample, and
+    it is missing exactly where that raises or the resample has no events.
     """
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")
@@ -154,17 +198,16 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
             "every grid point is degenerate on this sample; fall back to the tail estimate"
         )
 
-    boot_values = np.full((replicates, len(live)), np.nan)
-    n = sample.n
-    for r in range(replicates):
-        rng = stream(seed, r)
-        resample = sample.resampled(rng.integers(0, n, size=n))
-        if resample.n_events == 0:
-            continue
-        boot_curve = km_fit(resample, "event")
-        boot_t_k = risk_table(resample).last_event_time
+    summary = _sort_sample(sample.times, sample.status)
+    boot_values = np.empty((replicates, len(live)))
+    for start, (counts,) in _count_chunks((sample.n,), seed, replicates):
+        km = _km_rows(summary, counts)
+        if not np.all(km.weights_ok[km.has_events]):
+            raise DegenerateWeightError(
+                "censoring survival vanishes before an event time of a bootstrap resample"
+            )
         for j, b in enumerate(live):
-            boot_values[r, j] = _eta_extrapolated_or_nan(boot_curve, b, boot_t_k)
+            boot_values[start:start + counts.shape[0], j] = _cure_rate_rows(km, b)
 
     diagnostics = []
     best = None

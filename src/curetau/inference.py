@@ -8,14 +8,15 @@ p-value the two-sided normal tail.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .cure import eta_extrapolated, eta_tail_from_sample
+from .cure import _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import km_fit, risk_table
+from .km import _count_chunks, _km_rows, _sort_sample
 from .seeding import seed_tuple, stream
 
 
@@ -61,6 +62,21 @@ class BootstrapResult:
         return self.R - self.n_missing
 
 
+@dataclass(frozen=True)
+class CountStatistic:
+    """A statistic evaluated on many bootstrap replicates at once.
+
+    ``evaluate`` receives one count array per sample, each (rows x n) with
+    ``counts[r, i]`` the number of times replicate ``r`` draws subject ``i``
+    of that sample, and returns the statistic for every row: shape (rows,)
+    for a scalar statistic or (rows, width).  A row holding a non-finite
+    value is a replicate on which the statistic is undefined.  A row of ones
+    is the original sample.
+    """
+
+    evaluate: Callable
+
+
 def _resample(samples, rng):
     out = []
     for sample in samples:
@@ -69,16 +85,51 @@ def _resample(samples, rng):
     return tuple(out)
 
 
+def _looped_replicates(samples, statistic, R, seed):
+    point = np.asarray(statistic(*samples), dtype=float)
+    values = np.full((R, point.size), np.nan)
+    for r in range(R):
+        rng = stream(seed, r)
+        try:
+            replicate = statistic(*_resample(samples, rng))
+        except EstimationError:
+            continue
+        values[r, :] = np.asarray(replicate, dtype=float)
+    return point, values
+
+
+def _counted_replicates(samples, statistic, R, seed):
+    ones = [np.ones((1, sample.n), np.int64) for sample in samples]
+    point = np.asarray(statistic.evaluate(*ones), dtype=float)[0]
+    if not np.all(np.isfinite(point)):
+        raise EstimationError("statistic undefined on the original sample")
+    values = np.empty((R, point.size))
+    for start, counts in _count_chunks([sample.n for sample in samples], seed, R):
+        block = np.asarray(statistic.evaluate(*counts), dtype=float)
+        values[start:start + block.shape[0]] = block.reshape(block.shape[0], -1)
+    return point, values
+
+
 def bootstrap_stats(samples, statistic, R, seed=0):
     """Bootstrap a statistic of one or two samples.
 
     ``samples`` is a Sample or a pair of Samples; each arm is resampled with
     replacement independently.  ``statistic`` receives the (re)samples as
-    positional arguments and may return a float or a 1-d array.  Replicates
-    on which it raises ``EstimationError`` are recorded as missing and
-    excluded from the standard deviation; more than 50% missing raises
-    ``UnstableStatisticError``.  Replicate ``r`` draws from the RNG stream
-    ``(seed..., r)``, so results are independent of evaluation order.
+    positional arguments and may return a float or a 1-d array.  A replicate
+    on which it raises ``EstimationError`` or returns any non-finite value is
+    missing: its row of ``replicate_values`` is NaN, it counts in
+    ``n_missing``, and it is excluded from the standard deviation; more than
+    50% missing raises ``UnstableStatisticError``.  Replicate ``r`` draws from
+    the RNG stream ``(seed..., r)``, so results are independent of
+    evaluation order.
+
+    ``statistic`` may instead be a ``CountStatistic``.  Replicate ``r`` is
+    then the row of subject counts of that same resample (the multinomial
+    view of the bootstrap; Efron & Tibshirani 1993, ch. 6 and 10), and rows
+    are evaluated ``km.COUNT_CHUNK_ELEMENTS // max(n)`` at a time, so memory
+    stays at a few (rows x n) arrays.  A statistic that computes what its
+    callable form computes on each resample gives the same result, bit for
+    bit.  An undefined point estimate raises ``EstimationError``.
     """
     if R < 2:
         raise ValueError("R must be at least 2")
@@ -87,27 +138,18 @@ def bootstrap_stats(samples, statistic, R, seed=0):
     samples = tuple(samples)
     seed = seed_tuple(seed)
 
-    point = np.asarray(statistic(*samples), dtype=float)
-    scalar = point.ndim == 0
-    width = 1 if scalar else point.shape[0]
-
-    values = np.full((R, width), np.nan)
-    n_missing = 0
-    for r in range(R):
-        rng = stream(seed, r)
-        try:
-            replicate = statistic(*_resample(samples, rng))
-        except EstimationError:
-            n_missing += 1
-            continue
-        values[r, :] = np.asarray(replicate, dtype=float)
+    replicates = (_counted_replicates if isinstance(statistic, CountStatistic)
+                  else _looped_replicates)
+    point, values = replicates(samples, statistic, R, seed)
+    missing = ~np.isfinite(values).all(axis=1)
+    values[missing] = np.nan
+    n_missing = int(missing.sum())
     if n_missing > R / 2 or R - n_missing < 2:
         raise UnstableStatisticError(
             f"statistic undefined on {n_missing} of {R} bootstrap replicates"
         )
-    defined = values[~np.isnan(values[:, 0])]
-    sd = np.std(defined, axis=0, ddof=1)
-    if scalar:
+    sd = np.std(values[~missing], axis=0, ddof=1)
+    if point.ndim == 0:
         return BootstrapResult(values[:, 0], float(point), float(sd[0]),
                                seed, R, n_missing)
     return BootstrapResult(values, point, sd, seed, R, n_missing)
@@ -127,35 +169,32 @@ class TestResult:
     n_missing: int
 
 
-def _eta_value_tail(sample):
-    return eta_tail_from_sample(sample).value
-
-
-def _eta_value_extrapolated(sample, b):
-    curve = km_fit(sample, "event")
-    t_k = risk_table(sample).last_event_time
-    return eta_extrapolated(curve, b, t_k).value
-
-
 def cure_difference_test(sample0, sample1, method="tail", b0=None, b1=None,
                          R=2000, seed=0, level=0.95):
     """Test the cure-rate difference (arm 1 minus arm 0) via the bootstrap.
 
     ``method="extrapolated"`` uses the tail-corrected estimates with the
-    given per-arm scale factors ``b0`` and ``b1``.
+    given per-arm scale factors ``b0`` and ``b1``.  Replicates are evaluated
+    as count weights over each arm's subjects, a chunk of rows at a time
+    (see ``bootstrap_stats``); each replicate's difference is bit-identical
+    to ``eta_tail``/``eta_extrapolated`` on its resampled arms, and a
+    replicate is missing exactly where those raise.
     """
     if method == "tail":
-        def statistic(s0, s1):
-            return _eta_value_tail(s1) - _eta_value_tail(s0)
+        b0 = b1 = None
     elif method == "extrapolated":
         if b0 is None or b1 is None:
             raise ValueError("extrapolated method requires b0 and b1")
-
-        def statistic(s0, s1):
-            return _eta_value_extrapolated(s1, b1) - _eta_value_extrapolated(s0, b0)
     else:
         raise ValueError(f"method must be 'tail' or 'extrapolated', got {method!r}")
+    arm0 = _sort_sample(sample0.times, sample0.status)
+    arm1 = _sort_sample(sample1.times, sample1.status)
 
+    def difference(counts0, counts1):
+        return (_cure_rate_rows(_km_rows(arm1, counts1), b1)
+                - _cure_rate_rows(_km_rows(arm0, counts0), b0))
+
+    statistic = CountStatistic(difference)
     boot = bootstrap_stats((sample0, sample1), statistic, R=R, seed=seed)
     ci = normal_interval(boot.point, boot.sd, level)
     return TestResult(

@@ -6,29 +6,56 @@ counting every subject still under observation.  The risk table carries, for
 each distinct event time, the raw counts together with the
 inverse-probability-of-censoring adjusted counts used by the latency
 (susceptible-survival) estimators.
+
+Bootstrap replicates can also be held as count weights over the subjects of
+the original sample, and the event curves of many replicates computed at once
+on the original sample's distinct times (``_count_chunks``, ``_km_rows``).
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateWeightError, NoEventsError
+from .seeding import stream
 from .stepfun import StepFunction
+
+#: Element budget of one chunk of bootstrap count rows: each arm's
+#: (rows x n) int64 count array holds about this many entries, so a chunk is
+#: 81 replicates at n = 200 and 3 at n = 5 000.  It bounds the memory of the
+#: count-weight kernels at a few such arrays whatever the number of replicates.
+COUNT_CHUNK_ELEMENTS = 2 ** 14
+
+
+class _SortedSample(NamedTuple):
+    """One stable sort of a sample: the order, the distinct times, where each
+    distinct time's run starts in sorted order, and the sorted status."""
+
+    order: np.ndarray
+    distinct: np.ndarray
+    first: np.ndarray
+    status: np.ndarray
+
+
+def _sort_sample(times, status):
+    times = np.asarray(times, dtype=float)
+    order = np.argsort(times, kind="mergesort")
+    distinct, first = np.unique(times[order], return_index=True)
+    return _SortedSample(order, distinct, first, np.asarray(status)[order])
 
 
 def _distinct_counts(times, status):
     """Distinct observed times with event count, censor count, and at-risk count."""
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status)
-    order = np.argsort(times, kind="mergesort")
-    sorted_times = times[order]
-    sorted_status = status[order]
-    distinct, first = np.unique(sorted_times, return_index=True)
-    events = np.add.reduceat(sorted_status, first) if distinct.size else np.array([])
-    totals = np.diff(np.append(first, sorted_times.size))
+    summary = _sort_sample(times, status)
+    n = summary.order.size
+    events = (np.add.reduceat(summary.status, summary.first)
+              if summary.distinct.size else np.array([]))
+    totals = np.diff(np.append(summary.first, n))
     censored = totals - events
-    at_risk = times.size - np.concatenate(([0], np.cumsum(totals)[:-1]))
-    return distinct, events.astype(np.int64), censored.astype(np.int64), at_risk.astype(np.int64)
+    at_risk = n - np.concatenate(([0], np.cumsum(totals)[:-1]))
+    return (summary.distinct, events.astype(np.int64), censored.astype(np.int64),
+            at_risk.astype(np.int64))
 
 
 def km_fit(sample, target="event"):
@@ -106,4 +133,89 @@ def risk_table(sample):
         y_tilde=y_tilde,
         n_a_hat=float(y_tilde[0]),
         n=sample.n,
+    )
+
+
+def _count_chunks(sizes, seed, R):
+    """Bootstrap replicates ``0 .. R-1`` as count rows, a chunk at a time.
+
+    Row ``r`` of arm ``a`` counts how often each subject of arm ``a`` is drawn
+    by replicate ``r``, which draws arm 0 and then arm 1 from
+    ``stream(seed, r)``: the resamples ``bootstrap_stats`` draws one by one.
+    Chunks hold at most ``COUNT_CHUNK_ELEMENTS // max(sizes)`` rows (at least
+    one).  Yields ``(start, counts)``, with one (rows x n) int64 array per arm.
+    """
+    step = max(1, COUNT_CHUNK_ELEMENTS // max(sizes))
+    for start in range(0, R, step):
+        replicates = range(start, min(R, start + step))
+        counts = tuple(np.empty((len(replicates), n), np.int64) for n in sizes)
+        for row, r in enumerate(replicates):
+            rng = stream(seed, r)
+            for arm, n in zip(counts, sizes):
+                arm[row] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        yield start, counts
+
+
+def _hazard(jumps, at_risk):
+    """``jumps / at_risk`` where there are jumps, exactly 0.0 elsewhere."""
+    return np.divide(jumps, at_risk, out=np.zeros(jumps.shape), where=jumps > 0)
+
+
+@dataclass(frozen=True)
+class _KMRows:
+    """Event-survival curves of count-weighted replicates, one per row.
+
+    ``surv[r, j]`` is replicate ``r``'s curve at the original sample's
+    distinct time ``distinct[j]``.  Times a replicate does not jump at
+    contribute a factor of exactly 1.0, so every value is bit-identical to
+    ``km_fit`` on the resample.  ``first_event``/``last_event`` index the
+    replicate's smallest and largest event time (meaningless where
+    ``has_events`` is False); ``weights_ok`` is ``risk_table``'s condition that
+    the censoring survival stays positive just before every event time.
+    """
+
+    distinct: np.ndarray
+    surv: np.ndarray
+    first_event: np.ndarray
+    last_event: np.ndarray
+    has_events: np.ndarray
+    weights_ok: np.ndarray
+
+    @property
+    def defined(self):
+        """Rows on which ``risk_table`` of the resample would not raise."""
+        return self.has_events & self.weights_ok
+
+    def at(self, t):
+        """Each row's curve at its own time ``t[r]`` (right-continuous)."""
+        idx = np.searchsorted(self.distinct, t, side="right") - 1
+        values = self.surv[np.arange(self.surv.shape[0]), np.maximum(idx, 0)]
+        return np.where(idx < 0, 1.0, values)
+
+
+def _km_rows(summary, counts):
+    """Batched ``km_fit`` (event target) of the replicates in ``counts``.
+
+    ``summary`` is the original sample's ``_SortedSample``; ``counts`` is a
+    (rows x n) array of subject counts in the original subject order.
+    """
+    weights = counts[:, summary.order]
+    totals = np.add.reduceat(weights, summary.first, axis=1)
+    events = np.add.reduceat(weights * summary.status, summary.first, axis=1)
+    at_risk = weights.sum(axis=1, keepdims=True) - (np.cumsum(totals, axis=1) - totals)
+    surv = np.cumprod(1.0 - _hazard(events, at_risk), axis=1)
+    censor = np.cumprod(1.0 - _hazard(totals - events, at_risk), axis=1)
+    jumps = events > 0
+    rows = np.arange(counts.shape[0])
+    last = jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1)
+    # Censoring survival never increases, so it is smallest just before the
+    # largest event time: checking there checks every event time.
+    g_left = np.where(last > 0, censor[rows, np.maximum(last - 1, 0)], 1.0)
+    return _KMRows(
+        distinct=summary.distinct,
+        surv=surv,
+        first_event=np.argmax(jumps, axis=1),
+        last_event=last,
+        has_events=jumps.any(axis=1),
+        weights_ok=g_left > 0.0,
     )

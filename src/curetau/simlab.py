@@ -13,20 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cure import DEFAULT_B_GRID, eta_extrapolated, eta_tail, select_b
+from .cure import DEFAULT_B_GRID, _cure_rate_rows, eta_extrapolated, eta_tail, select_b
 from .data import Sample
-from .errors import DegenerateWindowError, SelectionFailedError
-from .distributions import (
-    BetaLatency,
-    TruncatedWeibullLatency,
-    latency_from_dict,
-    truncated_weibull_sample,  # noqa: F401 - re-exported sampling primitive
-)
-from .errors import EstimationError
-from .inference import bootstrap_stats, z_quantile
-from .km import km_fit, risk_table
+from .distributions import BetaLatency, TruncatedWeibullLatency, latency_from_dict
+from .errors import DegenerateWindowError, EstimationError, SelectionFailedError
+from .inference import CountStatistic, bootstrap_stats, z_quantile
+from .km import _km_rows, _sort_sample, km_fit, risk_table
 from .seeding import seed_tuple, stream
-from .susceptible import location_scale_curve
 from .tau import tau_a_curve, true_tau_quadrature
 
 DEFAULT_LEVELS = (0.75, 0.65, 0.55, 0.45, 0.35, 0.25)
@@ -144,22 +137,29 @@ def _latency_grid(scenario, times, levels):
     return np.asarray(scenario.latency.ppf(1.0 - np.asarray(levels)), dtype=float)
 
 
-def _one_arm_statistic(grid, eta_method, b_fixed):
-    """Statistic: latency survival at the grid times plus the cure rate."""
+def _one_arm_count_statistic(sample, grid, b):
+    """Count statistic: latency survival at the grid times plus the cure rate.
 
-    def statistic(sample):
-        curve = km_fit(sample, "event")
-        table = risk_table(sample)
-        if eta_method == "tail":
-            eta = eta_tail(curve, table)
-        else:
-            eta = eta_extrapolated(curve, b_fixed, table.last_event_time)
-        latency, _ = location_scale_curve(
-            curve, eta.value, clamp=eta.method == "extrapolated"
-        )
-        return np.append(latency(grid), eta.value)
+    The cure rate is the tail value, or with ``b`` the extrapolated value.
+    The latency curve is ``location_scale_curve`` of each replicate's event
+    curve: 1.0 before the replicate's first event, clamped into [0, 1] only
+    for the extrapolated cure rate, and undefined when the cure rate reaches 1.
+    """
+    summary = _sort_sample(sample.times, sample.status)
+    at_grid = np.searchsorted(summary.distinct, grid, side="right") - 1
 
-    return statistic
+    def evaluate(counts):
+        km = _km_rows(summary, counts)
+        eta = _cure_rate_rows(km, b)
+        eta[eta >= 1.0] = np.nan
+        column = eta[:, None]
+        latency = (km.surv[:, np.maximum(at_grid, 0)] - column) / (1.0 - column)
+        if b is not None:
+            latency = np.clip(latency, 0.0, 1.0)
+        latency = np.where(at_grid < km.first_event[:, None], 1.0, latency)
+        return np.column_stack((latency, eta))
+
+    return CountStatistic(evaluate)
 
 
 def _two_arm_statistic(grid):
@@ -205,8 +205,8 @@ def _run_one_arm(scenario, grid, R, seed, index, eta_method, b, b_grid,
                     method = "tail"
             except (DegenerateWindowError, SelectionFailedError):
                 method = "tail"
-        boot = bootstrap_stats(sample, _one_arm_statistic(grid, method, b_fixed),
-                               R=R, seed=seed_tuple(seed) + (index, 2))
+        statistic = _one_arm_count_statistic(sample, grid, b_fixed if method != "tail" else None)
+        boot = bootstrap_stats(sample, statistic, R=R, seed=seed_tuple(seed) + (index, 2))
     except EstimationError:
         return _RunOutcome(index=index, failed=True)
     return _RunOutcome(index=index, point=boot.point, sd=boot.sd)

@@ -165,30 +165,36 @@ def self_consistency_residual(candidate, sample, eta):
           - n * H1a(t)
 
     Terms where both ``candidate(t)`` and ``candidate(X_i)`` vanish contribute
-    zero; a zero denominator with a nonzero numerator raises.
+    zero; a zero denominator with a nonzero numerator raises.  The sum is
+    ``candidate(t)`` times a prefix sum of ``phi(X_i+)/candidate(X_i)`` over
+    the censored times in increasing order, so time and memory are
+    O(n log n).
     """
     times = np.unique(sample.times)
     phi_curve = phi_hat(sample, eta)
     h1a_curve = h1a_hat(sample, eta)
     cand_t = np.asarray(candidate(times), dtype=float)
 
-    censored = sample.status == 0
-    censored_times = sample.times[censored]
+    censored_times = sample.times[sample.status == 0]
     n = sample.n
+    redistributed = np.zeros_like(times)
     if censored_times.size:
         phi_plus = _phi_right_limits(sample, eta, censored_times)
         cand_c = np.asarray(candidate(censored_times), dtype=float)
-        include = censored_times[:, None] <= times[None, :]
-        live = include & (cand_t > 0.0)[None, :]
-        bad = live & (cand_c == 0.0)[:, None]
+        # A censored X_i with candidate(X_i) = 0 enters the sum at every
+        # t >= X_i; that is 0/0 unless candidate(t) = 0 there as well.
+        positive_times = times[cand_t > 0.0]
+        zero = np.flatnonzero(cand_c == 0.0)
+        reach = np.searchsorted(positive_times, censored_times[zero], side="left")
+        bad = reach < positive_times.size
         if np.any(bad):
-            where = times[np.where(bad)[1][0]]
+            where = positive_times[reach[bad][0]]
             raise EstimationError(f"0/0 outside the stated convention at time {where!r}")
-        safe_c = np.where(cand_c > 0.0, cand_c, 1.0)
-        ratio = np.where(live, cand_t[None, :] / safe_c[:, None], 0.0)
-        redistributed = (phi_plus[:, None] * ratio).sum(axis=0)
-    else:
-        redistributed = np.zeros_like(times)
+        order = np.argsort(censored_times, kind="mergesort")
+        terms = phi_plus / np.where(cand_c > 0.0, cand_c, 1.0)
+        prefix = np.concatenate(([0.0], np.cumsum(terms[order])))
+        included = np.searchsorted(censored_times[order], times, side="right")
+        redistributed = np.where(cand_t > 0.0, cand_t * prefix[included], 0.0)
 
     residuals = n * (1.0 - eta.value) * cand_t - redistributed - n * h1a_curve(times)
     return SelfConsistencyReport(

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import curetau as ct
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic and leaves no example database behind.
+settings.register_profile("curetau", derandomize=True, database=None, deadline=None)
+settings.load_profile("curetau")
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import pytest
 
 import curetau as ct
 from curetau.errors import EstimationError, UnstableStatisticError
+from curetau.seeding import stream
 
 
 def test_normal_interval_published_convention():
@@ -66,6 +67,22 @@ def test_bootstrap_missing_replicates_are_dropped():
     defined = result.replicate_values[~np.isnan(result.replicate_values)]
     assert defined.size == result.n_defined
     assert np.isfinite(result.sd)
+
+
+def test_bootstrap_nonfinite_entry_marks_replicate_missing(d1):
+    # a NaN outside column 0 must drop the whole replicate, not poison the SD
+    def stat(sample):
+        return np.array([1.0, np.nan if sample.times.max() < 5.0 else 2.0])
+
+    result = ct.bootstrap_stats(d1, stat, R=200, seed=4)
+    # the statistic is undefined on the resamples that miss subject 4 (time 5)
+    undefined = sum(4 not in stream(4, r).integers(0, 5, size=5) for r in range(200))
+    assert 0 < undefined < 100
+    assert result.n_missing == undefined
+    assert np.all(np.isnan(result.replicate_values).all(axis=1)
+                  == np.isnan(result.replicate_values).any(axis=1))
+    assert np.isnan(result.replicate_values[:, 0]).sum() == undefined
+    assert np.array_equal(result.sd, [0.0, 0.0])
 
 
 def test_bootstrap_unstable_statistic_raises(d1):

@@ -3,7 +3,36 @@ import pytest
 
 import curetau as ct
 from curetau.errors import EstimationError
+from curetau.susceptible import _phi_right_limits
 from conftest import sample_corpus
+
+
+def quadratic_redistributed(candidate, sample, eta):
+    """Reference form of the self-consistency sum: one (censored x distinct)
+    matrix of ``phi(X_i+) * candidate(t) / candidate(X_i)`` terms."""
+    times = np.unique(sample.times)
+    cand_t = np.asarray(candidate(times), dtype=float)
+    censored_times = sample.times[sample.status == 0]
+    if not censored_times.size:
+        return np.zeros_like(times)
+    phi_plus = _phi_right_limits(sample, eta, censored_times)
+    cand_c = np.asarray(candidate(censored_times), dtype=float)
+    include = censored_times[:, None] <= times[None, :]
+    live = include & (cand_t > 0.0)[None, :]
+    bad = live & (cand_c == 0.0)[:, None]
+    if np.any(bad):
+        where = times[np.where(bad)[1][0]]
+        raise EstimationError(f"0/0 outside the stated convention at time {where!r}")
+    safe_c = np.where(cand_c > 0.0, cand_c, 1.0)
+    ratio = np.where(live, cand_t[None, :] / safe_c[:, None], 0.0)
+    return (phi_plus[:, None] * ratio).sum(axis=0)
+
+
+def quadratic_residuals(candidate, sample, eta):
+    times = np.unique(sample.times)
+    h1a = ct.h1a_hat(sample, eta)
+    return (sample.n * (1.0 - eta.value) * np.asarray(candidate(times), dtype=float)
+            - quadratic_redistributed(candidate, sample, eta) - sample.n * h1a(times))
 
 
 def test_latency_curve_on_worked_example(d1):
@@ -114,6 +143,39 @@ def test_self_consistency_reduces_without_cure():
     km = ct.km_fit(sample, "event")
     report = ct.self_consistency_residual(km, sample, eta)
     assert report.max_residual <= 1e-12
+
+
+def test_self_consistency_matches_quadratic_form():
+    for sample in sample_corpus(200, seed=17):
+        eta = ct.eta_tail_from_sample(sample)
+        table = ct.risk_table(sample)
+        for candidate in (ct.product_limit_latency_curve(table), ct.km_fit(sample, "event"),
+                          ct.StepFunction([table.times[0]], [0.5])):
+            report = ct.self_consistency_residual(candidate, sample, eta)
+            expected = quadratic_residuals(candidate, sample, eta)
+            assert np.max(np.abs(report.residuals - expected)) <= 1e-12
+
+
+def test_self_consistency_zero_over_zero_names_the_same_time():
+    sample = ct.Sample([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 0, 1])
+    eta = ct.eta_tail_from_sample(sample)
+    # zero at the censored time 2 but positive again at 3: 0/0 at t = 3
+    candidate = ct.StepFunction([1.0, 2.0, 3.0, 5.0], [0.5, 0.0, 0.3, 0.0])
+    with pytest.raises(EstimationError) as quadratic:
+        quadratic_redistributed(candidate, sample, eta)
+    with pytest.raises(EstimationError) as fast:
+        ct.self_consistency_residual(candidate, sample, eta)
+    assert str(fast.value) == str(quadratic.value)
+
+
+def test_self_consistency_at_large_n():
+    scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.3, 1.2, 20_000)
+    sample = ct.draw_sample(scenario, 5)
+    eta = ct.eta_tail_from_sample(sample)
+    candidate = ct.product_limit_latency_curve(ct.risk_table(sample))
+    report = ct.self_consistency_residual(candidate, sample, eta)
+    assert report.times.size == 20_000
+    assert report.max_residual <= 1e-8
 
 
 class TestCorpusProperties:
