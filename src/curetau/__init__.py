@@ -13,6 +13,7 @@ from .cure import (
     eta_extrapolated,
     eta_tail,
     eta_tail_from_sample,
+    resolve_cure_rate,
     select_b,
 )
 from .data import Sample, Subject, ValidationReport, parse_csv, validate, write_csv
@@ -57,7 +58,7 @@ from .simlab import (
     run_experiment,
     scenario_from_dict,
 )
-from .stepfun import StepFunction, read_curve_csv, step_eval, write_curve_csv
+from .stepfun import StepFunction, read_curve_csv, write_curve_csv
 from .susceptible import (
     SelfConsistencyReport,
     SusceptibleCurve,
@@ -70,10 +71,8 @@ from .susceptible import (
     susceptible_curve,
 )
 from .tau import (
-    PairTerm,
     TauCurve,
     decomposition_residual,
-    pair_table,
     read_tau_csv,
     tau_a_curve,
     tau_curve,

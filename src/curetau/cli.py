@@ -14,26 +14,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cure import (
-    DEFAULT_B_GRID,
-    eta_extrapolated,
-    eta_tail,
-    select_b,
+from .cure import DEFAULT_B_GRID, eta_tail_from_sample, resolve_cure_rate, select_b
+from .data import _csv_columns, _csv_text, parse_csv, validate
+from .errors import CureTauError, EstimationError, ParseError
+from .inference import (
+    _one_arm_statistic,
+    _tau_statistic,
+    bootstrap_stats,
+    cure_difference_test,
+    normal_interval,
 )
-from .data import parse_csv, validate
-from .errors import (
-    CureTauError,
-    DegenerateWindowError,
-    EstimationError,
-    ParseError,
-    SelectionFailedError,
-)
-from .inference import bootstrap_stats, cure_difference_test, normal_interval
-from .km import km_fit, risk_table
+from .km import km_fit
 from .seeding import seed_tuple
 from .simlab import run_experiment, preset, scenario_from_dict, TwoArmScenario
 from .stepfun import write_curve_csv
-from .susceptible import location_scale_curve, phi_hat, susceptible_curve
+from .susceptible import phi_hat, susceptible_curve
 from .svgplot import step_plot_svg, tau_to_svg
 from .tau import tau_a_curve, tau_curve, write_tau_csv
 
@@ -87,39 +82,21 @@ def _parse_grid(text):
     return values
 
 
-def _resolve_eta(sample, method, b_setting, seed, boot):
-    """Cure-rate estimate per the chosen method, falling back to the tail
-    estimate (and saying so) when the extrapolation window degenerates."""
-    curve = km_fit(sample, "event")
-    table = risk_table(sample)
-    tail = eta_tail(curve, table)
-    if method == "tail":
-        return tail, None, None
-    if b_setting != "auto":
-        try:
-            b_fixed = float(b_setting)
-        except (TypeError, ValueError):
-            raise _ValidationFailure(f"--b must be 'auto' or a number, got {b_setting!r}") from None
-        if not 0.0 < b_fixed < 1.0:
-            raise _ValidationFailure("--b must lie strictly inside (0, 1)")
+def _parse_b(text):
+    """``"auto"`` or the scale factor in (0, 1) given by ``--b``/``--b0``/``--b1``."""
+    if text == "auto":
+        return text
     try:
-        if b_setting == "auto":
-            b_star, _ = select_b(sample, replicates=boot, seed=seed)
-        else:
-            b_star = b_fixed
-        est = eta_extrapolated(curve, b_star, table.last_event_time)
-    except (DegenerateWindowError, SelectionFailedError) as exc:
-        note = f"extrapolation fell back to the tail estimate: {exc}"
-        return tail, None, note
-    if est.value >= 1.0:
-        note = ("extrapolation fell back to the tail estimate: "
-                "corrected cure rate reached 1")
-        return tail, None, note
-    return est, b_star, None
+        b = float(text)
+    except (TypeError, ValueError):
+        raise _ValidationFailure(f"--b must be 'auto' or a number, got {text!r}") from None
+    if not 0.0 < b < 1.0:
+        raise _ValidationFailure("--b must lie strictly inside (0, 1)")
+    return b
 
 
-def _curve_rows_grid(curve):
-    return np.concatenate(([0.0], curve.x))
+def _banded(curve, sd, half):
+    return curve.with_bands(sd, curve.values - half * sd, curve.values + half * sd)
 
 
 def _json_report(directory, payload):
@@ -149,26 +126,16 @@ def _run_fit(args):
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    eta, b_used, fallback = _resolve_eta(
-        sample, args.eta_method, args.b, seed_tuple(args.seed) + (1,), args.boot
-    )
+    b = _parse_b(args.b) if args.eta_method == "extrapolate" else "auto"
+    eta, fallback = resolve_cure_rate(sample, args.eta_method, b, replicates=args.boot,
+                                      seed=seed_tuple(args.seed) + (1,))
     survival = km_fit(sample, "event")
     censoring = km_fit(sample, "censoring")
     latency = susceptible_curve(sample, eta)
     phi = phi_hat(sample, eta)
 
-    grid = _curve_rows_grid(survival)
-
-    def statistic(s):
-        curve = km_fit(s, "event")
-        if eta.method == "tail":
-            value = eta_tail(curve, risk_table(s)).value
-        else:
-            value = eta_extrapolated(curve, b_used, risk_table(s).last_event_time).value
-        lat, _ = location_scale_curve(curve, value, clamp=eta.method == "extrapolated")
-        return np.concatenate((curve(grid), lat(grid), [value]))
-
-    boot = bootstrap_stats(sample, statistic, R=args.boot,
+    grid = np.concatenate(([0.0], survival.x))
+    boot = bootstrap_stats(sample, _one_arm_statistic(sample, grid, eta.b), R=args.boot,
                            seed=seed_tuple(args.seed) + (0,))
     k = grid.size
     sd_s, sd_lat, sd_eta = boot.sd[:k], boot.sd[k:2 * k], float(boot.sd[-1])
@@ -252,7 +219,7 @@ def _run_compare(args):
     outdir.mkdir(parents=True, exist_ok=True)
     half = -normal_interval(0.0, 1.0, args.level)[0]
 
-    etas = [eta_tail(km_fit(s, "event"), risk_table(s)) for s in (s0, s1)]
+    etas = [eta_tail_from_sample(s) for s in (s0, s1)]
     curves = {}
     for label, arm, eta in ((0, s0, etas[0]), (1, s1, etas[1])):
         curves[label] = {
@@ -264,22 +231,11 @@ def _run_compare(args):
 
     tau = tau_curve(s0, s1)
     tau_a = tau_a_curve(s0, s1, etas[0], etas[1], grid=tau.grid)
-
-    def curve_statistic(r0, r1):
-        e0 = eta_tail(km_fit(r0, "event"), risk_table(r0))
-        e1 = eta_tail(km_fit(r1, "event"), risk_table(r1))
-        return np.concatenate((
-            tau_curve(r0, r1, grid=tau.grid).values,
-            tau_a_curve(r0, r1, e0, e1, grid=tau.grid).values,
-        ))
-
-    boot = bootstrap_stats((s0, s1), curve_statistic, R=args.boot,
+    boot = bootstrap_stats((s0, s1), _tau_statistic(tau.grid, overall=True), R=args.boot,
                            seed=seed_tuple(args.seed) + (0,))
     k = tau.grid.size
-    tau = tau.with_bands(boot.sd[:k], tau.values - half * boot.sd[:k],
-                         tau.values + half * boot.sd[:k])
-    tau_a = tau_a.with_bands(boot.sd[k:], tau_a.values - half * boot.sd[k:],
-                             tau_a.values + half * boot.sd[k:])
+    tau = _banded(tau, boot.sd[:k], half)
+    tau_a = _banded(tau_a, boot.sd[k:], half)
 
     test_tail = cure_difference_test(s0, s1, method="tail", R=args.boot,
                                      seed=seed_tuple(args.seed) + (1,),
@@ -359,17 +315,7 @@ def _run_compare(args):
             "tau_susceptible_end":
                 float(tau_a.values[-1]) if tau_a.values.size else 0.0,
         },
-        "intervals": {
-            "cure_difference": {
-                "point": test_tail.difference,
-                "sd": test_tail.sd,
-                "low": test_tail.ci[0],
-                "high": test_tail.ci[1],
-                "level": test_tail.level,
-                "p_value": test_tail.p_value,
-                "method": "tail",
-            },
-        },
+        "intervals": {"cure_difference": _test_dict(test_tail, "tail")},
         "diagnostics": {
             "warnings": list(report.warnings),
             "bootstrap_missing": boot.n_missing,
@@ -381,15 +327,9 @@ def _run_compare(args):
         payload["estimates"]["cure_rate_extrap_arm1"] = _cure_estimate_dict(
             extrap["etas"][1])
         payload["intervals"]["cure_difference_extrapolated"] = {
-            "point": extrap["test"].difference,
-            "sd": extrap["test"].sd,
-            "low": extrap["test"].ci[0],
-            "high": extrap["test"].ci[1],
-            "level": extrap["test"].level,
-            "p_value": extrap["test"].p_value,
-            "method": "extrapolated",
-            "b0": extrap["b"][0],
-            "b1": extrap["b"][1],
+            **_test_dict(extrap["test"], "extrapolated"),
+            "b0": extrap["etas"][0].b,
+            "b1": extrap["etas"][1].b,
         }
         payload["diagnostics"]["extrapolation_notes"] = extrap["notes"]
     if "report" in emit:
@@ -406,108 +346,63 @@ def _run_compare(args):
     return EXIT_OK
 
 
+def _test_dict(test, method):
+    return {"point": test.difference, "sd": test.sd, "low": test.ci[0],
+            "high": test.ci[1], "level": test.level, "p_value": test.p_value,
+            "method": method}
+
+
 def _compare_extrapolated(args, s0, s1, grid, half):
     notes = []
-    b_values = []
     etas = []
-    latencies = {}
     for label, arm, override in ((0, s0, args.b0), (1, s1, args.b1)):
-        setting = override if override is not None else args.b
-        est, b_used, note = _resolve_eta(
-            arm, "extrapolate", setting,
-            seed_tuple(args.seed) + (3, label), args.boot)
+        b = _parse_b(override if override is not None else args.b)
+        est, note = resolve_cure_rate(arm, "extrapolate", b, replicates=args.boot,
+                                      seed=seed_tuple(args.seed) + (3, label))
         if note:
             notes.append(f"arm {label}: {note}")
         etas.append(est)
-        b_values.append(b_used)
-        latencies[label] = susceptible_curve(arm, est).curve
+    b0, b1 = etas[0].b, etas[1].b
     tau_a = tau_a_curve(s0, s1, etas[0], etas[1], grid=grid)
-
-    def statistic(r0, r1):
-        out = []
-        for arm, est, b_used in ((r0, etas[0], b_values[0]), (r1, etas[1], b_values[1])):
-            curve = km_fit(arm, "event")
-            if est.method == "extrapolated":
-                value = eta_extrapolated(curve, b_used,
-                                         risk_table(arm).last_event_time)
-            else:
-                value = eta_tail(curve, risk_table(arm))
-            out.append(value)
-        return tau_a_curve(r0, r1, out[0], out[1], grid=grid).values
-
-    boot = bootstrap_stats((s0, s1), statistic, R=args.boot,
+    boot = bootstrap_stats((s0, s1), _tau_statistic(grid, b0, b1), R=args.boot,
                            seed=seed_tuple(args.seed) + (4,))
-    tau_a = tau_a.with_bands(boot.sd, tau_a.values - half * boot.sd,
-                             tau_a.values + half * boot.sd)
-    if etas[0].method == "extrapolated" and etas[1].method == "extrapolated":
-        test = cure_difference_test(
-            s0, s1, method="extrapolated", b0=b_values[0], b1=b_values[1],
-            R=args.boot, seed=seed_tuple(args.seed) + (2,), level=args.level)
-    else:
-        test = cure_difference_test(s0, s1, method="tail", R=args.boot,
-                                    seed=seed_tuple(args.seed) + (2,),
-                                    level=args.level)
+    method = "tail" if b0 is None or b1 is None else "extrapolated"
+    test = cure_difference_test(s0, s1, method=method, b0=b0, b1=b1, R=args.boot,
+                                seed=seed_tuple(args.seed) + (2,), level=args.level)
+    if method == "tail":
         notes.append("cure difference used the tail method after fallback")
-    return {"etas": etas, "b": b_values, "latency": latencies, "tau_a": tau_a,
+    latencies = {label: susceptible_curve(arm, est).curve
+                 for label, arm, est in ((0, s0, etas[0]), (1, s1, etas[1]))}
+    return {"etas": etas, "latency": latencies, "tau_a": _banded(tau_a, boot.sd, half),
             "test": test, "notes": notes}
 
 
-def write_experiment_csv(rows, target=None):
-    """Long-form rows ``t,truth,a,b,c,d,e``; the cure-rate row has empty t."""
-    import io as _io
+_EXPERIMENT_HEADER = ("t", "truth", "a", "b", "c", "d", "e")
+_EXPERIMENT_FIELDS = ("truth", "avg_bias", "sd_boot", "sd_emp", "coverage", "ci_len")
 
-    buffer = target if target is not None else _io.StringIO()
-    buffer.write("t,truth,a,b,c,d,e\n")
-    for row in rows:
-        t_text = "" if math.isnan(row.t) else repr(row.t)
-        buffer.write(
-            f"{t_text},{row.truth!r},{row.avg_bias!r},{row.sd_boot!r},"
-            f"{row.sd_emp!r},{row.coverage!r},{row.ci_len!r}\n"
-        )
-    if target is None:
-        return buffer.getvalue()
-    return None
+
+def _t_field(row):
+    return "" if math.isnan(row.t) else row.t
+
+
+def write_experiment_csv(rows):
+    """Long-form rows ``t,truth,a,b,c,d,e``; the cure-rate row has empty t."""
+    return _csv_text(_EXPERIMENT_HEADER, (
+        [_t_field(row)] + [getattr(row, name) for name in _EXPERIMENT_FIELDS]
+        for row in rows))
 
 
 def read_experiment_csv(source):
     """Parse rows written by :func:`write_experiment_csv` into dicts."""
-    text = source if isinstance(source, str) else source.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != "t,truth,a,b,c,d,e":
-        raise ParseError("bad experiment header", 1)
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ParseError(f"expected 7 fields, got {len(fields)}", line_no)
-        try:
-            rows.append({
-                "t": math.nan if fields[0] == "" else float(fields[0]),
-                "truth": float(fields[1]),
-                "a": float(fields[2]),
-                "b": float(fields[3]),
-                "c": float(fields[4]),
-                "d": float(fields[5]),
-                "e": float(fields[6]),
-            })
-        except ValueError:
-            raise ParseError(f"malformed number in {line!r}", line_no) from None
-    return rows
+    header, columns = _csv_columns(source, (_EXPERIMENT_HEADER,), blank_t=math.nan)
+    return [dict(zip(header, values)) for values in zip(*columns)]
 
 
 def _experiment_table_csv(rows):
-    labels = ["truth", "a", "b", "c", "d", "e"]
-    headers = ["row"]
-    for row in rows:
-        headers.append("cure_rate" if math.isnan(row.t) else repr(row.t))
-    lines = [",".join(headers)]
-    for label in labels:
-        key = {"truth": "truth", "a": "avg_bias", "b": "sd_boot", "c": "sd_emp",
-               "d": "coverage", "e": "ci_len"}[label]
-        lines.append(",".join([label] + [repr(getattr(row, key)) for row in rows]))
-    return "\n".join(lines) + "\n"
+    header = ["row"] + ["cure_rate" if math.isnan(row.t) else row.t for row in rows]
+    return _csv_text(header, (
+        [label] + [getattr(row, name) for row in rows]
+        for label, name in zip(_EXPERIMENT_HEADER[1:], _EXPERIMENT_FIELDS)))
 
 
 def _run_simulate(args):
@@ -534,15 +429,7 @@ def _run_simulate(args):
     if args.full_profile:
         runs, boot = 500, 2000
     times = _parse_grid(args.grid) if args.grid else None
-    if args.b != "auto":
-        try:
-            b_setting = float(args.b)
-        except ValueError:
-            raise _ValidationFailure(f"--b must be 'auto' or a number, got {args.b!r}") from None
-        if not 0.0 < b_setting < 1.0:
-            raise _ValidationFailure("--b must lie strictly inside (0, 1)")
-    else:
-        b_setting = "auto"
+    b_setting = _parse_b(args.b)
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -555,17 +442,10 @@ def _run_simulate(args):
     _write_text(outdir, "experiment.csv", write_experiment_csv(rows))
     _write_text(outdir, "experiment_table.csv", _experiment_table_csv(rows))
     if points is not None:
-        import io as _io
-
-        buffer = _io.StringIO()
-        buffer.write("run,estimand,t,value\n")
-        for run_idx in range(points.shape[0]):
-            for col, row in enumerate(rows):
-                t_text = "" if math.isnan(row.t) else repr(row.t)
-                buffer.write(
-                    f"{run_idx},{row.estimand},{t_text},"
-                    f"{float(points[run_idx, col])!r}\n")
-        _write_text(outdir, "raw_estimates.csv", buffer.getvalue())
+        _write_text(outdir, "raw_estimates.csv", _csv_text(
+            ("run", "estimand", "t", "value"),
+            ((run, row.estimand, _t_field(row), points[run, col])
+             for run in range(points.shape[0]) for col, row in enumerate(rows))))
     _json_report(outdir, {
         "inputs": {
             "command": "simulate",
@@ -579,16 +459,8 @@ def _run_simulate(args):
             "level": args.level,
         },
         "estimates": [
-            {
-                "estimand": row.estimand,
-                "t": None if math.isnan(row.t) else row.t,
-                "truth": row.truth,
-                "avg_bias": row.avg_bias,
-                "sd_boot": row.sd_boot,
-                "sd_emp": row.sd_emp,
-                "coverage": row.coverage,
-                "ci_len": row.ci_len,
-            }
+            {"estimand": row.estimand, "t": None if math.isnan(row.t) else row.t,
+             **{name: getattr(row, name) for name in _EXPERIMENT_FIELDS}}
             for row in rows
         ],
         "intervals": {},
@@ -612,13 +484,10 @@ def _run_btune(args):
                                    seed=seed_tuple(args.seed))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = ["b,eta_estimate,boot_mean,criterion,missing,selected"]
-    for point in diagnostics:
-        lines.append(
-            f"{point.b!r},{point.eta_check!r},{point.boot_mean!r},"
-            f"{point.criterion!r},{point.n_missing},{int(point.b == b_star)}"
-        )
-    _write_text(outdir, "btune.csv", "\n".join(lines) + "\n")
+    _write_text(outdir, "btune.csv", _csv_text(
+        ("b", "eta_estimate", "boot_mean", "criterion", "missing", "selected"),
+        ((p.b, p.eta_check, p.boot_mean, p.criterion, p.n_missing, int(p.b == b_star))
+         for p in diagnostics)))
     print(f"b_star: {b_star!r}")
     return EXIT_OK
 
@@ -690,10 +559,7 @@ def main(argv=None):
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except _ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ParseError as exc:
+    except (_ValidationFailure, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EstimationError as exc:

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeightError,
-    DegenerateWindowError,
-    NoEventsError,
-    SelectionFailedError,
-)
+from .errors import DegenerateWindowError, NoEventsError, SelectionFailedError
 from .km import _count_chunks, _km_rows, _sort_sample, km_fit, risk_table
 
 DEFAULT_B_GRID = tuple(np.round(np.arange(0.10, 0.91, 0.05), 2))
@@ -123,17 +118,17 @@ def _cure_rate_rows(km, b=None):
 
     The tail value, or with ``b`` the extrapolated value, computed as
     ``eta_tail`` and ``eta_extrapolated`` compute it on the resample.  NaN
-    marks the rows on which that scalar path raises: no events, a vanishing
-    censoring weight (``risk_table``) or a degenerate window.
+    marks the rows on which that scalar path raises: no events or a
+    degenerate window.
     """
     rows = np.arange(km.surv.shape[0])
     tail = km.surv[rows, km.last_event]
     if b is None:
-        return np.where(km.defined, tail, np.nan)
+        return np.where(km.has_events, tail, np.nan)
     _check_b(b)
     t_k = km.distinct[km.last_event]
     _, raw, flat, unit = _extrapolate(tail, km.at(b * t_k), km.at(b * b * t_k))
-    return np.where(km.defined & ~flat & ~unit, _clamp_unit(raw), np.nan)
+    return np.where(km.has_events & ~flat & ~unit, _clamp_unit(raw), np.nan)
 
 
 @dataclass(frozen=True)
@@ -202,10 +197,6 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     boot_values = np.empty((replicates, len(live)))
     for start, (counts,) in _count_chunks((sample.n,), seed, replicates):
         km = _km_rows(summary, counts)
-        if not np.all(km.weights_ok[km.has_events]):
-            raise DegenerateWeightError(
-                "censoring survival vanishes before an event time of a bootstrap resample"
-            )
         for j, b in enumerate(live):
             boot_values[start:start + counts.shape[0], j] = _cure_rate_rows(km, b)
 
@@ -238,3 +229,34 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
             "no grid point has a defined bootstrap mean; fall back to the tail estimate"
         )
     return best[1], diagnostics
+
+
+def resolve_cure_rate(sample, method, b="auto", *, grid=DEFAULT_B_GRID, replicates=500,
+                      seed=0):
+    """The cure-rate estimate of a sample under ``method``: the paper's rule.
+
+    ``"tail"`` gives the KM tail value.  ``"extrapolate"`` gives the
+    extrapolated value at scale factor ``b``, or with ``b="auto"`` at the one
+    ``select_b(sample, grid, replicates, seed)`` picks; it falls back to the
+    tail value when no b can be selected, the window degenerates or the
+    corrected cure rate reaches 1.  Returns ``(estimate, fallback)``, where
+    ``fallback`` is None or the note saying why the tail value was used, and
+    ``estimate.b`` is None exactly when the estimate is the tail value.
+    """
+    if method not in ("tail", "extrapolate"):
+        raise ValueError(f"method must be 'tail' or 'extrapolate', got {method!r}")
+    curve = km_fit(sample, "event")
+    table = risk_table(sample)
+    tail = eta_tail(curve, table)
+    if method == "tail":
+        return tail, None
+    try:
+        if b == "auto":
+            b, _ = select_b(sample, grid=grid, replicates=replicates, seed=seed)
+        estimate = eta_extrapolated(curve, b, table.last_event_time)
+    except (DegenerateWindowError, SelectionFailedError) as exc:
+        return tail, f"extrapolation fell back to the tail estimate: {exc}"
+    if estimate.value >= 1.0:
+        return tail, ("extrapolation fell back to the tail estimate: "
+                      "corrected cure rate reached 1")
+    return estimate, None

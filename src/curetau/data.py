@@ -183,22 +183,64 @@ def parse_csv(source):
     return Sample(times, status, arms if has_arm else None)
 
 
-def write_csv(sample, target=None):
-    """Serialize a sample back to ``time,status[,arm]`` CSV text.
+def _csv_text(header, rows):
+    """CSV text of a header row and data rows, one line each.
 
-    Writes to the file-like ``target`` when given, else returns a string.
+    A str field is written as it is, an integer via ``str(int)`` and any
+    other number via ``repr(float)``, so floats round-trip exactly and equal
+    inputs give equal bytes.
     """
-    buffer = target if target is not None else io.StringIO()
-    header = "time,status,arm" if sample.has_arms else "time,status"
-    buffer.write(header + "\n")
-    for i in range(sample.n):
-        fields = [repr(float(sample.times[i])), str(int(sample.status[i]))]
-        if sample.has_arms:
-            fields.append(str(int(sample.arms[i])))
-        buffer.write(",".join(fields) + "\n")
-    if target is None:
-        return buffer.getvalue()
-    return None
+
+    def field(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    return "".join(",".join(map(field, row)) + "\n" for row in (header, *rows))
+
+
+def _csv_columns(source, headers, blank_t=None):
+    """Float columns of CSV text (a string or file-like) written by ``_csv_text``.
+
+    The header, lower-cased, must be one of ``headers`` (tuples of column
+    names).  Returns ``(header, columns)`` with one list of floats per
+    column.  Blank lines are skipped; with ``blank_t`` given, an empty first
+    field reads as that value.  Errors carry the 1-based line number.
+    """
+    text = source if isinstance(source, str) else source.read()
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input: missing header line", 1)
+    header = tuple(name.strip().lower() for name in lines[0].strip().split(","))
+    if header not in headers:
+        expected = " or ".join(",".join(names) for names in headers)
+        raise ParseError(f"header must be {expected}, got {lines[0]!r}", 1)
+    columns = [[] for _ in header]
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = [field.strip() for field in line.split(",")]
+        if len(fields) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line_no)
+        if blank_t is not None and fields[0] == "":
+            fields[0] = blank_t
+        try:
+            for column, value in zip(columns, fields):
+                column.append(float(value))
+        except ValueError:
+            raise ParseError(f"malformed number in {line!r}", line_no) from None
+    return header, columns
+
+
+def write_csv(sample):
+    """Serialize a sample back to ``time,status[,arm]`` CSV text."""
+    columns = [sample.times.tolist(), sample.status.tolist()]
+    if sample.has_arms:
+        columns.append(sample.arms.tolist())
+    header = ("time", "status", "arm")[:len(columns)]
+    return _csv_text(header, zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -228,6 +270,8 @@ def validate(sample):
         return ValidationReport(tuple(fatal), tuple(warnings))
     if not np.isfinite(sample.times).all() or (sample.times < 0).any():
         fatal.append("negative or non-finite times")
+    elif (sample.times == 0).any():
+        fatal.append("observation at time 0: follow-up times must be positive")
     if sample.n_events == 0:
         fatal.append("no events: cure-rate and latency estimators are undefined")
     ties = _event_censor_tie_times(sample.times, sample.status)

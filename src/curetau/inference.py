@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .cure import _cure_rate_rows
+from .cure import _cure_rate_rows, eta_extrapolated, eta_tail
 from .errors import EstimationError, UnstableStatisticError
-from .km import _count_chunks, _km_rows, _sort_sample
+from .km import _count_chunks, _km_rows, _sort_sample, km_fit, risk_table
 from .seeding import seed_tuple, stream
+from .tau import tau_a_curve, tau_curve
 
 
 def z_quantile(p):
@@ -75,6 +76,59 @@ class CountStatistic:
     """
 
     evaluate: Callable
+
+
+def _one_arm_statistic(sample, grid, b=None):
+    """Count statistic of one sample: ``[S(grid), S_a(grid), eta]``.
+
+    ``eta`` is the tail cure rate, or with ``b`` the extrapolated one, and
+    ``S_a`` is ``location_scale_curve`` of each replicate's event curve ``S``:
+    clamped into [0, 1] only for the extrapolated cure rate, and undefined
+    when the cure rate reaches 1.  Both curves are 1.0 before the
+    replicate's first event.
+    """
+    summary = _sort_sample(sample.times, sample.status)
+    at_grid = np.searchsorted(summary.distinct, grid, side="right") - 1
+
+    def evaluate(counts):
+        km = _km_rows(summary, counts)
+        eta = _cure_rate_rows(km, b)
+        eta[eta >= 1.0] = np.nan
+        before = at_grid < km.first_event[:, None]
+        survival = np.where(before, 1.0, km.surv[:, np.maximum(at_grid, 0)])
+        column = eta[:, None]
+        latency = (survival - column) / (1.0 - column)
+        if b is not None:
+            latency = np.clip(latency, 0.0, 1.0)
+        latency = np.where(before, 1.0, latency)
+        return np.column_stack((survival, latency, eta))
+
+    return CountStatistic(evaluate)
+
+
+def _tau_statistic(grid, b0=None, b1=None, overall=False):
+    """Statistic of two samples: the susceptible tau process at ``grid``,
+    preceded by the overall one when ``overall`` is set.
+
+    Each arm's cure rate is its tail value, or with that arm's ``b`` its
+    extrapolated value.
+    """
+
+    def cure_rate(sample, b):
+        curve = km_fit(sample, "event")
+        table = risk_table(sample)
+        if b is None:
+            return eta_tail(curve, table)
+        return eta_extrapolated(curve, b, table.last_event_time)
+
+    def statistic(sample0, sample1):
+        tau_a = tau_a_curve(sample0, sample1, cure_rate(sample0, b0),
+                            cure_rate(sample1, b1), grid=grid).values
+        if not overall:
+            return tau_a
+        return np.concatenate((tau_curve(sample0, sample1, grid=grid).values, tau_a))
+
+    return statistic
 
 
 def _resample(samples, rng):

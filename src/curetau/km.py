@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWeightError, NoEventsError
+from .errors import NoEventsError
 from .seeding import stream
 from .stepfun import StepFunction
 
@@ -115,13 +115,8 @@ def risk_table(sample):
     event_times = distinct[mask]
     d = events[mask]
     y = at_risk[mask]
-    censor_curve = km_fit(sample, target="censoring")
-    g_left = censor_curve(event_times, side="left")
-    if np.any(g_left <= 0.0):
-        bad = event_times[np.asarray(g_left) <= 0.0][0]
-        raise DegenerateWeightError(
-            f"censoring survival vanishes just before event time {bad!r}"
-        )
+    # Positive: each censoring factor 1 - c_j/Y_j >= Y_(j+1)/Y_j, so G(t-) >= Y(t)/n.
+    g_left = km_fit(sample, target="censoring")(event_times, side="left")
     d_tilde = d / g_left
     y_tilde = np.cumsum(d_tilde[::-1])[::-1]
     return RiskTable(
@@ -170,8 +165,7 @@ class _KMRows:
     contribute a factor of exactly 1.0, so every value is bit-identical to
     ``km_fit`` on the resample.  ``first_event``/``last_event`` index the
     replicate's smallest and largest event time (meaningless where
-    ``has_events`` is False); ``weights_ok`` is ``risk_table``'s condition that
-    the censoring survival stays positive just before every event time.
+    ``has_events`` is False).
     """
 
     distinct: np.ndarray
@@ -179,12 +173,6 @@ class _KMRows:
     first_event: np.ndarray
     last_event: np.ndarray
     has_events: np.ndarray
-    weights_ok: np.ndarray
-
-    @property
-    def defined(self):
-        """Rows on which ``risk_table`` of the resample would not raise."""
-        return self.has_events & self.weights_ok
 
     def at(self, t):
         """Each row's curve at its own time ``t[r]`` (right-continuous)."""
@@ -204,18 +192,11 @@ def _km_rows(summary, counts):
     events = np.add.reduceat(weights * summary.status, summary.first, axis=1)
     at_risk = weights.sum(axis=1, keepdims=True) - (np.cumsum(totals, axis=1) - totals)
     surv = np.cumprod(1.0 - _hazard(events, at_risk), axis=1)
-    censor = np.cumprod(1.0 - _hazard(totals - events, at_risk), axis=1)
     jumps = events > 0
-    rows = np.arange(counts.shape[0])
-    last = jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1)
-    # Censoring survival never increases, so it is smallest just before the
-    # largest event time: checking there checks every event time.
-    g_left = np.where(last > 0, censor[rows, np.maximum(last - 1, 0)], 1.0)
     return _KMRows(
         distinct=summary.distinct,
         surv=surv,
         first_event=np.argmax(jumps, axis=1),
-        last_event=last,
+        last_event=jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1),
         has_events=jumps.any(axis=1),
-        weights_ok=g_left > 0.0,
     )

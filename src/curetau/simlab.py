@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cure import DEFAULT_B_GRID, _cure_rate_rows, eta_extrapolated, eta_tail, select_b
+from .cure import DEFAULT_B_GRID, resolve_cure_rate
 from .data import Sample
 from .distributions import BetaLatency, TruncatedWeibullLatency, latency_from_dict
-from .errors import DegenerateWindowError, EstimationError, SelectionFailedError
-from .inference import CountStatistic, bootstrap_stats, z_quantile
-from .km import _km_rows, _sort_sample, km_fit, risk_table
+from .errors import EstimationError
+from .inference import _one_arm_statistic, _tau_statistic, bootstrap_stats, z_quantile
 from .seeding import seed_tuple, stream
-from .tau import tau_a_curve, true_tau_quadrature
+from .tau import true_tau_quadrature
 
 DEFAULT_LEVELS = (0.75, 0.65, 0.55, 0.45, 0.35, 0.25)
 DEFAULT_TAU_GRID = tuple(np.round(np.arange(0.1, 1.01, 0.1), 10))
@@ -137,40 +136,6 @@ def _latency_grid(scenario, times, levels):
     return np.asarray(scenario.latency.ppf(1.0 - np.asarray(levels)), dtype=float)
 
 
-def _one_arm_count_statistic(sample, grid, b):
-    """Count statistic: latency survival at the grid times plus the cure rate.
-
-    The cure rate is the tail value, or with ``b`` the extrapolated value.
-    The latency curve is ``location_scale_curve`` of each replicate's event
-    curve: 1.0 before the replicate's first event, clamped into [0, 1] only
-    for the extrapolated cure rate, and undefined when the cure rate reaches 1.
-    """
-    summary = _sort_sample(sample.times, sample.status)
-    at_grid = np.searchsorted(summary.distinct, grid, side="right") - 1
-
-    def evaluate(counts):
-        km = _km_rows(summary, counts)
-        eta = _cure_rate_rows(km, b)
-        eta[eta >= 1.0] = np.nan
-        column = eta[:, None]
-        latency = (km.surv[:, np.maximum(at_grid, 0)] - column) / (1.0 - column)
-        if b is not None:
-            latency = np.clip(latency, 0.0, 1.0)
-        latency = np.where(at_grid < km.first_event[:, None], 1.0, latency)
-        return np.column_stack((latency, eta))
-
-    return CountStatistic(evaluate)
-
-
-def _two_arm_statistic(grid):
-    def statistic(sample0, sample1):
-        eta0 = eta_tail(km_fit(sample0, "event"), risk_table(sample0))
-        eta1 = eta_tail(km_fit(sample1, "event"), risk_table(sample1))
-        return tau_a_curve(sample0, sample1, eta0, eta1, grid=grid).values
-
-    return statistic
-
-
 @dataclass
 class _RunOutcome:
     index: int
@@ -183,40 +148,28 @@ def _run_one_arm(scenario, grid, R, seed, index, eta_method, b, b_grid,
                  select_replicates):
     """One draw/estimate/bootstrap cycle.
 
-    With the extrapolated method the scale factor is settled once on the
-    drawn sample (selection failure or a saturated estimate fall back to the
-    tail method for the whole run), then held fixed across the bootstrap.
+    The cure-rate method is settled once on the drawn sample by
+    ``resolve_cure_rate`` (a fallback to the tail estimate holds for the
+    whole run), and its scale factor is held fixed across the bootstrap.
     """
     try:
         sample = draw_sample(scenario, seed_tuple(seed) + (index, 0))
-        method, b_fixed = eta_method, None
-        if eta_method == "extrapolate":
-            try:
-                if b == "auto":
-                    b_fixed, _ = select_b(
-                        sample, grid=b_grid, replicates=select_replicates,
-                        seed=seed_tuple(seed) + (index, 1))
-                else:
-                    b_fixed = float(b)
-                curve = km_fit(sample, "event")
-                probe = eta_extrapolated(curve, b_fixed,
-                                         risk_table(sample).last_event_time)
-                if probe.value >= 1.0:
-                    method = "tail"
-            except (DegenerateWindowError, SelectionFailedError):
-                method = "tail"
-        statistic = _one_arm_count_statistic(sample, grid, b_fixed if method != "tail" else None)
-        boot = bootstrap_stats(sample, statistic, R=R, seed=seed_tuple(seed) + (index, 2))
+        eta, _ = resolve_cure_rate(sample, eta_method, b, grid=b_grid,
+                                   replicates=select_replicates,
+                                   seed=seed_tuple(seed) + (index, 1))
+        boot = bootstrap_stats(sample, _one_arm_statistic(sample, grid, eta.b), R=R,
+                               seed=seed_tuple(seed) + (index, 2))
     except EstimationError:
         return _RunOutcome(index=index, failed=True)
-    return _RunOutcome(index=index, point=boot.point, sd=boot.sd)
+    # Keep the latency and cure-rate columns; the event survival is not studied.
+    return _RunOutcome(index=index, point=boot.point[grid.size:], sd=boot.sd[grid.size:])
 
 
 def _run_two_arm(scenario, grid, R, seed, index):
     try:
         s0 = _draw_with_rng(scenario.arm0, stream(seed, index, 0))
         s1 = _draw_with_rng(scenario.arm1, stream(seed, index, 1))
-        boot = bootstrap_stats((s0, s1), _two_arm_statistic(grid), R=R,
+        boot = bootstrap_stats((s0, s1), _tau_statistic(grid), R=R,
                                seed=seed_tuple(seed) + (index, 2))
     except EstimationError:
         return _RunOutcome(index=index, failed=True)

@@ -1,9 +1,8 @@
 """Right-continuous step functions with left-limit evaluation."""
 
-import io
-
 import numpy as np
 
+from .data import _csv_columns, _csv_text
 from .errors import DomainError, ParseError
 
 
@@ -99,56 +98,21 @@ class StepFunction:
         )
 
 
-def step_eval(f, t, side="right"):
-    """Evaluate ``f`` at ``t``; ``side="left"`` gives the limit from below."""
-    return f(t, side=side)
-
-
-def write_curve_csv(curve, target=None, bands=None):
+def write_curve_csv(curve, bands=None):
     """Write a curve as ``t,value[,lo,hi]`` rows, starting with the t=0 value.
 
     ``bands`` is an optional ``(lo_values, hi_values)`` pair aligned with the
     written grid ``[0, x_0, x_1, ...]``.
     """
-    buffer = target if target is not None else io.StringIO()
-    grid = np.concatenate(([0.0], curve.x))
-    values = np.concatenate(([curve.initial_value], curve.y))
-    if bands is None:
-        buffer.write("t,value\n")
-        for t, v in zip(grid, values):
-            buffer.write(f"{float(t)!r},{float(v)!r}\n")
-    else:
-        lo, hi = bands
-        buffer.write("t,value,lo,hi\n")
-        for t, v, a, b in zip(grid, values, lo, hi):
-            buffer.write(f"{float(t)!r},{float(v)!r},{float(a)!r},{float(b)!r}\n")
-    if target is None:
-        return buffer.getvalue()
-    return None
+    columns = [[0.0, *curve.x.tolist()], [curve.initial_value, *curve.y.tolist()]]
+    if bands is not None:
+        columns += [np.asarray(band, dtype=float).tolist() for band in bands]
+    return _csv_text(("t", "value", "lo", "hi")[:len(columns)], zip(*columns))
 
 
 def read_curve_csv(source):
     """Parse ``t,value[,lo,hi]`` rows back into a StepFunction (bands ignored)."""
-    text = source if isinstance(source, str) else source.read()
-    rows = text.splitlines()
-    if not rows:
-        raise ParseError("empty curve file", 1)
-    header = [h.strip().lower() for h in rows[0].strip().split(",")]
-    if header[:2] != ["t", "value"]:
-        raise ParseError("curve header must start with 't,value'", 1)
-    ts, vs = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        row = row.strip()
-        if not row:
-            continue
-        fields = row.split(",")
-        if len(fields) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line_no)
-        try:
-            ts.append(float(fields[0]))
-            vs.append(float(fields[1]))
-        except ValueError:
-            raise ParseError(f"malformed number in {row!r}", line_no) from None
+    _, (ts, vs, *_) = _csv_columns(source, (("t", "value"), ("t", "value", "lo", "hi")))
     if not ts or ts[0] != 0.0:
         raise ParseError("curve must start with its t=0 value", 2)
     return StepFunction(ts[1:], vs[1:], initial_value=vs[0])

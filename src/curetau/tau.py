@@ -7,13 +7,13 @@ subjects by the estimated probability that they are susceptible and rescales
 by the susceptible fractions, so it targets the latency distributions alone.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .errors import DegenerateWeightError, EstimationError, ParseError, ToleranceError
+from .data import _csv_columns, _csv_text
+from .errors import DegenerateWeightError, EstimationError, ToleranceError
 from .km import km_fit
 from .susceptible import location_scale_curve
 
@@ -45,19 +45,6 @@ class TauCurve:
         lo = None if self.ci_high is None else -self.ci_high
         hi = None if self.ci_low is None else -self.ci_low
         return TauCurve(self.grid, -self.values, self.kind, self.sd, lo, hi)
-
-
-@dataclass(frozen=True)
-class PairTerm:
-    """One cross-arm pair: comparison time, orderability, sign, and weights."""
-
-    i: int
-    j: int
-    x_tilde: float
-    orderable: int
-    sign: int
-    ipcw: float
-    weight: float
 
 
 def censoring_weight_factor(latency_survival_at_x, eta_value):
@@ -213,37 +200,6 @@ def tau_a_curve(sample0, sample1, eta0, eta1, grid=None):
     return TauCurve(grid=grid, values=values, kind="susceptible")
 
 
-def pair_table(sample0, sample1, eta0=None, eta1=None):
-    """Reference per-pair breakdown (quadratic; intended for small samples)."""
-    g0 = km_fit(sample0, "censoring")
-    g1 = km_fit(sample1, "censoring")
-    if eta0 is not None:
-        w0 = _subject_weights(sample0, eta0)
-        w1 = _subject_weights(sample1, eta1)
-    terms = []
-    for i in range(sample0.n):
-        for j in range(sample1.n):
-            x0, d0 = float(sample0.times[i]), int(sample0.status[i])
-            x1, d1 = float(sample1.times[j]), int(sample1.status[j])
-            x_tilde = min(x0, x1)
-            orderable = int((x0 < x1 and d0 == 1) or (x0 > x1 and d1 == 1))
-            g_prod = g0(x_tilde, side="left") * g1(x_tilde, side="left")
-            ipcw = 1.0 / g_prod if g_prod > 0 else np.inf
-            weight = float(w0[i] * w1[j]) if eta0 is not None else 1.0
-            terms.append(
-                PairTerm(
-                    i=i,
-                    j=j,
-                    x_tilde=x_tilde,
-                    orderable=orderable,
-                    sign=int(np.sign(x1 - x0)),
-                    ipcw=ipcw,
-                    weight=weight,
-                )
-            )
-    return terms
-
-
 _QUAD_TOL = 1e-9
 
 
@@ -304,49 +260,20 @@ def decomposition_residual(dist0, dist1, eta0, eta1, t):
     return abs(overall - reconstructed)
 
 
-def write_tau_csv(curve, target=None):
+def write_tau_csv(curve):
     """Write ``t,value[,sd,lo,hi]`` rows for a tau curve."""
-    buffer = target if target is not None else io.StringIO()
-    if curve.sd is None:
-        buffer.write("t,value\n")
-        for t, v in zip(curve.grid, curve.values):
-            buffer.write(f"{float(t)!r},{float(v)!r}\n")
-    else:
-        buffer.write("t,value,sd,lo,hi\n")
-        for t, v, s, lo, hi in zip(curve.grid, curve.values, curve.sd,
-                                   curve.ci_low, curve.ci_high):
-            buffer.write(f"{float(t)!r},{float(v)!r},{float(s)!r},"
-                         f"{float(lo)!r},{float(hi)!r}\n")
-    if target is None:
-        return buffer.getvalue()
-    return None
+    columns = [curve.grid, curve.values]
+    if curve.sd is not None:
+        columns += [curve.sd, curve.ci_low, curve.ci_high]
+    columns = [np.asarray(column, dtype=float).tolist() for column in columns]
+    return _csv_text(("t", "value", "sd", "lo", "hi")[:len(columns)], zip(*columns))
 
 
 def read_tau_csv(source, kind="overall"):
     """Parse rows written by :func:`write_tau_csv` back into a TauCurve."""
-    text = source if isinstance(source, str) else source.read()
-    rows = text.splitlines()
-    if not rows:
-        raise ParseError("empty tau curve file", 1)
-    header = [h.strip().lower() for h in rows[0].split(",")]
-    if header[:2] != ["t", "value"]:
-        raise ParseError("tau curve header must start with 't,value'", 1)
-    with_bands = header == ["t", "value", "sd", "lo", "hi"]
-    columns = [[] for _ in header]
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row.strip():
-            continue
-        fields = row.split(",")
-        if len(fields) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line_no)
-        try:
-            for store, field in zip(columns, fields):
-                store.append(float(field))
-        except ValueError:
-            raise ParseError(f"malformed number in {row!r}", line_no) from None
-    grid = np.asarray(columns[0])
-    values = np.asarray(columns[1])
-    curve = TauCurve(grid=grid, values=values, kind=kind)
-    if with_bands:
+    header, columns = _csv_columns(
+        source, (("t", "value"), ("t", "value", "sd", "lo", "hi")))
+    curve = TauCurve(grid=np.asarray(columns[0]), values=np.asarray(columns[1]), kind=kind)
+    if len(header) == 5:
         curve = curve.with_bands(columns[2], columns[3], columns[4])
     return curve

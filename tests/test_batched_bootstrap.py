@@ -1,10 +1,12 @@
 """The count-weight bootstrap against the looped bootstrap it replaces.
 
-``select_b``, the Monte Carlo one-arm run and ``cure_difference_test``
-evaluate their replicates as rows of subject counts.  Each must reproduce the
-loop over resampled ``Sample`` objects bit for bit: the same values with the
-same NaN pattern, the same number of missing replicates and the same
-failures.  The loop forms live here as the reference implementations.
+``select_b``, the one-arm statistic (CLI ``fit`` and the Monte Carlo one-arm
+run) and ``cure_difference_test`` evaluate their replicates as rows of
+subject counts.  Each must reproduce the loop over resampled ``Sample``
+objects bit for bit: the same values with the same NaN pattern, the same
+number of missing replicates and the same failures.  The loop forms live here
+as the reference implementations, as does the CLI's cure-rate rule that
+``resolve_cure_rate`` replaced.
 """
 
 import dataclasses
@@ -15,16 +17,17 @@ from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.cure import DEFAULT_B_GRID
-from curetau.errors import DegenerateWindowError, UnstableStatisticError
+from curetau.errors import DegenerateWindowError, SelectionFailedError, UnstableStatisticError
+from curetau.inference import _one_arm_statistic
 from curetau.km import COUNT_CHUNK_ELEMENTS
 from curetau.seeding import stream
-from curetau.simlab import _one_arm_count_statistic
 
 GRID_TIMES = np.array([0.1, 0.3, 0.5, 0.75, 1.0, 2.0])
 
 
 def looped_one_arm_statistic(grid, eta_method, b_fixed):
-    """Statistic: latency survival at the grid times plus the cure rate."""
+    """Statistic: event survival and latency survival at the grid times, then
+    the cure rate (the CLI ``fit`` statistic before it became count rows)."""
 
     def statistic(sample):
         curve = ct.km_fit(sample, "event")
@@ -36,9 +39,33 @@ def looped_one_arm_statistic(grid, eta_method, b_fixed):
         latency, _ = ct.location_scale_curve(
             curve, eta.value, clamp=eta.method == "extrapolated"
         )
-        return np.append(latency(grid), eta.value)
+        return np.concatenate((curve(grid), latency(grid), [eta.value]))
 
     return statistic
+
+
+def cli_resolve_eta(sample, method, b_setting, seed, boot):
+    """The CLI's cure-rate rule as it stood before ``resolve_cure_rate``
+    (the ``--b`` parsing, now done before the call, left out)."""
+    curve = ct.km_fit(sample, "event")
+    table = ct.risk_table(sample)
+    tail = ct.eta_tail(curve, table)
+    if method == "tail":
+        return tail, None, None
+    try:
+        if b_setting == "auto":
+            b_star, _ = ct.select_b(sample, replicates=boot, seed=seed)
+        else:
+            b_star = float(b_setting)
+        est = ct.eta_extrapolated(curve, b_star, table.last_event_time)
+    except (DegenerateWindowError, SelectionFailedError) as exc:
+        note = f"extrapolation fell back to the tail estimate: {exc}"
+        return tail, None, note
+    if est.value >= 1.0:
+        note = ("extrapolation fell back to the tail estimate: "
+                "corrected cure rate reached 1")
+        return tail, None, note
+    return est, b_star, None
 
 
 def looped_cure_difference(b0, b1):
@@ -201,11 +228,13 @@ def test_select_b_matches_loop(sample, replicates, seed, grid):
         assert same(batched[1], looped[1])
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(sample=any_sample, R=st.integers(2, 200), seed=st.integers(0, 1000),
-       b=st.one_of(st.none(), st.sampled_from(DEFAULT_B_GRID)))
-def test_one_arm_bootstrap_matches_loop(sample, R, seed, b):
-    grid = GRID_TIMES
+       b=st.one_of(st.none(), st.sampled_from(DEFAULT_B_GRID)), event_grid=st.booleans())
+def test_one_arm_bootstrap_matches_loop(sample, R, seed, b, event_grid):
+    # CLI ``fit`` reads both curves at 0 and at every event time; the Monte
+    # Carlo run reads them at fixed times.
+    grid = np.concatenate(([0.0], ct.km_fit(sample, "event").x)) if event_grid else GRID_TIMES
     if b is not None:
         # Like the Monte Carlo run, prefer a b whose estimate is defined and
         # below 1 on the original sample, starting from the drawn one.
@@ -215,7 +244,7 @@ def test_one_arm_bootstrap_matches_loop(sample, R, seed, b):
         sample, looped_one_arm_statistic(grid, "tail" if b is None else "extrapolate", b),
         R=R, seed=seed))
     batched = outcome(lambda: ct.bootstrap_stats(
-        sample, _one_arm_count_statistic(sample, grid, b), R=R, seed=seed))
+        sample, _one_arm_statistic(sample, grid, b), R=R, seed=seed))
     assert_same_bootstrap(looped, batched)
 
 
@@ -242,7 +271,7 @@ def test_event_free_resamples_are_missing_in_both_forms():
     sample = ct.Sample([0.5, 1.0, 1.0, 2.0, 3.0, 3.0], [1, 0, 0, 0, 0, 0])
     looped = ct.bootstrap_stats(sample, looped_one_arm_statistic(GRID_TIMES, "tail", None),
                                 R=40, seed=3)
-    batched = ct.bootstrap_stats(sample, _one_arm_count_statistic(sample, GRID_TIMES, None),
+    batched = ct.bootstrap_stats(sample, _one_arm_statistic(sample, GRID_TIMES, None),
                                  R=40, seed=3)
     assert 0 < looped.n_missing < 20
     assert_same_bootstrap(looped, batched)
@@ -266,14 +295,57 @@ def test_large_arms_with_a_partial_last_chunk():
     for b in (None, batched_b[0]):
         method = "tail" if b is None else "extrapolate"
         for sample in (arm0, arm1):
-            assert_same_bootstrap(
-                ct.bootstrap_stats(sample, looped_one_arm_statistic(GRID_TIMES, method, b),
-                                   R=R, seed=6),
-                ct.bootstrap_stats(sample, _one_arm_count_statistic(sample, GRID_TIMES, b),
-                                   R=R, seed=6))
+            for grid in (GRID_TIMES, np.concatenate(([0.0], ct.km_fit(sample, "event").x))):
+                assert_same_bootstrap(
+                    ct.bootstrap_stats(sample, looped_one_arm_statistic(grid, method, b),
+                                       R=R, seed=6),
+                    ct.bootstrap_stats(sample, _one_arm_statistic(sample, grid, b),
+                                       R=R, seed=6))
         looped = ct.bootstrap_stats((arm0, arm1), looped_cure_difference(b, b), R=R, seed=7)
         batched = ct.cure_difference_test(
             arm0, arm1, method="tail" if b is None else "extrapolated", b0=b, b1=b,
             R=R, seed=7)
         assert batched.n_missing == looped.n_missing
         assert same((batched.difference, batched.sd), (looped.point, looped.sd))
+
+
+def resolve_outcomes(sample, method, b, seed, replicates):
+    def old():
+        est, b_star, note = cli_resolve_eta(sample, method, b, seed, replicates)
+        return est, note, b_star
+
+    def new():
+        est, note = ct.resolve_cure_rate(sample, method, b, replicates=replicates, seed=seed)
+        return est, note, est.b
+
+    def run(call):
+        try:
+            return call()
+        except Exception as exc:  # the same failure, by class and message
+            return type(exc), str(exc)
+
+    return run(old), run(new)
+
+
+@settings(max_examples=60)
+@given(sample=any_sample, seed=st.integers(0, 1000),
+       setting=st.sampled_from(["tail", "auto", 0.2, 0.5, 0.8]))
+def test_resolve_cure_rate_matches_cli_rule(sample, seed, setting):
+    method = "tail" if setting == "tail" else "extrapolate"
+    old, new = resolve_outcomes(sample, method, "auto" if setting == "tail" else setting,
+                                seed, 40)
+    assert same(new, old)
+
+
+def test_resolve_cure_rate_fallbacks_match_cli_rule():
+    selection_fails = ct.Sample([1, 2, 3, 4, 5], [1, 0, 1, 0, 0])
+    unit_ratio = ct.Sample([1, 2, 3, 4], [1, 1, 0, 0])
+    no_events = ct.Sample([1, 2], [0, 0])
+    cases = [(selection_fails, "auto", "every grid point is degenerate"),
+             (selection_fails, 0.4, "corrected cure rate reached 1"),
+             (unit_ratio, 0.5, "window ratio equals one"),
+             (no_events, "auto", "no events")]
+    for sample, b, reason in cases:
+        old, new = resolve_outcomes(sample, "extrapolate", b, 3, 50)
+        assert same(new, old)
+        assert reason in str(new)

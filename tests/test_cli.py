@@ -64,6 +64,18 @@ def test_fit_no_events_exits_2(tmp_path, capsys):
     assert "no events" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("status", [1, 0])
+@pytest.mark.parametrize("command", ["fit", "btune", "compare"])
+def test_observation_at_time_zero_exits_2(tmp_path, capsys, command, status):
+    path = tmp_path / "zero.csv"
+    path.write_text(f"time,status,arm\n0,{status},0\n1,1,0\n2,0,1\n3,1,1\n"
+                    if command == "compare" else f"time,status\n0,{status}\n1,1\n2,0\n3,1\n")
+    rc = main([command, "--input", str(path), "--boot", "20",
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "time 0" in capsys.readouterr().err
+
+
 def test_fit_bad_b_rejected(tmp_path, d1_file, capsys):
     rc = main(["fit", "--input", str(d1_file), "--eta-method", "extrapolate",
                "--b", "1.5", "--output-dir", str(tmp_path)])

@@ -1,0 +1,80 @@
+"""The artifact CSV readers: error paths and round trips.
+
+Every reader raises ``ParseError`` naming the 1-based physical line (the
+header is line 1, blank lines count) for a bad header, a wrong field count
+and a malformed number.  A blank ``t`` field is an error everywhere except in
+the experiment reader, where it marks the cure-rate row.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import curetau as ct
+from curetau.cli import read_experiment_csv
+from curetau.errors import ParseError
+from curetau.stepfun import read_curve_csv
+from curetau.tau import read_tau_csv
+
+EXPERIMENT_HEADER = "t,truth,a,b,c,d,e"
+EXPERIMENT_ROW = "0.5,0.7,0.01,0.02,0.03,0.95,0.08"
+
+READERS = {
+    "curve": (read_curve_csv, "t,value", "0.0,1.0", "0.5,0.8"),
+    "tau": (read_tau_csv, "t,value", "0.25,0.1", "0.5,0.2"),
+    "experiment": (read_experiment_csv, EXPERIMENT_HEADER, EXPERIMENT_ROW, EXPERIMENT_ROW),
+}
+
+
+def line_of(reader, text):
+    with pytest.raises(ParseError) as info:
+        reader(text)
+    return info.value.line
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_bad_header_is_line_1(name):
+    reader, header, first, second = READERS[name]
+    bad = "x" + header[1:]
+    assert line_of(reader, f"{bad}\n{first}\n{second}\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_wrong_field_count_names_its_line(name):
+    reader, header, first, second = READERS[name]
+    assert line_of(reader, f"{header}\n{first}\n{second},0.5\n") == 3
+    assert line_of(reader, f"{header}\n{first}\n\n{second.split(',')[0]}\n") == 4
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_malformed_number_names_its_line(name):
+    reader, header, first, second = READERS[name]
+    broken = second.rsplit(",", 1)[0] + ",abc"
+    assert line_of(reader, f"{header}\n{first}\n{broken}\n") == 3
+    assert line_of(reader, f"{header}\n{first}\n\n{broken}\n") == 4
+
+
+@pytest.mark.parametrize("name", ["curve", "tau"])
+def test_blank_t_field_is_an_error(name):
+    reader, header, first, second = READERS[name]
+    blank = "," + second.split(",", 1)[1]
+    assert line_of(reader, f"{header}\n{first}\n{blank}\n") == 3
+
+
+def test_blank_t_field_is_the_experiment_cure_rate_row():
+    blank = "," + EXPERIMENT_ROW.split(",", 1)[1]
+    rows = read_experiment_csv(f"{EXPERIMENT_HEADER}\n{EXPERIMENT_ROW}\n{blank}\n")
+    assert rows[0]["t"] == 0.5 and math.isnan(rows[1]["t"])
+    assert rows[1]["e"] == 0.08
+
+
+def test_writers_use_repr_floats_and_plain_integers():
+    curve = ct.StepFunction([0.1, 1 / 3], [0.9, 2 / 3])
+    assert ct.write_curve_csv(curve) == (
+        "t,value\n0.0,1.0\n0.1,0.9\n0.3333333333333333,0.6666666666666666\n")
+    sample = ct.Sample([1.5, 2.0], [1, 0], [0, 1])
+    assert ct.write_csv(sample) == "time,status,arm\n1.5,1,0\n2.0,0,1\n"
+    tau = ct.TauCurve(np.array([0.5]), np.array([0.25]), "overall")
+    assert ct.write_tau_csv(tau.with_bands([0.1], [0.05], [0.45])) == (
+        "t,value,sd,lo,hi\n0.5,0.25,0.1,0.05,0.45\n")

@@ -10,7 +10,7 @@ def test_tail_estimate_on_worked_example(d1):
     table = ct.risk_table(d1)
     est = ct.eta_tail(curve, table)
     assert est.method == "tail"
-    assert est.value == ct.step_eval(curve, 3.0)
+    assert est.value == curve(3.0)
     assert est.value == pytest.approx(8 / 15, abs=1e-15)
 
 

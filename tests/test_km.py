@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.errors import NoEventsError
@@ -61,6 +63,24 @@ def test_risk_table_largest_event_telescopes():
 def test_risk_table_requires_events():
     with pytest.raises(NoEventsError):
         ct.risk_table(ct.Sample([1, 2], [0, 0]))
+
+
+@st.composite
+def tied_samples(draw):
+    """1-12 subjects on six distinct times, at least one of them an event."""
+    n = draw(st.integers(1, 12))
+    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    status[draw(st.integers(0, n - 1))] = 1
+    return ct.Sample(times, status)
+
+
+@settings(max_examples=300)
+@given(sample=tied_samples())
+def test_censoring_weight_bounded_below_by_risk_share(sample):
+    # G(t-) >= Y(t)/n > 0 at every event time, up to rounding of the product.
+    table = ct.risk_table(sample)
+    assert np.all(table.g_left >= (table.y / table.n) * (1 - 1e-12))
 
 
 def test_tied_event_times_supported():

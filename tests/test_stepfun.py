@@ -61,11 +61,11 @@ def test_domain_end_raises(stairs):
         bounded(2.5)
 
 
-def test_step_eval_helper(stairs):
-    assert ct.step_eval(stairs, 1.0, side="left") == 1.0
-    assert ct.step_eval(stairs, 1.0) == 0.8
+def test_side_argument(stairs):
+    assert stairs(1.0, side="left") == 1.0
+    assert stairs(1.0, side="right") == 0.8
     with pytest.raises(ValueError):
-        ct.step_eval(stairs, 1.0, side="middle")
+        stairs(1.0, side="middle")
 
 
 def test_negative_time_rejected(stairs):
