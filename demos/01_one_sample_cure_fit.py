@@ -21,7 +21,7 @@ table = ct.risk_table(sample)
 print(f"{table.k} distinct event times; last one at {table.last_event_time:.3f}")
 print(f"adjusted susceptible sample size: {table.n_a_hat:.1f} of {sample.n}")
 
-eta = ct.eta_tail(survival, table)
+eta = ct.eta_tail(survival)
 print(f"\ntail cure-rate estimate: {eta.value:.3f} (truth 0.3)")
 
 fit = ct.susceptible_curve(sample, eta)

@@ -25,7 +25,6 @@ from .distributions import (
 )
 from .errors import (
     CureTauError,
-    DegenerateWeightError,
     DegenerateWindowError,
     DomainError,
     EstimationError,

@@ -82,16 +82,16 @@ def _parse_grid(text):
     return values
 
 
-def _parse_b(text):
+def _parse_b(text, flag="--b"):
     """``"auto"`` or the scale factor in (0, 1) given by ``--b``/``--b0``/``--b1``."""
     if text == "auto":
         return text
     try:
         b = float(text)
     except (TypeError, ValueError):
-        raise _ValidationFailure(f"--b must be 'auto' or a number, got {text!r}") from None
+        raise _ValidationFailure(f"{flag} must be 'auto' or a number, got {text!r}") from None
     if not 0.0 < b < 1.0:
-        raise _ValidationFailure("--b must lie strictly inside (0, 1)")
+        raise _ValidationFailure(f"{flag} must lie strictly inside (0, 1)")
     return b
 
 
@@ -121,12 +121,12 @@ def _cure_estimate_dict(est):
 
 def _run_fit(args):
     emit = _emit_set(args.emit)
+    b = _parse_b(args.b)
     sample = _read_sample(args.input)
     report = _gate_on_validation(sample)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    b = _parse_b(args.b) if args.eta_method == "extrapolate" else "auto"
     eta, fallback = resolve_cure_rate(sample, args.eta_method, b, replicates=args.boot,
                                       seed=seed_tuple(args.seed) + (1,))
     survival = km_fit(sample, "event")
@@ -212,6 +212,9 @@ def _split_two_arm(sample):
 
 def _run_compare(args):
     emit = _emit_set(args.emit)
+    b = _parse_b(args.b)
+    b_settings = [b if text is None else _parse_b(text, flag)
+                  for text, flag in ((args.b0, "--b0"), (args.b1, "--b1"))]
     sample = _read_sample(args.input)
     report = _gate_on_validation(sample)
     s0, s1 = _split_two_arm(sample)
@@ -243,7 +246,7 @@ def _run_compare(args):
 
     extrap = None
     if args.eta_method == "extrapolate":
-        extrap = _compare_extrapolated(args, s0, s1, tau.grid, half)
+        extrap = _compare_extrapolated(args, s0, s1, tau.grid, half, b_settings)
 
     if "csv" in emit:
         for label in (0, 1):
@@ -315,7 +318,7 @@ def _run_compare(args):
             "tau_susceptible_end":
                 float(tau_a.values[-1]) if tau_a.values.size else 0.0,
         },
-        "intervals": {"cure_difference": _test_dict(test_tail, "tail")},
+        "intervals": {"cure_difference": _test_dict(test_tail)},
         "diagnostics": {
             "warnings": list(report.warnings),
             "bootstrap_missing": boot.n_missing,
@@ -327,7 +330,7 @@ def _run_compare(args):
         payload["estimates"]["cure_rate_extrap_arm1"] = _cure_estimate_dict(
             extrap["etas"][1])
         payload["intervals"]["cure_difference_extrapolated"] = {
-            **_test_dict(extrap["test"], "extrapolated"),
+            **_test_dict(extrap["test"]),
             "b0": extrap["etas"][0].b,
             "b1": extrap["etas"][1].b,
         }
@@ -341,22 +344,21 @@ def _run_compare(args):
           f"p={test_tail.p_value:.3g}")
     if extrap is not None:
         test = extrap["test"]
-        print(f"cure_difference (extrapolated): {test.difference:.4f} "
+        print(f"cure_difference ({test.method}): {test.difference:.4f} "
               f"[{test.ci[0]:.4f}, {test.ci[1]:.4f}] p={test.p_value:.3g}")
     return EXIT_OK
 
 
-def _test_dict(test, method):
+def _test_dict(test):
     return {"point": test.difference, "sd": test.sd, "low": test.ci[0],
             "high": test.ci[1], "level": test.level, "p_value": test.p_value,
-            "method": method}
+            "method": test.method}
 
 
-def _compare_extrapolated(args, s0, s1, grid, half):
+def _compare_extrapolated(args, s0, s1, grid, half, b_settings):
     notes = []
     etas = []
-    for label, arm, override in ((0, s0, args.b0), (1, s1, args.b1)):
-        b = _parse_b(override if override is not None else args.b)
+    for label, arm, b in zip((0, 1), (s0, s1), b_settings):
         est, note = resolve_cure_rate(arm, "extrapolate", b, replicates=args.boot,
                                       seed=seed_tuple(args.seed) + (3, label))
         if note:
@@ -523,8 +525,8 @@ def build_parser():
     compare.add_argument("--eta-method", choices=("tail", "extrapolate"),
                          default="tail")
     compare.add_argument("--b", default="auto")
-    compare.add_argument("--b0", type=float, default=None, help="arm-0 override")
-    compare.add_argument("--b1", type=float, default=None, help="arm-1 override")
+    compare.add_argument("--b0", default=None, help="arm-0 override")
+    compare.add_argument("--b1", default=None, help="arm-1 override")
     compare.add_argument("--emit", default="csv,report")
     compare.set_defaults(func=_run_compare)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindowError, NoEventsError, SelectionFailedError
-from .km import _count_chunks, _km_rows, _sort_sample, km_fit, risk_table
+from .km import _count_chunks, _km_rows, _sort_sample, km_fit
 
 DEFAULT_B_GRID = tuple(np.round(np.arange(0.10, 0.91, 0.05), 2))
 
@@ -41,21 +41,22 @@ class CureRateEstimate:
             raise ValueError("extrapolated estimates must record b")
 
 
-def eta_tail(event_curve, event_times):
-    """Tail estimate: the event-survival curve at the largest event time.
+def _last_event_time(event_curve):
+    """The largest event time: the last jump of a KM event curve."""
+    if event_curve.x.size == 0:
+        raise NoEventsError("no events: the adjusted risk table is undefined")
+    return float(event_curve.x[-1])
 
-    ``event_times`` is the sample's RiskTable (its last row holds the largest
-    distinct event time).
-    """
-    if event_times.k == 0:
-        raise NoEventsError("no events: the tail cure-rate estimate is undefined")
-    value = event_curve(event_times.last_event_time)
+
+def eta_tail(event_curve):
+    """Tail estimate: the event-survival curve at the largest event time."""
+    value = event_curve(_last_event_time(event_curve))
     return CureRateEstimate(value=value, method="tail", raw_value=value)
 
 
 def eta_tail_from_sample(sample):
     """Convenience wrapper: fit the event curve and take its tail value."""
-    return eta_tail(km_fit(sample, "event"), risk_table(sample))
+    return eta_tail(km_fit(sample, "event"))
 
 
 def _check_b(b):
@@ -113,6 +114,14 @@ def eta_extrapolated(event_curve, b, t_k):
     )
 
 
+def _cure_rate(event_curve, b=None):
+    """Cure rate of one sample from its event curve: the tail value, or with
+    ``b`` the extrapolated value.  The scalar form of ``_cure_rate_rows``."""
+    if b is None:
+        return eta_tail(event_curve)
+    return eta_extrapolated(event_curve, b, _last_event_time(event_curve))
+
+
 def _cure_rate_rows(km, b=None):
     """Cure rate of each count-weighted replicate in ``km`` (a ``_KMRows``).
 
@@ -166,7 +175,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
         raise ValueError("replicates must be at least 1")
     grid = sorted(float(b) for b in grid)
     curve = km_fit(sample, "event")
-    t_k = risk_table(sample).last_event_time
+    t_k = _last_event_time(curve)
 
     originals = {}
     reasons = {}
@@ -246,14 +255,13 @@ def resolve_cure_rate(sample, method, b="auto", *, grid=DEFAULT_B_GRID, replicat
     if method not in ("tail", "extrapolate"):
         raise ValueError(f"method must be 'tail' or 'extrapolate', got {method!r}")
     curve = km_fit(sample, "event")
-    table = risk_table(sample)
-    tail = eta_tail(curve, table)
+    tail = eta_tail(curve)
     if method == "tail":
         return tail, None
     try:
         if b == "auto":
             b, _ = select_b(sample, grid=grid, replicates=replicates, seed=seed)
-        estimate = eta_extrapolated(curve, b, table.last_event_time)
+        estimate = _cure_rate(curve, b)
     except (DegenerateWindowError, SelectionFailedError) as exc:
         return tail, f"extrapolation fell back to the tail estimate: {exc}"
     if estimate.value >= 1.0:

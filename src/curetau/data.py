@@ -59,19 +59,6 @@ class Sample:
         self.status = status
         self.arms = arms
 
-    @classmethod
-    def from_subjects(cls, subjects):
-        subjects = list(subjects)
-        arms = [s.arm for s in subjects]
-        has_arms = any(a is not None for a in arms)
-        if has_arms and any(a is None for a in arms):
-            raise ValueError("arm must be present for all subjects or none")
-        return cls(
-            [s.time for s in subjects],
-            [s.status for s in subjects],
-            arms if has_arms else None,
-        )
-
     @property
     def n(self):
         return int(self.times.size)

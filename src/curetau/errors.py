@@ -23,10 +23,6 @@ class NoEventsError(EstimationError):
     """No observed events; tail-based estimators are undefined."""
 
 
-class DegenerateWeightError(EstimationError):
-    """A censoring-survival weight is zero or 0/0 where a finite value is required."""
-
-
 class DegenerateWindowError(EstimationError):
     """The tail-extrapolation window is flat or its ratio equals one."""
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .cure import _cure_rate_rows, eta_extrapolated, eta_tail
+from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import _count_chunks, _km_rows, _sort_sample, km_fit, risk_table
+from .km import _count_chunks, _km_rows, _sort_sample, km_fit
 from .seeding import seed_tuple, stream
 from .tau import tau_a_curve, tau_curve
 
@@ -114,16 +114,9 @@ def _tau_statistic(grid, b0=None, b1=None, overall=False):
     extrapolated value.
     """
 
-    def cure_rate(sample, b):
-        curve = km_fit(sample, "event")
-        table = risk_table(sample)
-        if b is None:
-            return eta_tail(curve, table)
-        return eta_extrapolated(curve, b, table.last_event_time)
-
     def statistic(sample0, sample1):
-        tau_a = tau_a_curve(sample0, sample1, cure_rate(sample0, b0),
-                            cure_rate(sample1, b1), grid=grid).values
+        tau_a = tau_a_curve(sample0, sample1, _cure_rate(km_fit(sample0, "event"), b0),
+                            _cure_rate(km_fit(sample1, "event"), b1), grid=grid).values
         if not overall:
             return tau_a
         return np.concatenate((tau_curve(sample0, sample1, grid=grid).values, tau_a))

@@ -76,6 +76,25 @@ def km_fit(sample, target="event"):
     return StepFunction(distinct[mask], np.cumprod(factors), initial_value=1.0)
 
 
+def _hazard(jumps, at_risk):
+    """``jumps / at_risk`` where there are jumps, exactly 0.0 elsewhere."""
+    return np.divide(jumps, at_risk, out=np.zeros(jumps.shape), where=jumps > 0)
+
+
+def _censoring_survival(censored, at_risk):
+    """The censoring KM curve at each distinct time of ``_distinct_counts``.
+
+    Times without censorings contribute a factor of exactly 1.0, so every
+    value is bit-identical to ``km_fit(sample, "censoring")`` there.
+    """
+    return np.cumprod(1.0 - _hazard(censored, at_risk))
+
+
+def _left_limits(curve):
+    """A curve's values just before each distinct time: its exclusive prefix."""
+    return np.concatenate(([1.0], curve[:-1]))
+
+
 @dataclass(frozen=True)
 class RiskTable:
     """Per distinct event time: counts, IPCW-adjusted counts, and their tails.
@@ -110,20 +129,19 @@ def risk_table(sample):
         raise ValueError("sample is empty")
     if sample.n_events == 0:
         raise NoEventsError("no events: the adjusted risk table is undefined")
-    distinct, events, _, at_risk = _distinct_counts(sample.times, sample.status)
+    distinct, events, censored, at_risk = _distinct_counts(sample.times, sample.status)
     mask = events > 0
-    event_times = distinct[mask]
     d = events[mask]
     y = at_risk[mask]
     # Positive: each censoring factor 1 - c_j/Y_j >= Y_(j+1)/Y_j, so G(t-) >= Y(t)/n.
-    g_left = km_fit(sample, target="censoring")(event_times, side="left")
+    g_left = _left_limits(_censoring_survival(censored, at_risk))[mask]
     d_tilde = d / g_left
     y_tilde = np.cumsum(d_tilde[::-1])[::-1]
     return RiskTable(
-        times=event_times,
+        times=distinct[mask],
         d=d,
         y=y,
-        g_left=np.asarray(g_left, dtype=float),
+        g_left=g_left,
         d_tilde=d_tilde,
         y_tilde=y_tilde,
         n_a_hat=float(y_tilde[0]),
@@ -149,11 +167,6 @@ def _count_chunks(sizes, seed, R):
             for arm, n in zip(counts, sizes):
                 arm[row] = np.bincount(rng.integers(0, n, size=n), minlength=n)
         yield start, counts
-
-
-def _hazard(jumps, at_risk):
-    """``jumps / at_risk`` where there are jumps, exactly 0.0 elsewhere."""
-    return np.divide(jumps, at_risk, out=np.zeros(jumps.shape), where=jumps > 0)
 
 
 @dataclass(frozen=True)

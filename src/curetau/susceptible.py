@@ -6,6 +6,11 @@ coincides with two other representations built from the adjusted risk table:
 an IPCW average and a product-limit form.  The module computes all three,
 records their disagreement, and can verify that the product-limit form solves
 the mass-redistribution self-consistency equation.
+
+Both identities need every event time to differ from every censoring time;
+ties among events or among censorings are fine.  Where an event and a
+censoring share a time the forms diverge (by as much as 0.22 on tied samples
+of at most 14 subjects) and the self-consistency check fails or raises.
 """
 
 import math
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .km import km_fit, risk_table
+from .km import _censoring_survival, _distinct_counts, _left_limits, km_fit, risk_table
 from .stepfun import StepFunction
 
 
@@ -58,8 +63,10 @@ def susceptible_curve(sample, eta):
 
     The canonical output is the location-scale form.  When ``eta`` is the
     tail estimate the IPCW and product-limit forms are also computed and the
-    largest pointwise disagreement is recorded; when ``eta`` is extrapolated
-    the curve is clamped into [0, 1] and flagged if clamping changed it.
+    largest pointwise disagreement is recorded; it is rounding error only
+    when no event time equals a censoring time.  When ``eta`` is
+    extrapolated the curve is clamped into [0, 1] and flagged if clamping
+    changed it.
     """
     if sample.n_events == 0:
         raise EstimationError("no events: latency survival is undefined")
@@ -82,13 +89,6 @@ def susceptible_curve(sample, eta):
     )
 
 
-def _at_risk_counts(sample, times, strict=False):
-    """Number of subjects with ``X >= t`` (or ``X > t`` when strict)."""
-    sorted_times = np.sort(sample.times)
-    side = "right" if strict else "left"
-    return sample.n - np.searchsorted(sorted_times, times, side=side)
-
-
 def phi_hat(sample, eta):
     """Susceptible proportion of the risk set at each distinct observed time.
 
@@ -99,10 +99,8 @@ def phi_hat(sample, eta):
     """
     if sample.n == 0:
         raise ValueError("sample is empty")
-    censor_curve = km_fit(sample, "censoring")
-    distinct = np.unique(sample.times)
-    at_risk = _at_risk_counts(sample, distinct)
-    g_left = censor_curve(distinct, side="left")
+    distinct, _, censored, at_risk = _distinct_counts(sample.times, sample.status)
+    g_left = _left_limits(_censoring_survival(censored, at_risk))
     values = 1.0 - eta.value * g_left / (at_risk / sample.n)
     return StepFunction(
         distinct, values, initial_value=1.0 - eta.value, domain_end=float(distinct[-1])
@@ -117,10 +115,9 @@ def h1a_hat(sample, eta):
     """
     if sample.n == 0:
         raise ValueError("sample is empty")
-    censor_curve = km_fit(sample, "censoring")
-    distinct = np.unique(sample.times)
-    beyond = _at_risk_counts(sample, distinct, strict=True)
-    values = beyond / sample.n - eta.value * censor_curve(distinct)
+    distinct, events, censored, at_risk = _distinct_counts(sample.times, sample.status)
+    beyond = at_risk - events - censored
+    values = beyond / sample.n - eta.value * _censoring_survival(censored, at_risk)
     return StepFunction(distinct, values, initial_value=1.0 - eta.value)
 
 
@@ -142,10 +139,10 @@ def _phi_right_limits(sample, eta, censored_times):
     vanish; that 0/0 is resolved to phi = 1, and the corresponding term in
     the self-consistency sum is annihilated by the candidate being 0 there.
     """
-    censor_curve = km_fit(sample, "censoring")
-    beyond = _at_risk_counts(sample, censored_times, strict=True)
-    g_right = censor_curve(censored_times)
-    numerator = eta.value * g_right
+    distinct, events, censored, at_risk = _distinct_counts(sample.times, sample.status)
+    at = np.searchsorted(distinct, censored_times)
+    beyond = (at_risk - events - censored)[at]
+    numerator = eta.value * _censoring_survival(censored, at_risk)[at]
     out = np.ones_like(numerator)
     live = beyond > 0
     out[live] = 1.0 - numerator[live] * sample.n / beyond[live]
@@ -170,9 +167,9 @@ def self_consistency_residual(candidate, sample, eta):
     the censored times in increasing order, so time and memory are
     O(n log n).
     """
-    times = np.unique(sample.times)
     phi_curve = phi_hat(sample, eta)
     h1a_curve = h1a_hat(sample, eta)
+    times = phi_curve.x
     cand_t = np.asarray(candidate(times), dtype=float)
 
     censored_times = sample.times[sample.status == 0]

@@ -46,8 +46,7 @@ def _path(frame, xs, ys):
     )
 
 
-def step_plot_svg(curves, title="", x_label="time", y_label="value",
-                  y_range=None, zero_line=False):
+def step_plot_svg(curves, title="", x_label="time", y_label="value", zero_line=False):
     """Render labeled step curves to an SVG string.
 
     ``curves`` is a list of ``(label, grid, values, initial_value, band)``
@@ -56,16 +55,15 @@ def step_plot_svg(curves, title="", x_label="time", y_label="value",
     """
     x_end = max((float(g[-1]) for _, g, *_ in curves if len(g)), default=1.0)
     x_end = x_end * 1.05 if x_end > 0 else 1.0
-    if y_range is None:
-        lo, hi = 0.0, 1.0
-        for _, grid, values, initial, band in curves:
-            candidates = [initial, *map(float, values)]
-            if band is not None:
-                candidates += [*map(float, band[0]), *map(float, band[1])]
-            lo = min(lo, min(candidates))
-            hi = max(hi, max(candidates))
-        y_range = (lo, hi if hi > lo else lo + 1.0)
-    frame = _Frame((0.0, x_end), y_range)
+    lo, hi = 0.0, 1.0
+    for _, grid, values, initial, band in curves:
+        candidates = [initial, *map(float, values)]
+        if band is not None:
+            candidates += [*map(float, band[0]), *map(float, band[1])]
+        lo = min(lo, min(candidates))
+        hi = max(hi, max(candidates))
+    hi = hi if hi > lo else lo + 1.0
+    frame = _Frame((0.0, x_end), (lo, hi))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -90,7 +88,7 @@ def step_plot_svg(curves, title="", x_label="time", y_label="value",
             f'<text x="{x:.2f}" y="{axis_y + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{tick:g}</text>'
         )
-    for tick in _ticks(*y_range):
+    for tick in _ticks(lo, hi):
         y = frame.py(tick)
         parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.2f}" x2="{_MARGIN_L}" y2="{y:.2f}" stroke="black"/>')
         parts.append(
@@ -106,7 +104,7 @@ def step_plot_svg(curves, title="", x_label="time", y_label="value",
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 14 {(_MARGIN_T + axis_y) / 2:.0f})">{y_label}</text>'
     )
-    if zero_line and y_range[0] < 0 < y_range[1]:
+    if zero_line and lo < 0 < hi:
         y = frame.py(0.0)
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{y:.2f}" '
@@ -137,11 +135,6 @@ def step_plot_svg(curves, title="", x_label="time", y_label="value",
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def curve_to_svg(curve, label="", **kwargs):
-    """Render a single StepFunction."""
-    return step_plot_svg([(label, curve.x, curve.y, curve.initial_value, None)], **kwargs)
 
 
 def tau_to_svg(tau, label="", **kwargs):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from .data import _csv_columns, _csv_text
-from .errors import DegenerateWeightError, EstimationError, ToleranceError
+from .errors import EstimationError, ToleranceError
 from .km import km_fit
 from .susceptible import location_scale_curve
 
@@ -66,6 +66,8 @@ def _subject_weights(sample, eta):
     latency, _ = location_scale_curve(
         event_curve, eta.value, clamp=eta.method == "extrapolated"
     )
+    # Finite: a censored subject is at risk at its own time x, so S(x) > 0
+    # and the factor's denominator never vanishes.
     weights = np.ones(sample.n)
     censored = sample.status == 0
     if censored.any():
@@ -74,24 +76,7 @@ def _subject_weights(sample, eta):
     return weights
 
 
-def _check_participating_nan(weights, own_times, opposite_event_times, arm):
-    """A NaN weight only matters when the subject belongs to an orderable pair,
-    i.e. when an opposite-arm event lies strictly below the subject's time."""
-    nan_mask = np.isnan(weights)
-    if not nan_mask.any():
-        return weights
-    below = np.searchsorted(np.sort(opposite_event_times),
-                            own_times[nan_mask], side="left") > 0
-    if below.any():
-        i = np.flatnonzero(nan_mask)[np.argmax(below)]
-        raise DegenerateWeightError(
-            f"susceptibility weight is 0/0 for censored subject {i} in arm {arm}"
-        )
-    return np.where(nan_mask, 0.0, weights)
-
-
-def _event_masses(events_arm, opposite_arm, g_own, g_other, w_event, w_opposite,
-                  arm_label):
+def _event_masses(events_arm, opposite_arm, g_own, g_other, w_event, w_opposite):
     """Signed mass placed at each of one arm's event times.
 
     An event at time x pairs with every opposite-arm subject observed
@@ -107,14 +92,10 @@ def _event_masses(events_arm, opposite_arm, g_own, g_other, w_event, w_opposite,
     opp_weight = suffix[pos]
     opp_count = opp_sorted.size - pos
 
+    # Positive wherever x has pairs: G(x-) >= Y(x)/n in each arm, and both
+    # the event subject and a later opposite subject are at risk at x.  The
+    # guard below only keeps pairless events from dividing by zero.
     g_prod = g_own(x_event, side="left") * g_other(x_event, side="left")
-    bad = (g_prod <= 0.0) & (opp_count > 0)
-    if bad.any():
-        i = np.flatnonzero(event_mask)[np.argmax(bad)]
-        raise DegenerateWeightError(
-            f"censoring weight vanishes for the pairs of {arm_label} event "
-            f"subject {i} at comparison time {x_event[np.argmax(bad)]!r}"
-        )
     masses = np.where(opp_count > 0,
                       w_event[event_mask] * opp_weight
                       / np.where(g_prod > 0, g_prod, 1.0),
@@ -131,16 +112,10 @@ def _pair_masses(sample0, sample1, eta0=None, eta1=None):
     else:
         w0 = _subject_weights(sample0, eta0)
         w1 = _subject_weights(sample1, eta1)
-        event_times0 = sample0.times[sample0.status == 1]
-        event_times1 = sample1.times[sample1.status == 1]
-        w0 = _check_participating_nan(w0, sample0.times, event_times1, arm=0)
-        w1 = _check_participating_nan(w1, sample1.times, event_times0, arm=1)
     g0 = km_fit(sample0, "censoring")
     g1 = km_fit(sample1, "censoring")
-    x_up, mass_up, live_up = _event_masses(sample0, sample1, g0, g1, w0, w1,
-                                           "arm-0")
-    x_down, mass_down, live_down = _event_masses(sample1, sample0, g1, g0, w1, w0,
-                                                 "arm-1")
+    x_up, mass_up, live_up = _event_masses(sample0, sample1, g0, g1, w0, w1)
+    x_down, mass_down, live_down = _event_masses(sample1, sample0, g1, g0, w1, w0)
     times = np.concatenate((x_up, x_down))
     masses = np.concatenate((mass_up, -mass_down))
     has_pairs = np.concatenate((live_up, live_down))
@@ -159,11 +134,17 @@ def _accumulate(times, masses, has_pairs, grid, normalizer):
     return grid, np.cumsum(sums) / normalizer
 
 
-def _canonical_first(sample0, sample1):
-    """Deterministic orientation so that swapping arms negates results exactly."""
-    key0 = (sample0.n, sample0.times.tobytes(), sample0.status.tobytes())
-    key1 = (sample1.n, sample1.times.tobytes(), sample1.status.tobytes())
-    return key0 <= key1
+def _orientation(sample0, sample1, eta0=None, eta1=None):
+    """Sign of the comparison of the two arms' keys: sample, then cure rate.
+
+    Swapping the arms negates both processes, so one orientation is computed
+    and the other negates it, which makes the negation exact.  Equal keys
+    make the arms interchangeable, and the processes are then exactly 0.
+    """
+    key0, key1 = ((sample.n, sample.times.tobytes(), sample.status.tobytes(),
+                   None if eta is None else (eta.value, eta.method))
+                  for sample, eta in ((sample0, eta0), (sample1, eta1)))
+    return (key0 > key1) - (key0 < key1)
 
 
 def tau_curve(sample0, sample1, grid=None):
@@ -174,11 +155,14 @@ def tau_curve(sample0, sample1, grid=None):
     """
     if sample0.n == 0 or sample1.n == 0:
         raise ValueError("both samples must be non-empty")
-    if not _canonical_first(sample0, sample1):
+    orientation = _orientation(sample0, sample1)
+    if orientation > 0:
         return tau_curve(sample1, sample0, grid=grid).negated()
     times, masses, has_pairs = _pair_masses(sample0, sample1)
     grid, values = _accumulate(times, masses, has_pairs, grid,
                                sample0.n * sample1.n)
+    if orientation == 0:
+        values = np.zeros_like(values)
     return TauCurve(grid=grid, values=values, kind="overall")
 
 
@@ -192,11 +176,14 @@ def tau_a_curve(sample0, sample1, eta0, eta1, grid=None):
         raise ValueError("both samples must be non-empty")
     if eta0.value >= 1.0 or eta1.value >= 1.0:
         raise EstimationError("degenerate mixture: cure rate at or above 1")
-    if not _canonical_first(sample0, sample1):
+    orientation = _orientation(sample0, sample1, eta0, eta1)
+    if orientation > 0:
         return tau_a_curve(sample1, sample0, eta1, eta0, grid=grid).negated()
     times, masses, has_pairs = _pair_masses(sample0, sample1, eta0, eta1)
     normalizer = sample0.n * sample1.n * (1.0 - eta0.value) * (1.0 - eta1.value)
     grid, values = _accumulate(times, masses, has_pairs, grid, normalizer)
+    if orientation == 0:
+        values = np.zeros_like(values)
     return TauCurve(grid=grid, values=values, kind="susceptible")
 
 

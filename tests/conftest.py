@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import curetau as ct
 
@@ -47,3 +48,25 @@ def random_tie_free_sample(rng, max_n=200):
 def sample_corpus(count, seed=20240601, max_n=200):
     rng = np.random.default_rng(seed)
     return [random_tie_free_sample(rng, max_n=max_n) for _ in range(count)]
+
+
+@st.composite
+def tied_samples(draw):
+    """1-12 subjects on six distinct times, at least one of them an event."""
+    n = draw(st.integers(1, 12))
+    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    status[draw(st.integers(0, n - 1))] = 1
+    return ct.Sample(times, status)
+
+
+@st.composite
+def cross_tie_free_samples(draw):
+    """1-12 subjects, at least one event: events on the whole times 1-6 and
+    censorings on the half times 1.5-6.5, so events tie with events and
+    censorings with censorings but never with each other."""
+    n = draw(st.integers(1, 12))
+    slots = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    status[draw(st.integers(0, n - 1))] = 1
+    return ct.Sample([slot + 0.5 * (1 - s) for slot, s in zip(slots, status)], status)

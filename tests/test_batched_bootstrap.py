@@ -33,7 +33,7 @@ def looped_one_arm_statistic(grid, eta_method, b_fixed):
         curve = ct.km_fit(sample, "event")
         table = ct.risk_table(sample)
         if eta_method == "tail":
-            eta = ct.eta_tail(curve, table)
+            eta = ct.eta_tail(curve)
         else:
             eta = ct.eta_extrapolated(curve, b_fixed, table.last_event_time)
         latency, _ = ct.location_scale_curve(
@@ -49,7 +49,7 @@ def cli_resolve_eta(sample, method, b_setting, seed, boot):
     (the ``--b`` parsing, now done before the call, left out)."""
     curve = ct.km_fit(sample, "event")
     table = ct.risk_table(sample)
-    tail = ct.eta_tail(curve, table)
+    tail = ct.eta_tail(curve)
     if method == "tail":
         return tail, None, None
     try:

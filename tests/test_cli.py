@@ -82,6 +82,43 @@ def test_fit_bad_b_rejected(tmp_path, d1_file, capsys):
     assert rc == 2
 
 
+def test_fit_bad_b_rejected_for_tail_method(tmp_path, d1_file, capsys):
+    rc = main(["fit", "--input", str(d1_file), "--eta-method", "tail",
+               "--b", "7", "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--b must lie strictly inside (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--b", "--b0", "--b1"])
+def test_compare_bad_b_rejected_for_tail_method(tmp_path, two_arm_file, capsys, flag):
+    rc = main(["compare", "--input", str(two_arm_file), flag, "banana",
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{flag} must be 'auto' or a number, got 'banana'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_extrapolated_fallback_labelled_tail(tmp_path, capsys):
+    # select_b finds no usable grid point on either arm, so both fall back
+    path = tmp_path / "fallback.csv"
+    path.write_text("time,status,arm\n" + "".join(
+        f"{t},{s},{arm}\n" for arm in (0, 1) for t, s in zip(range(1, 6), (1, 0, 1, 0, 0))))
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--input", str(path), "--eta-method", "extrapolate",
+               "--boot", "20", "--seed", "1", "--output-dir", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    interval = report["intervals"]["cure_difference_extrapolated"]
+    assert interval["b0"] is None and interval["b1"] is None
+    assert interval["method"] == "tail"
+    assert "cure difference used the tail method after fallback" in \
+        report["diagnostics"]["extrapolation_notes"]
+    stdout = capsys.readouterr().out
+    assert "cure_difference (extrapolated)" not in stdout
+    assert stdout.count("cure_difference (tail)") == 2
+
+
 def test_compare_all_censored_arm_message(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("time,status,arm\n1,0,0\n2,0,0\n1,1,1\n3,1,1\n")

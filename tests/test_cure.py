@@ -7,8 +7,7 @@ from curetau.errors import DegenerateWindowError, NoEventsError
 
 def test_tail_estimate_on_worked_example(d1):
     curve = ct.km_fit(d1, "event")
-    table = ct.risk_table(d1)
-    est = ct.eta_tail(curve, table)
+    est = ct.eta_tail(curve)
     assert est.method == "tail"
     assert est.value == curve(3.0)
     assert est.value == pytest.approx(8 / 15, abs=1e-15)
@@ -26,10 +25,8 @@ def test_tail_matches_ipcw_identity(d1):
 
 
 def test_tail_requires_events():
-    curve = ct.StepFunction([], [], 1.0)
     with pytest.raises(NoEventsError):
-        sample = ct.Sample([1.0], [0])
-        ct.eta_tail(curve, ct.risk_table(sample))
+        ct.eta_tail(ct.km_fit(ct.Sample([1.0], [0]), "event"))
 
 
 def test_extrapolated_direct_formula():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.errors import NoEventsError
-from conftest import sample_corpus
+from conftest import sample_corpus, tied_samples
 
 
 def test_event_curve_on_worked_example(d1):
@@ -65,22 +65,15 @@ def test_risk_table_requires_events():
         ct.risk_table(ct.Sample([1, 2], [0, 0]))
 
 
-@st.composite
-def tied_samples(draw):
-    """1-12 subjects on six distinct times, at least one of them an event."""
-    n = draw(st.integers(1, 12))
-    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    status[draw(st.integers(0, n - 1))] = 1
-    return ct.Sample(times, status)
-
-
 @settings(max_examples=300)
-@given(sample=tied_samples())
-def test_censoring_weight_bounded_below_by_risk_share(sample):
-    # G(t-) >= Y(t)/n > 0 at every event time, up to rounding of the product.
-    table = ct.risk_table(sample)
-    assert np.all(table.g_left >= (table.y / table.n) * (1 - 1e-12))
+@given(sample=tied_samples(), drawn=st.lists(st.floats(1e-3, 8.0), max_size=4))
+def test_censoring_weight_bounded_below_by_risk_share(sample, drawn):
+    # G(t-) >= Y(t)/n at every t > 0, up to rounding of the product: at the
+    # observed times, between them and past the largest one.
+    t = np.concatenate((np.arange(1, 29) / 4, drawn))
+    g_left = ct.km_fit(sample, "censoring")(t, side="left")
+    at_risk = sample.n - np.searchsorted(np.sort(sample.times), t, side="left")
+    assert np.all(g_left >= (at_risk / sample.n) * (1 - 1e-12))
 
 
 def test_tied_event_times_supported():

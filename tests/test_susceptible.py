@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.errors import EstimationError
 from curetau.susceptible import _phi_right_limits
-from conftest import sample_corpus
+from conftest import cross_tie_free_samples, sample_corpus, tied_samples
 
 
 def quadratic_redistributed(candidate, sample, eta):
@@ -208,3 +210,59 @@ class TestCorpusProperties:
             values = np.concatenate(([phi.initial_value], phi.y))
             assert np.all(values >= -1e-12)
             assert np.all(values <= 1.0 + 1e-12)
+
+
+def phi_right_limits_oracle(sample, eta, censored_times):
+    """``_phi_right_limits`` from the refitted censoring curve and a count of
+    the subjects observed after each time."""
+    beyond = sample.n - np.searchsorted(np.sort(sample.times), censored_times, side="right")
+    numerator = eta.value * ct.km_fit(sample, "censoring")(censored_times)
+    undefined = (beyond == 0) & (numerator > 0)
+    if undefined.any():
+        bad = censored_times[undefined][0]
+        raise EstimationError(f"susceptible proportion undefined just after {bad!r}")
+    return np.where(beyond > 0, 1.0 - numerator * sample.n / np.maximum(beyond, 1), 1.0)
+
+
+def outcome(call):
+    try:
+        return call()
+    except EstimationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(sample=tied_samples(), eta=st.floats(0.0, 1.0, exclude_max=True))
+def test_censoring_products_match_refitted_censoring_curve(sample, eta):
+    estimate = ct.CureRateEstimate(value=eta, method="tail", raw_value=eta)
+    censoring = ct.km_fit(sample, "censoring")
+    distinct = np.unique(sample.times)
+    sorted_times = np.sort(sample.times)
+    at_risk = sample.n - np.searchsorted(sorted_times, distinct, side="left")
+    beyond = sample.n - np.searchsorted(sorted_times, distinct, side="right")
+
+    table = ct.risk_table(sample)
+    assert np.array_equal(table.g_left, censoring(table.times, side="left"))
+    phi = ct.phi_hat(sample, estimate)
+    assert np.array_equal(phi.x, distinct)
+    assert np.array_equal(
+        phi.y, 1.0 - eta * censoring(distinct, side="left") / (at_risk / sample.n))
+    h1a = ct.h1a_hat(sample, estimate)
+    assert np.array_equal(h1a.x, distinct)
+    assert np.array_equal(h1a.y, beyond / sample.n - eta * censoring(distinct))
+    censored_times = sample.times[sample.status == 0]
+    got = outcome(lambda: _phi_right_limits(sample, estimate, censored_times))
+    expected = outcome(lambda: phi_right_limits_oracle(sample, estimate, censored_times))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
+
+
+@settings(max_examples=300)
+@given(sample=cross_tie_free_samples())
+def test_forms_agree_and_self_consistent_without_event_censoring_ties(sample):
+    eta = ct.eta_tail_from_sample(sample)
+    assert ct.susceptible_curve(sample, eta).form_divergence <= 1e-12
+    candidate = ct.product_limit_latency_curve(ct.risk_table(sample))
+    assert ct.self_consistency_residual(candidate, sample, eta).max_residual <= 1e-10

@@ -2,11 +2,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.errors import EstimationError
 from curetau.tau import _subject_weights, censoring_weight_factor
-from conftest import random_tie_free_sample
+from conftest import cross_tie_free_samples, random_tie_free_sample, tied_samples
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,36 @@ def test_swapping_arms_negates_weighted_curve_exactly():
         forward = ct.tau_a_curve(s0, s1, e0, e1)
         backward = ct.tau_a_curve(s1, s0, e1, e0)
         assert np.array_equal(backward.values, -forward.values)
+
+
+@settings(max_examples=200)
+@given(s0=cross_tie_free_samples(), s1=cross_tie_free_samples())
+def test_swapping_tied_arms_negates_exactly(s0, s1):
+    e0 = ct.eta_tail_from_sample(s0)
+    e1 = ct.eta_tail_from_sample(s1)
+    for forward, backward in ((ct.tau_curve(s0, s1), ct.tau_curve(s1, s0)),
+                              (ct.tau_a_curve(s0, s1, e0, e1), ct.tau_a_curve(s1, s0, e1, e0))):
+        assert np.array_equal(forward.grid, backward.grid)
+        assert np.array_equal(backward.values, -forward.values)
+
+
+def test_identical_arms_give_zero_processes():
+    # Summing the pair masses in order leaves 2.8e-17 here, not 0.
+    sample = ct.Sample([6, 6, 6, 1.5, 5, 2.5, 5, 5], [1, 1, 1, 0, 1, 0, 1, 1])
+    eta = ct.eta_tail_from_sample(sample)
+    for curve in (ct.tau_curve(sample, sample), ct.tau_a_curve(sample, sample, eta, eta)):
+        assert curve.grid.size and not np.any(curve.values)
+
+
+@settings(max_examples=300)
+@given(sample=tied_samples(), eta=st.floats(0.0, 1.0, exclude_max=True),
+       method=st.sampled_from(["tail", "extrapolated"]))
+def test_subject_weights_finite(sample, eta, method):
+    # A censored subject is at risk at its own time, so S(x) > 0 there and
+    # the susceptibility factor never divides 0 by 0.
+    estimate = ct.CureRateEstimate(value=eta, method=method, raw_value=eta,
+                                   b=0.5 if method == "extrapolated" else None)
+    assert np.all(np.isfinite(_subject_weights(sample, estimate)))
 
 
 def test_zero_cure_rates_reduce_to_overall_curve():
