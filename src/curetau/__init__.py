@@ -81,4 +81,22 @@ from .tau import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BGridPoint", "BetaLatency", "BootstrapResult", "CountStatistic",
+    "CureRateEstimate", "CureTauError", "DEFAULT_B_GRID", "DegenerateWindowError",
+    "DomainError", "EstimationError", "ExperimentRow", "NoEventsError", "PRESETS",
+    "ParseError", "RiskTable", "Sample", "Scenario", "SelectionFailedError",
+    "SelfConsistencyReport", "StepFunction", "Subject", "SusceptibleCurve", "TauCurve",
+    "TestResult", "ToleranceError", "TruncatedWeibullLatency", "TwoArmScenario",
+    "UnstableStatisticError", "ValidationReport", "bootstrap_stats",
+    "cure_difference_test", "decomposition_residual", "draw_sample",
+    "draw_two_arm_sample", "empirical_censoring_rate", "eta_extrapolated", "eta_tail",
+    "eta_tail_from_sample", "h1a_hat", "ipcw_latency_curve", "km_fit",
+    "latency_from_dict", "location_scale_curve", "normal_interval", "parse_csv",
+    "phi_hat", "preset", "product_limit_latency_curve", "read_curve_csv",
+    "read_tau_csv", "resolve_cure_rate", "risk_table", "run_experiment",
+    "scenario_from_dict", "select_b", "self_consistency_residual", "susceptible_curve",
+    "tau_a_curve", "tau_curve", "true_tau_quadrature", "truncated_weibull_sample",
+    "two_sided_p", "validate", "write_csv", "write_curve_csv", "write_tau_csv",
+    "z_quantile"
+]

@@ -19,7 +19,7 @@ from .data import _csv_columns, _csv_text, parse_csv, validate
 from .errors import CureTauError, EstimationError, ParseError
 from .inference import (
     _one_arm_statistic,
-    _tau_statistic,
+    _two_arm_statistic,
     bootstrap_stats,
     cure_difference_test,
     normal_interval,
@@ -234,8 +234,8 @@ def _run_compare(args):
 
     tau = tau_curve(s0, s1)
     tau_a = tau_a_curve(s0, s1, etas[0], etas[1], grid=tau.grid)
-    boot = bootstrap_stats((s0, s1), _tau_statistic(tau.grid, overall=True), R=args.boot,
-                           seed=seed_tuple(args.seed) + (0,))
+    boot = bootstrap_stats((s0, s1), _two_arm_statistic(s0, s1, tau.grid, overall=True),
+                           R=args.boot, seed=seed_tuple(args.seed) + (0,))
     k = tau.grid.size
     tau = _banded(tau, boot.sd[:k], half)
     tau_a = _banded(tau_a, boot.sd[k:], half)
@@ -366,7 +366,7 @@ def _compare_extrapolated(args, s0, s1, grid, half, b_settings):
         etas.append(est)
     b0, b1 = etas[0].b, etas[1].b
     tau_a = tau_a_curve(s0, s1, etas[0], etas[1], grid=grid)
-    boot = bootstrap_stats((s0, s1), _tau_statistic(grid, b0, b1), R=args.boot,
+    boot = bootstrap_stats((s0, s1), _two_arm_statistic(s0, s1, grid, b0, b1), R=args.boot,
                            seed=seed_tuple(args.seed) + (4,))
     method = "tail" if b0 is None or b1 is None else "extrapolated"
     test = cure_difference_test(s0, s1, method=method, b0=b0, b1=b1, R=args.boot,

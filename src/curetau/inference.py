@@ -10,15 +10,16 @@ p-value the two-sided normal tail.
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import _count_chunks, _km_rows, _sort_sample, km_fit
+from .km import _censoring_survival, _count_chunks, _km_rows, _sort_sample, km_fit
 from .seeding import seed_tuple, stream
-from .tau import tau_a_curve, tau_curve
+from .tau import _checked_grid, _orientation, censoring_weight_factor
 
 
 def z_quantile(p):
@@ -72,7 +73,10 @@ class CountStatistic:
     of that sample, and returns the statistic for every row: shape (rows,)
     for a scalar statistic or (rows, width).  A row holding a non-finite
     value is a replicate on which the statistic is undefined.  A row of ones
-    is the original sample.
+    is the original sample.  The one-arm statistics and the cure-rate
+    difference equal their callable forms bit for bit; the two-arm tau
+    statistic matches its callable form to within 1e-13, since it weighs a
+    subject drawn c times by c where the resample adds it c times.
     """
 
     evaluate: Callable
@@ -106,22 +110,99 @@ def _one_arm_statistic(sample, grid, b=None):
     return CountStatistic(evaluate)
 
 
-def _tau_statistic(grid, b0=None, b1=None, overall=False):
-    """Statistic of two samples: the susceptible tau process at ``grid``,
+class _ArmRows(NamedTuple):
+    eta: np.ndarray
+    events: np.ndarray
+    g_left: np.ndarray
+    suffixes: list  # of the counts, then of the weighted counts
+
+
+def _arm_rows(summary, counts, b):
+    """``_ArmRows`` of one arm's replicates, a row each: the cure rates, the
+    event counts at the distinct times, the censoring curve's left limits
+    there and past the last one, and the suffix sums from each distinct time
+    on (0 past the last) of the counts and of the weighted counts."""
+    km = _km_rows(summary, counts)
+    censored = summary.status == 0
+    # Each censored subject's latency is read at its own distinct time.
+    at_censored = np.searchsorted(summary.first, np.flatnonzero(censored), side="right") - 1
+    eta = _cure_rate_rows(km, b)
+    eta[eta >= 1.0] = np.nan
+    latency = (km.surv[:, at_censored] - eta[:, None]) / (1.0 - eta[:, None])
+    if b is not None:
+        latency = np.clip(latency, 0.0, 1.0)
+    # An undrawn subject's factor may be 0/0: it weighs exactly 0.
+    weights = counts[:, summary.order].astype(float)
+    drawn = weights[:, censored]
+    weights[:, censored] = np.where(drawn > 0, drawn * censoring_weight_factor(
+        latency, eta[:, None]), 0.0)
+    by_time = np.add.reduceat(weights, summary.first, axis=1)
+    edge = np.ones((counts.shape[0], 1))
+    g_left = np.hstack((edge, _censoring_survival(km.censored, km.at_risk)))
+    suffixes = [np.hstack((suffix, 0.0 * edge))
+                for suffix in (km.at_risk, np.cumsum(by_time[:, ::-1], axis=1)[:, ::-1])]
+    return _ArmRows(eta, km.events, g_left, suffixes)
+
+
+def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
+    """Count statistic of two samples: the susceptible tau process at ``grid``,
     preceded by the overall one when ``overall`` is set.
 
     Each arm's cure rate is its tail value, or with that arm's ``b`` its
-    extrapolated value.
+    extrapolated value; a row is undefined where either is undefined or
+    reaches 1.  A row is ``tau_a_curve`` (and ``tau_curve``) of its resamples
+    to within rounding, not bit for bit: a subject drawn c times enters once
+    with c times its weight, where the resample adds it c times.  The arms
+    are oriented once, from the original samples, so swapping them negates
+    every row exactly, and interchangeable arms drawn alike give exactly 0.
     """
+    samples, bs = (sample0, sample1), (b0, b1)
+    grid = _checked_grid(grid)
+    etas = [_cure_rate(km_fit(sample, "event"), b) for sample, b in zip(samples, bs)]
+    if max(eta.value for eta in etas) >= 1.0:
+        raise EstimationError("degenerate mixture: cure rate at or above 1")
+    orientation = _orientation(*samples, *etas)
+    if orientation > 0:
+        swapped = _two_arm_statistic(sample1, sample0, grid, b1, b0, overall).evaluate
+        return CountStatistic(lambda counts0, counts1: -swapped(counts1, counts0))
+    summaries = [_sort_sample(sample.times, sample.status) for sample in samples]
+    # Fixed by the original data: the distinct times at which each arm
+    # has events, where they fall among the other arm's, and their buckets.
+    places = []
+    for own, other in (summaries, summaries[::-1]):
+        jump = np.flatnonzero(np.add.reduceat(own.status, own.first))
+        times = own.distinct[jump]
+        places.append((jump, np.searchsorted(other.distinct, times, side="left"),
+                       np.searchsorted(other.distinct, times, side="right"),
+                       np.searchsorted(grid, times, side="left")))
+    width = grid.size + 1
 
-    def statistic(sample0, sample1):
-        tau_a = tau_a_curve(sample0, sample1, _cure_rate(km_fit(sample0, "event"), b0),
-                            _cure_rate(km_fit(sample1, "event"), b1), grid=grid).values
-        if not overall:
-            return tau_a
-        return np.concatenate((tau_curve(sample0, sample1, grid=grid).values, tau_a))
+    def evaluate(counts0, counts1):
+        arms = [_arm_rows(summary, counts, b)
+                for summary, counts, b in zip(summaries, (counts0, counts1), bs)]
+        offsets = np.arange(counts0.shape[0])[:, None] * width
 
-    return statistic
+        def process(weighted):
+            # Each event pairs with every opposite subject observed later,
+            # and is divided by both censoring curves' left limits there.
+            sums = 0.0
+            for sign, own, other, (jump, before, beyond, bucket) in zip(
+                    (1.0, -1.0), arms, arms[::-1], places):
+                g_prod = own.g_left[:, jump] * other.g_left[:, before]
+                masses = (own.events[:, jump] * other.suffixes[weighted][:, beyond]
+                          / np.where(g_prod > 0, g_prod, 1.0))
+                sums = sums + sign * np.bincount((offsets + bucket).ravel(), masses.ravel(),
+                                                 offsets.size * width).reshape(-1, width)
+            if orientation == 0:
+                sums[(counts0 == counts1).all(axis=1)] = 0.0
+            return np.cumsum(sums[:, :-1], axis=1)
+
+        pairs = sample0.n * sample1.n
+        normalizer = pairs * (1.0 - arms[0].eta) * (1.0 - arms[1].eta)
+        tau_a = process(weighted=True) / normalizer[:, None]
+        return np.hstack((process(weighted=False) / pairs, tau_a)) if overall else tau_a
+
+    return CountStatistic(evaluate)
 
 
 def _resample(samples, rng):
@@ -175,8 +256,11 @@ def bootstrap_stats(samples, statistic, R, seed=0):
     view of the bootstrap; Efron & Tibshirani 1993, ch. 6 and 10), and rows
     are evaluated ``km.COUNT_CHUNK_ELEMENTS // max(n)`` at a time, so memory
     stays at a few (rows x n) arrays.  A statistic that computes what its
-    callable form computes on each resample gives the same result, bit for
-    bit.  An undefined point estimate raises ``EstimationError``.
+    callable form computes on each resample, in the same order, gives the
+    same result bit for bit, as the one-arm statistics do; one that sums a
+    subject's c copies as one term, as the two-arm tau statistic does, agrees
+    to within rounding (1e-13 in absolute value).  An undefined point
+    estimate raises ``EstimationError``.
     """
     if R < 2:
         raise ValueError("R must be at least 2")

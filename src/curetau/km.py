@@ -77,17 +77,19 @@ def km_fit(sample, target="event"):
 
 
 def _hazard(jumps, at_risk):
-    """``jumps / at_risk`` where there are jumps, exactly 0.0 elsewhere."""
-    return np.divide(jumps, at_risk, out=np.zeros(jumps.shape), where=jumps > 0)
+    """``jumps / at_risk`` where there are jumps, exactly 0.0 elsewhere
+    (where nobody is at risk there are no jumps, so a divisor of 1 is exact)."""
+    return jumps / np.maximum(at_risk, 1)
 
 
 def _censoring_survival(censored, at_risk):
-    """The censoring KM curve at each distinct time of ``_distinct_counts``.
+    """The censoring KM curve at each distinct time of ``_distinct_counts``
+    (along the last axis: one curve per row of count-weighted replicates).
 
     Times without censorings contribute a factor of exactly 1.0, so every
     value is bit-identical to ``km_fit(sample, "censoring")`` there.
     """
-    return np.cumprod(1.0 - _hazard(censored, at_risk))
+    return np.cumprod(1.0 - _hazard(censored, at_risk), axis=-1)
 
 
 def _left_limits(curve):
@@ -178,7 +180,8 @@ class _KMRows:
     contribute a factor of exactly 1.0, so every value is bit-identical to
     ``km_fit`` on the resample.  ``first_event``/``last_event`` index the
     replicate's smallest and largest event time (meaningless where
-    ``has_events`` is False).
+    ``has_events`` is False).  ``events``, ``censored`` and ``at_risk`` are
+    the replicate's counts of ``_distinct_counts`` at each distinct time.
     """
 
     distinct: np.ndarray
@@ -186,6 +189,9 @@ class _KMRows:
     first_event: np.ndarray
     last_event: np.ndarray
     has_events: np.ndarray
+    events: np.ndarray
+    censored: np.ndarray
+    at_risk: np.ndarray
 
     def at(self, t):
         """Each row's curve at its own time ``t[r]`` (right-continuous)."""
@@ -212,4 +218,7 @@ def _km_rows(summary, counts):
         first_event=np.argmax(jumps, axis=1),
         last_event=jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1),
         has_events=jumps.any(axis=1),
+        events=events,
+        censored=totals - events,
+        at_risk=at_risk,
     )

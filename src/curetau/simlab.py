@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cure import DEFAULT_B_GRID, resolve_cure_rate
+from .cure import DEFAULT_B_GRID, eta_tail_from_sample, resolve_cure_rate
 from .data import Sample
 from .distributions import BetaLatency, TruncatedWeibullLatency, latency_from_dict
 from .errors import EstimationError
-from .inference import _one_arm_statistic, _tau_statistic, bootstrap_stats, z_quantile
+from .inference import _one_arm_statistic, _two_arm_statistic, bootstrap_stats, z_quantile
 from .seeding import seed_tuple, stream
-from .tau import true_tau_quadrature
+from .tau import tau_a_curve, true_tau_quadrature
 
 DEFAULT_LEVELS = (0.75, 0.65, 0.55, 0.45, 0.35, 0.25)
 DEFAULT_TAU_GRID = tuple(np.round(np.arange(0.1, 1.01, 0.1), 10))
@@ -166,14 +166,18 @@ def _run_one_arm(scenario, grid, R, seed, index, eta_method, b, b_grid,
 
 
 def _run_two_arm(scenario, grid, R, seed, index):
+    """One draw/estimate/bootstrap cycle: the point is ``tau_a_curve`` itself,
+    the SD that of its count-row bootstrap (equal to it within rounding)."""
     try:
         s0 = _draw_with_rng(scenario.arm0, stream(seed, index, 0))
         s1 = _draw_with_rng(scenario.arm1, stream(seed, index, 1))
-        boot = bootstrap_stats((s0, s1), _tau_statistic(grid), R=R,
+        point = tau_a_curve(s0, s1, eta_tail_from_sample(s0), eta_tail_from_sample(s1),
+                            grid=grid).values
+        boot = bootstrap_stats((s0, s1), _two_arm_statistic(s0, s1, grid), R=R,
                                seed=seed_tuple(seed) + (index, 2))
     except EstimationError:
         return _RunOutcome(index=index, failed=True)
-    return _RunOutcome(index=index, point=boot.point, sd=boot.sd)
+    return _RunOutcome(index=index, point=point, sd=boot.sd)
 
 
 def _aggregate(outcomes, estimands, grid, truths, runs, R, level):

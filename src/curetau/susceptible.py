@@ -148,7 +148,7 @@ def _phi_right_limits(sample, eta, censored_times):
     out[live] = 1.0 - numerator[live] * sample.n / beyond[live]
     if np.any(~live & (numerator > 0)):
         bad = censored_times[~live & (numerator > 0)][0]
-        raise EstimationError(f"susceptible proportion undefined just after {bad!r}")
+        raise EstimationError(f"susceptible proportion undefined just after {float(bad)}")
     return out
 
 
@@ -186,7 +186,7 @@ def self_consistency_residual(candidate, sample, eta):
         bad = reach < positive_times.size
         if np.any(bad):
             where = positive_times[reach[bad][0]]
-            raise EstimationError(f"0/0 outside the stated convention at time {where!r}")
+            raise EstimationError(f"0/0 outside the stated convention at time {float(where)}")
         order = np.argsort(censored_times, kind="mergesort")
         terms = phi_plus / np.where(cand_c > 0.0, cand_c, 1.0)
         prefix = np.concatenate(([0.0], np.cumsum(terms[order])))

@@ -5,6 +5,11 @@ of the comparison of their event times, weighted by inverse censoring
 probabilities.  The susceptible variant additionally down-weights censored
 subjects by the estimated probability that they are susceptible and rescales
 by the susceptible fractions, so it targets the latency distributions alone.
+
+The bootstrap evaluates both processes on many replicates at once through
+the count-row kernel ``inference._two_arm_statistic``: the same pair masses,
+computed from each arm's subject counts over the original sample's distinct
+times and summed into the grid with one ``np.bincount`` per arm.
 """
 
 from dataclasses import dataclass
@@ -122,13 +127,15 @@ def _pair_masses(sample0, sample1, eta0=None, eta1=None):
     return times, masses, has_pairs
 
 
+def _checked_grid(grid):
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or (grid.size and np.any(np.diff(grid) <= 0)):
+        raise ValueError("grid must be a 1-d strictly increasing array")
+    return grid
+
+
 def _accumulate(times, masses, has_pairs, grid, normalizer):
-    if grid is None:
-        grid = np.unique(times[has_pairs])
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or (grid.size and np.any(np.diff(grid) <= 0)):
-            raise ValueError("grid must be a 1-d strictly increasing array")
+    grid = np.unique(times[has_pairs]) if grid is None else _checked_grid(grid)
     bucket = np.searchsorted(grid, times, side="left")
     sums = np.bincount(bucket, weights=masses, minlength=grid.size + 1)[: grid.size]
     return grid, np.cumsum(sums) / normalizer

@@ -4,9 +4,13 @@
 run) and ``cure_difference_test`` evaluate their replicates as rows of
 subject counts.  Each must reproduce the loop over resampled ``Sample``
 objects bit for bit: the same values with the same NaN pattern, the same
-number of missing replicates and the same failures.  The loop forms live here
-as the reference implementations, as does the CLI's cure-rate rule that
-``resolve_cure_rate`` replaced.
+number of missing replicates and the same failures.  The two-arm tau
+statistic (CLI ``compare`` and the Monte Carlo two-arm run) weighs a subject
+drawn c times by c where the loop adds it c times, so it must match the loop
+to within ``TAU_TOLERANCE`` with the same NaN pattern, and swapping its arms
+must negate it exactly.  The loop forms live here as the reference
+implementations, as does the CLI's cure-rate rule that ``resolve_cure_rate``
+replaced.
 """
 
 import dataclasses
@@ -18,11 +22,17 @@ from hypothesis import strategies as st
 import curetau as ct
 from curetau.cure import DEFAULT_B_GRID
 from curetau.errors import DegenerateWindowError, SelectionFailedError, UnstableStatisticError
-from curetau.inference import _one_arm_statistic
-from curetau.km import COUNT_CHUNK_ELEMENTS
+from curetau.cure import _cure_rate
+from curetau.inference import _one_arm_statistic, _two_arm_statistic
+from curetau.km import COUNT_CHUNK_ELEMENTS, _count_chunks
 from curetau.seeding import stream
+from curetau.tau import _orientation
+from conftest import tied_samples
 
 GRID_TIMES = np.array([0.1, 0.3, 0.5, 0.75, 1.0, 2.0])
+TAU_GRID = np.round(np.arange(0.1, 1.01, 0.1), 10)
+# Absolute: the loop and the count rows add the same terms in another order.
+TAU_TOLERANCE = 1e-13
 
 
 def looped_one_arm_statistic(grid, eta_method, b_fixed):
@@ -40,6 +50,21 @@ def looped_one_arm_statistic(grid, eta_method, b_fixed):
             curve, eta.value, clamp=eta.method == "extrapolated"
         )
         return np.concatenate((curve(grid), latency(grid), [eta.value]))
+
+    return statistic
+
+
+def looped_tau_statistic(grid, b0=None, b1=None, overall=False):
+    """Statistic: the susceptible tau process at the grid times, preceded by
+    the overall one when ``overall`` is set; each arm's cure rate is its tail
+    value, or with that arm's ``b`` its extrapolated value."""
+
+    def statistic(sample0, sample1):
+        tau_a = ct.tau_a_curve(sample0, sample1, _cure_rate(ct.km_fit(sample0, "event"), b0),
+                               _cure_rate(ct.km_fit(sample1, "event"), b1), grid=grid).values
+        if not overall:
+            return tau_a
+        return np.concatenate((ct.tau_curve(sample0, sample1, grid=grid).values, tau_a))
 
     return statistic
 
@@ -147,6 +172,13 @@ def usable(sample, b):
         return False
 
 
+def prefer_usable(sample, b):
+    """Like the Monte Carlo run, prefer a b whose estimate is defined and
+    below 1 on the original sample, starting from ``b``."""
+    return next((c for c in sorted(DEFAULT_B_GRID, key=lambda c: (c < b, c))
+                 if usable(sample, c)), b)
+
+
 def same(a, b):
     """Exact equality that treats NaN as equal to NaN in the same place."""
     if dataclasses.is_dataclass(a):
@@ -183,6 +215,28 @@ def assert_same_bootstrap(looped, batched):
         # with the base class; the loop names the particular reason.
         assert isinstance(batched, type) and issubclass(batched, ct.EstimationError)
         assert issubclass(looped, ct.EstimationError)
+
+
+def assert_close_bootstrap(looped, batched):
+    """Within ``TAU_TOLERANCE``, with the same missing rows and failures."""
+    if not isinstance(looped, ct.BootstrapResult):
+        assert_same_bootstrap(looped, batched)
+        return
+    assert isinstance(batched, ct.BootstrapResult)
+    assert batched.n_missing == looped.n_missing
+    for got, want in ((batched.replicate_values, looped.replicate_values),
+                      (batched.point, looped.point), (batched.sd, looped.sd)):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want), initial=0.0) <= TAU_TOLERANCE
+
+
+def assert_tau_matches_loop(arm0, arm1, grid, b0, b1, overall, R, seed):
+    looped = outcome(lambda: ct.bootstrap_stats(
+        (arm0, arm1), looped_tau_statistic(grid, b0, b1, overall), R=R, seed=seed))
+    batched = outcome(lambda: ct.bootstrap_stats(
+        (arm0, arm1), _two_arm_statistic(arm0, arm1, grid, b0, b1, overall), R=R, seed=seed))
+    assert_close_bootstrap(looped, batched)
+    return batched
 
 
 @st.composite
@@ -236,10 +290,7 @@ def test_one_arm_bootstrap_matches_loop(sample, R, seed, b, event_grid):
     # Carlo run reads them at fixed times.
     grid = np.concatenate(([0.0], ct.km_fit(sample, "event").x)) if event_grid else GRID_TIMES
     if b is not None:
-        # Like the Monte Carlo run, prefer a b whose estimate is defined and
-        # below 1 on the original sample, starting from the drawn one.
-        b = next((c for c in sorted(DEFAULT_B_GRID, key=lambda c: (c < b, c))
-                  if usable(sample, c)), b)
+        b = prefer_usable(sample, b)
     looped = outcome(lambda: ct.bootstrap_stats(
         sample, looped_one_arm_statistic(grid, "tail" if b is None else "extrapolate", b),
         R=R, seed=seed))
@@ -265,6 +316,52 @@ def test_cure_difference_matches_loop(arm0, arm1, R, seed, b):
         assert same((batched.difference, batched.sd), (looped.point, looped.sd))
     else:
         assert_same_bootstrap(looped, batched)
+
+
+@settings(max_examples=200)
+@given(arm0=tied_samples(), arm1=tied_samples(), twin=st.booleans(), R=st.integers(2, 60),
+       seed=st.integers(0, 1000), overall=st.booleans(), default_grid=st.booleans(),
+       b=st.one_of(st.none(), st.tuples(st.sampled_from(DEFAULT_B_GRID),
+                                        st.sampled_from(DEFAULT_B_GRID))))
+def test_two_arm_tau_matches_loop(arm0, arm1, twin, R, seed, overall, default_grid, b):
+    if twin:
+        arm1 = arm0
+    b0, b1 = (None, None) if b is None else map(prefer_usable, (arm0, arm1), b)
+    # CLI ``compare`` reads the processes on the overall process's own grid.
+    grid = ct.tau_curve(arm0, arm1).grid if default_grid else np.array([1, 2.5, 3, 4, 6.0])
+    assert_tau_matches_loop(arm0, arm1, grid, b0, b1, overall, R, seed)
+
+    try:
+        forward = _two_arm_statistic(arm0, arm1, grid, b0, b1, overall)
+        backward = _two_arm_statistic(arm1, arm0, grid, b1, b0, overall)
+    except ct.EstimationError:
+        return
+    ones = (np.ones((1, arm0.n), np.int64), np.ones((1, arm1.n), np.int64))
+    # Identical arms give exactly 0 on the original samples, but each drawn
+    # pair its own value, which a swap need not negate.
+    chunks = [ones]
+    if _orientation(arm0, arm1) != 0:
+        chunks.append(next(_count_chunks((arm0.n, arm1.n), seed, R))[1])
+    for counts0, counts1 in chunks:
+        assert np.array_equal(backward.evaluate(counts1, counts0),
+                              -forward.evaluate(counts0, counts1), equal_nan=True)
+
+
+def test_two_arm_tau_matches_loop_on_drawn_arms():
+    table3, _ = ct.preset("table3-eta02")
+    short, _ = ct.preset("table2-eta02")
+    for seed in range(2):
+        arm0, arm1 = ct.draw_two_arm_sample(table3, seed).split_arms()
+        cases = [(arm0, arm1, TAU_GRID, None, None, False, 100),
+                 (arm0, arm1, ct.tau_curve(arm0, arm1).grid, None, None, True, 30)]
+        # Short follow-up, each arm with its own fixed b.
+        arm0, arm1 = (ct.draw_sample(short, (seed, label)) for label in (0, 1))
+        b0, b1 = prefer_usable(arm0, 0.5), prefer_usable(arm1, 0.7)
+        cases += [(arm0, arm1, TAU_GRID, b0, b1, False, 60),
+                  (arm0, arm1, ct.tau_curve(arm0, arm1).grid, b0, b1, True, 30)]
+        for arm0, arm1, grid, b0, b1, overall, R in cases:
+            batched = assert_tau_matches_loop(arm0, arm1, grid, b0, b1, overall, R, seed)
+            assert isinstance(batched, ct.BootstrapResult)
 
 
 def test_event_free_resamples_are_missing_in_both_forms():
@@ -307,6 +404,11 @@ def test_large_arms_with_a_partial_last_chunk():
             R=R, seed=7)
         assert batched.n_missing == looped.n_missing
         assert same((batched.difference, batched.sd), (looped.point, looped.sd))
+        tau = assert_tau_matches_loop(arm0, arm1, GRID_TIMES, b, b, False, R, 8)
+        assert isinstance(tau, ct.BootstrapResult)
+    tau = assert_tau_matches_loop(arm0, arm1, ct.tau_curve(arm0, arm1).grid, None, None,
+                                  True, R, 9)
+    assert isinstance(tau, ct.BootstrapResult)
 
 
 def resolve_outcomes(sample, method, b, seed, replicates):

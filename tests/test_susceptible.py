@@ -24,7 +24,7 @@ def quadratic_redistributed(candidate, sample, eta):
     bad = live & (cand_c == 0.0)[:, None]
     if np.any(bad):
         where = times[np.where(bad)[1][0]]
-        raise EstimationError(f"0/0 outside the stated convention at time {where!r}")
+        raise EstimationError(f"0/0 outside the stated convention at time {float(where)}")
     safe_c = np.where(cand_c > 0.0, cand_c, 1.0)
     ratio = np.where(live, cand_t[None, :] / safe_c[:, None], 0.0)
     return (phi_plus[:, None] * ratio).sum(axis=0)
@@ -168,6 +168,17 @@ def test_self_consistency_zero_over_zero_names_the_same_time():
     with pytest.raises(EstimationError) as fast:
         ct.self_consistency_residual(candidate, sample, eta)
     assert str(fast.value) == str(quadratic.value)
+    assert str(fast.value) == "0/0 outside the stated convention at time 3.0"
+
+
+def test_undefined_susceptible_proportion_names_the_time():
+    # Nobody is left after the censoring at 2 while the cure rate is positive.
+    sample = ct.Sample([1, 2, 2], [1, 1, 0])
+    eta = ct.CureRateEstimate(value=0.3, method="tail", raw_value=0.3)
+    candidate = ct.product_limit_latency_curve(ct.risk_table(sample))
+    with pytest.raises(EstimationError) as error:
+        ct.self_consistency_residual(candidate, sample, eta)
+    assert str(error.value) == "susceptible proportion undefined just after 2.0"
 
 
 def test_self_consistency_at_large_n():
@@ -220,7 +231,7 @@ def phi_right_limits_oracle(sample, eta, censored_times):
     undefined = (beyond == 0) & (numerator > 0)
     if undefined.any():
         bad = censored_times[undefined][0]
-        raise EstimationError(f"susceptible proportion undefined just after {bad!r}")
+        raise EstimationError(f"susceptible proportion undefined just after {float(bad)}")
     return np.where(beyond > 0, 1.0 - numerator * sample.n / np.maximum(beyond, 1), 1.0)
 
 
