@@ -10,14 +10,13 @@ p-value the two-sided normal tail.
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import _censoring_survival, _count_chunks, _km_rows, _sort_sample, km_fit
+from .km import _censoring_survival, _count_chunks, _km_rows, _left_limits, _sort_sample, km_fit
 from .seeding import seed_tuple, stream
 from .tau import _checked_grid, _orientation, censoring_weight_factor
 
@@ -93,55 +92,44 @@ def _one_arm_statistic(sample, grid, b=None):
     """
     summary = _sort_sample(sample.times, sample.status)
     at_grid = np.searchsorted(summary.distinct, grid, side="right") - 1
+    columns = np.maximum(at_grid, 0)
 
     def evaluate(counts):
         km = _km_rows(summary, counts)
-        eta = _cure_rate_rows(km, b)
-        eta[eta >= 1.0] = np.nan
+        eta, latency = _latency_rows(km, b, columns)
         before = at_grid < km.first_event[:, None]
-        survival = np.where(before, 1.0, km.surv[:, np.maximum(at_grid, 0)])
-        column = eta[:, None]
-        latency = (survival - column) / (1.0 - column)
-        if b is not None:
-            latency = np.clip(latency, 0.0, 1.0)
-        latency = np.where(before, 1.0, latency)
-        return np.column_stack((survival, latency, eta))
+        survival = np.where(before, 1.0, km.surv[:, columns])
+        return np.column_stack((survival, np.where(before, 1.0, latency), eta))
 
     return CountStatistic(evaluate)
 
 
-class _ArmRows(NamedTuple):
-    eta: np.ndarray
-    events: np.ndarray
-    g_left: np.ndarray
-    suffixes: list  # of the counts, then of the weighted counts
+def _latency_rows(km, b, columns):
+    """Each row's cure rate (NaN at or above 1) and its latency curve
+    ``(S - eta) / (1 - eta)`` at the distinct-time indices ``columns``,
+    clamped into [0, 1] only for the extrapolated cure rate."""
+    eta = _cure_rate_rows(km, b)
+    eta[eta >= 1.0] = np.nan
+    latency = (km.surv[:, columns] - eta[:, None]) / (1.0 - eta[:, None])
+    return eta, latency if b is None else np.clip(latency, 0.0, 1.0)
 
 
 def _arm_rows(summary, counts, b):
-    """``_ArmRows`` of one arm's replicates, a row each: the cure rates, the
-    event counts at the distinct times, the censoring curve's left limits
-    there and past the last one, and the suffix sums from each distinct time
-    on (0 past the last) of the counts and of the weighted counts."""
+    """One arm's replicates, a row each: the event curves (``_KMRows``), the
+    censoring curve's left limits at the distinct times, the cure rates, and
+    the subject weights summed at each distinct time."""
     km = _km_rows(summary, counts)
     censored = summary.status == 0
     # Each censored subject's latency is read at its own distinct time.
     at_censored = np.searchsorted(summary.first, np.flatnonzero(censored), side="right") - 1
-    eta = _cure_rate_rows(km, b)
-    eta[eta >= 1.0] = np.nan
-    latency = (km.surv[:, at_censored] - eta[:, None]) / (1.0 - eta[:, None])
-    if b is not None:
-        latency = np.clip(latency, 0.0, 1.0)
+    eta, latency = _latency_rows(km, b, at_censored)
     # An undrawn subject's factor may be 0/0: it weighs exactly 0.
     weights = counts[:, summary.order].astype(float)
     drawn = weights[:, censored]
     weights[:, censored] = np.where(drawn > 0, drawn * censoring_weight_factor(
         latency, eta[:, None]), 0.0)
-    by_time = np.add.reduceat(weights, summary.first, axis=1)
-    edge = np.ones((counts.shape[0], 1))
-    g_left = np.hstack((edge, _censoring_survival(km.censored, km.at_risk)))
-    suffixes = [np.hstack((suffix, 0.0 * edge))
-                for suffix in (km.at_risk, np.cumsum(by_time[:, ::-1], axis=1)[:, ::-1])]
-    return _ArmRows(eta, km.events, g_left, suffixes)
+    g_left = _left_limits(_censoring_survival(km.censored, km.at_risk))
+    return km, g_left, eta, np.add.reduceat(weights, summary.first, axis=1)
 
 
 def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
@@ -166,41 +154,48 @@ def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
         swapped = _two_arm_statistic(sample1, sample0, grid, b1, b0, overall).evaluate
         return CountStatistic(lambda counts0, counts1: -swapped(counts1, counts0))
     summaries = [_sort_sample(sample.times, sample.status) for sample in samples]
-    # Fixed by the original data: the distinct times at which each arm
-    # has events, where they fall among the other arm's, and their buckets.
+    # Fixed by the original data: the distinct times at which each arm has
+    # events, where they fall among the other arm's (an event past its last
+    # time pairs with no one, and reads its last left limit), and their buckets.
     places = []
     for own, other in (summaries, summaries[::-1]):
         jump = np.flatnonzero(np.add.reduceat(own.status, own.first))
         times = own.distinct[jump]
-        places.append((jump, np.searchsorted(other.distinct, times, side="left"),
+        before = np.searchsorted(other.distinct, times, side="left")
+        places.append((jump, np.minimum(before, other.distinct.size - 1),
                        np.searchsorted(other.distinct, times, side="right"),
                        np.searchsorted(grid, times, side="left")))
     width = grid.size + 1
 
     def evaluate(counts0, counts1):
-        arms = [_arm_rows(summary, counts, b)
-                for summary, counts, b in zip(summaries, (counts0, counts1), bs)]
+        kms, g_left, etas, weighted = zip(*(
+            _arm_rows(summary, counts, b)
+            for summary, counts, b in zip(summaries, (counts0, counts1), bs)))
         offsets = np.arange(counts0.shape[0])[:, None] * width
 
-        def process(weighted):
-            # Each event pairs with every opposite subject observed later,
-            # and is divided by both censoring curves' left limits there.
-            sums = 0.0
-            for sign, own, other, (jump, before, beyond, bucket) in zip(
-                    (1.0, -1.0), arms, arms[::-1], places):
-                g_prod = own.g_left[:, jump] * other.g_left[:, before]
-                masses = (own.events[:, jump] * other.suffixes[weighted][:, beyond]
-                          / np.where(g_prod > 0, g_prod, 1.0))
-                sums = sums + sign * np.bincount((offsets + bucket).ravel(), masses.ravel(),
-                                                 offsets.size * width).reshape(-1, width)
+        def into_grid(own, by_time):
+            # Each event pairs with every opposite subject observed later (the
+            # suffix sums, 0 past the last time), and is divided by both
+            # censoring curves' left limits there.
+            jump, before, beyond, bucket = places[own]
+            g_prod = g_left[own][:, jump] * g_left[1 - own][:, before]
+            later = np.cumsum(np.pad(by_time[1 - own][:, ::-1], ((0, 0), (1, 0))), axis=1)
+            masses = (kms[own].events[:, jump] * later[:, ::-1][:, beyond]
+                      / np.where(g_prod > 0, g_prod, 1.0))
+            return np.bincount((offsets + bucket).ravel(), masses.ravel(),
+                               offsets.size * width).reshape(-1, width)
+
+        def process(by_time):
+            sums = into_grid(0, by_time) - into_grid(1, by_time)
             if orientation == 0:
                 sums[(counts0 == counts1).all(axis=1)] = 0.0
             return np.cumsum(sums[:, :-1], axis=1)
 
         pairs = sample0.n * sample1.n
-        normalizer = pairs * (1.0 - arms[0].eta) * (1.0 - arms[1].eta)
-        tau_a = process(weighted=True) / normalizer[:, None]
-        return np.hstack((process(weighted=False) / pairs, tau_a)) if overall else tau_a
+        tau_a = process(weighted) / (pairs * (1.0 - etas[0]) * (1.0 - etas[1]))[:, None]
+        if not overall:
+            return tau_a
+        return np.hstack((process([km.events + km.censored for km in kms]) / pairs, tau_a))
 
     return CountStatistic(evaluate)
 

@@ -93,8 +93,9 @@ def _censoring_survival(censored, at_risk):
 
 
 def _left_limits(curve):
-    """A curve's values just before each distinct time: its exclusive prefix."""
-    return np.concatenate(([1.0], curve[:-1]))
+    """A curve's values just before each distinct time: its exclusive prefix
+    (along the last axis)."""
+    return np.concatenate((np.ones_like(curve[..., :1]), curve[..., :-1]), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
 """Run the benchmark and keep its results on file as ``BENCH_<sha>.json``.
 
-Run from the root of a checkout:
+Run from a checkout:
 
-    python3 tools/bench_record.py --workloads mc-tau,mc-extrap,cli-large --seeds 1,2,3
+    python3 tools/bench_record.py          # the checked-out commit
+    python3 tools/bench_record.py BASE     # it and the commit BASE, in turns
 
-Each (workload, seed) pair is one untraced ``python3 perfbench/run.py`` run
-of ``--seconds`` seconds.  The file, written to ``--out`` (default: the
-checkout's root), records the commit, the machine, the Python, numpy and
-scipy versions, and for each run the result line perfbench prints last and
-the median time of its reference block.  Two files written on the same
-machine, one for a commit and one for its parent, make a before/after pair.
-The exit code is 1 when a run fails or reports an incorrect output.
+Each commit is exported with ``git archive`` into a temporary directory and
+run from there, so only committed code is measured.  Every workload that
+``BENCHMARK.json`` lists runs once per seed 1-10, for its ``run_seconds``, as
+an untraced ``python3 perfbench/run.py``.  With BASE the two commits take
+turns run by run, and the one that goes first alternates from seed to seed,
+so a drift in the machine's load falls on both alike.
+
+Each commit gets one file at the root of the checkout: the commit, the
+machine, the Python, numpy and scipy versions, and for each run the result
+line perfbench prints last and the median time of its reference block.  Two
+files written in one call make a before/after pair.  The exit code is 1 when
+a run fails or reports an incorrect output.
 """
 
 import argparse
@@ -19,18 +25,16 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 11)
 BLOCK_MEDIAN = re.compile(r"reference block median ([0-9.]+) s")
 
 
-def git_sha():
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                          text=True, check=True)
-    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
-                           cwd=ROOT, capture_output=True, text=True, check=True)
-    return done.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
+def git(*args, **kwargs):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True, **kwargs)
 
 
 def cpu_model():
@@ -43,11 +47,16 @@ def cpu_model():
     return platform.processor() or "unknown"
 
 
-def run_once(workload, seed, seconds):
+def export(sha, tree):
+    tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=git("archive", sha).stdout, check=True)
+
+
+def run_once(tree, workload, seed, seconds):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     run = {"workload": workload, "seed": seed, "exit_code": done.returncode}
     try:
@@ -63,29 +72,37 @@ def run_once(workload, seed, seconds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default="mc-tau,mc-extrap,cli-large")
-    parser.add_argument("--seeds", default="1,2,3")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--out", type=Path, default=ROOT)
+    parser.add_argument("base", nargs="?", help="a second commit, run in turns with HEAD")
     args = parser.parse_args(argv)
-
-    sha = git_sha()
-    record = {"git_sha": sha, "machine": {"cpu": cpu_model(), "platform": platform.platform()},
-              "seconds": args.seconds, "runs": []}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
+    revisions = ["HEAD"] + ([args.base] if args.base else [])
+    shas = [git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
+            for rev in revisions]
+    machine = {"cpu": cpu_model(), "platform": platform.platform()}
+    records = {sha: {"git_sha": sha, "machine": machine, "seconds": seconds, "runs": []}
+               for sha in shas}
     failed = False
-    for workload in args.workloads.split(","):
-        for seed in (int(text) for text in args.seeds.split(",")):
-            run, env = run_once(workload, seed, args.seconds)
-            if env is not None:
-                record.setdefault("environment", env)
-            result = run.get("result", {})
-            failed |= run["exit_code"] != 0 or not result.get("correct", False)
-            record["runs"].append(run)
-            value = result.get("metrics", {}).get("runs_per_s", {}).get("value")
-            print(f"{workload} seed {seed}: runs_per_s {value}", flush=True)
-    path = args.out / f"BENCH_{sha}.json"
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = {sha: Path(scratch) / sha for sha in shas}
+        for sha, tree in trees.items():
+            export(sha, tree)
+        for turn, seed in enumerate(SEEDS):
+            for workload in workloads:
+                for sha in shas[::-1] if turn % 2 else shas:
+                    run, env = run_once(trees[sha], workload, seed, seconds)
+                    if env is not None:
+                        records[sha].setdefault("environment", env)
+                    result = run.get("result", {})
+                    failed |= run["exit_code"] != 0 or not result.get("correct", False)
+                    records[sha]["runs"].append(run)
+                    value = result.get("metrics", {}).get("runs_per_s", {}).get("value")
+                    print(f"{sha[:12]} {workload} seed {seed}: runs_per_s {value}", flush=True)
+    for sha, record in records.items():
+        path = ROOT / f"BENCH_{sha}.json"
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
     return 1 if failed else 0
 
 
