@@ -115,9 +115,9 @@ def _latency_rows(km, b, columns):
 
 
 def _arm_rows(summary, counts, b):
-    """One arm's replicates, a row each: the event curves (``_KMRows``), the
-    censoring curve's left limits at the distinct times, the cure rates, and
-    the subject weights summed at each distinct time."""
+    """One arm's replicates, a row each: the event and censoring counts at
+    the distinct times, the censoring curve's left limits there, the cure
+    rates, and the subject weights summed at each distinct time."""
     km = _km_rows(summary, counts)
     censored = summary.status == 0
     # Each censored subject's latency is read at its own distinct time.
@@ -129,7 +129,7 @@ def _arm_rows(summary, counts, b):
     weights[:, censored] = np.where(drawn > 0, drawn * censoring_weight_factor(
         latency, eta[:, None]), 0.0)
     g_left = _left_limits(_censoring_survival(km.censored, km.at_risk))
-    return km, g_left, eta, np.add.reduceat(weights, summary.first, axis=1)
+    return km.events, km.censored, g_left, eta, np.add.reduceat(weights, summary.first, axis=1)
 
 
 def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
@@ -168,7 +168,7 @@ def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
     width = grid.size + 1
 
     def evaluate(counts0, counts1):
-        kms, g_left, etas, weighted = zip(*(
+        events, censored, g_left, etas, weighted = zip(*(
             _arm_rows(summary, counts, b)
             for summary, counts, b in zip(summaries, (counts0, counts1), bs)))
         offsets = np.arange(counts0.shape[0])[:, None] * width
@@ -180,7 +180,7 @@ def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
             jump, before, beyond, bucket = places[own]
             g_prod = g_left[own][:, jump] * g_left[1 - own][:, before]
             later = np.cumsum(np.pad(by_time[1 - own][:, ::-1], ((0, 0), (1, 0))), axis=1)
-            masses = (kms[own].events[:, jump] * later[:, ::-1][:, beyond]
+            masses = (events[own][:, jump] * later[:, ::-1][:, beyond]
                       / np.where(g_prod > 0, g_prod, 1.0))
             return np.bincount((offsets + bucket).ravel(), masses.ravel(),
                                offsets.size * width).reshape(-1, width)
@@ -195,7 +195,7 @@ def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
         tau_a = process(weighted) / (pairs * (1.0 - etas[0]) * (1.0 - etas[1]))[:, None]
         if not overall:
             return tau_a
-        return np.hstack((process([km.events + km.censored for km in kms]) / pairs, tau_a))
+        return np.hstack((process([e + c for e, c in zip(events, censored)]) / pairs, tau_a))
 
     return CountStatistic(evaluate)
 

@@ -1,22 +1,21 @@
 """Run the benchmark and keep its results on file as ``BENCH_<sha>.json``.
 
-Run from a checkout:
+Run from a checkout, naming the commit to compare the checked-out one with:
 
-    python3 tools/bench_record.py          # the checked-out commit
-    python3 tools/bench_record.py BASE     # it and the commit BASE, in turns
+    python3 tools/bench_record.py BASE
 
-Each commit is exported with ``git archive`` into a temporary directory and
+Both commits are exported with ``git archive`` into a temporary directory and
 run from there, so only committed code is measured.  Every workload that
 ``BENCHMARK.json`` lists runs once per seed 1-10, for its ``run_seconds``, as
-an untraced ``python3 perfbench/run.py``.  With BASE the two commits take
-turns run by run, and the one that goes first alternates from seed to seed,
-so a drift in the machine's load falls on both alike.
+an untraced ``python3 perfbench/run.py``.  The two commits take turns run by
+run, and the one that goes first alternates from seed to seed, so a drift in
+the machine's load falls on both alike.
 
-Each commit gets one file at the root of the checkout: the commit, the
-machine, the Python, numpy and scipy versions, and for each run the result
-line perfbench prints last and the median time of its reference block.  Two
-files written in one call make a before/after pair.  The exit code is 1 when
-a run fails or reports an incorrect output.
+Each commit gets one file at the root of the checkout, which makes the pair a
+before/after record: the commit, the machine, the Python, numpy and scipy
+versions, and for each run the result line perfbench prints last and the
+median time of its reference block.  The exit code is 1 when a run fails or
+reports an incorrect output.
 """
 
 import argparse
@@ -72,14 +71,15 @@ def run_once(tree, workload, seed, seconds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", nargs="?", help="a second commit, run in turns with HEAD")
+    parser.add_argument("base", help="the commit to compare HEAD with")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
-    revisions = ["HEAD"] + ([args.base] if args.base else [])
     shas = [git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
-            for rev in revisions]
+            for rev in (args.base, "HEAD")]
+    if shas[0] == shas[1]:
+        parser.error("BASE is the checked-out commit")
     machine = {"cpu": cpu_model(), "platform": platform.platform()}
     records = {sha: {"git_sha": sha, "machine": machine, "seconds": seconds, "runs": []}
                for sha in shas}
