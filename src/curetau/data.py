@@ -175,7 +175,9 @@ def _csv_text(header, rows):
 
     A str field is written as it is, an integer via ``str(int)`` and any
     other number via ``repr(float)``, so floats round-trip exactly and equal
-    inputs give equal bytes.
+    inputs give equal bytes.  A column of integers or of other numbers gets
+    its format once and each row is written with one ``%``; the header and
+    any other column go value by value.
     """
 
     def field(value):
@@ -185,7 +187,21 @@ def _csv_text(header, rows):
             return str(int(value))
         return repr(float(value))
 
-    return "".join(",".join(map(field, row)) + "\n" for row in (header, *rows))
+    columns, formats = [], []
+    for column in zip(*rows):
+        types = set(map(type, column))
+        if all(issubclass(t, (int, np.integer)) for t in types):
+            formats.append("%d")
+        elif not any(issubclass(t, (str, int, np.integer)) for t in types):
+            formats.append("%r")
+            column = map(float, column)
+        else:
+            formats.append("%s")
+            column = map(field, column)
+        columns.append(column)
+    line = ",".join(formats) + "\n"
+    body = "".join(line % row for row in zip(*columns))
+    return ",".join(map(field, header)) + "\n" + body
 
 
 def _csv_columns(source, headers, blank_t=None):

@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
+from scipy.special._ufuncs import _beta_pdf
 
 
 def truncated_weibull_sample(shape, scale, t_b, u):
@@ -28,7 +29,10 @@ def truncated_weibull_sample(shape, scale, t_b, u):
 
 @dataclass(frozen=True)
 class BetaLatency:
-    """Beta(alpha, beta) event times on [0, 1]."""
+    """Beta(alpha, beta) event times on [0, 1].
+
+    ``sf`` and ``pdf`` call ``stats.beta``'s ufuncs, with its support rule.
+    """
 
     alpha: float
     beta: float
@@ -38,13 +42,16 @@ class BetaLatency:
         return 1.0
 
     def sf(self, t):
-        return stats.beta.sf(t, self.alpha, self.beta)
+        return special.betaincc(self.alpha, self.beta, np.clip(t, 0.0, 1.0))
 
     def cdf(self, t):
         return stats.beta.cdf(t, self.alpha, self.beta)
 
     def pdf(self, t):
-        return stats.beta.pdf(t, self.alpha, self.beta)
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore"):
+            dens = _beta_pdf(np.clip(t, 0.0, 1.0), self.alpha, self.beta)
+        return np.where((t < 0.0) | (t > 1.0), 0.0, dens)[()]
 
     def ppf(self, q):
         return stats.beta.ppf(q, self.alpha, self.beta)

@@ -16,6 +16,7 @@ replaced.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from curetau.cure import DEFAULT_B_GRID
 from curetau.errors import DegenerateWindowError, SelectionFailedError, UnstableStatisticError
 from curetau.cure import _cure_rate
 from curetau.inference import _one_arm_statistic, _two_arm_statistic
+from curetau import km
 from curetau.km import COUNT_CHUNK_ELEMENTS, _count_chunks
 from curetau.seeding import stream
 from curetau.tau import _orientation
@@ -409,6 +411,62 @@ def test_large_arms_with_a_partial_last_chunk():
     tau = assert_tau_matches_loop(arm0, arm1, ct.tau_curve(arm0, arm1).grid, None, None,
                                   True, R, 9)
     assert isinstance(tau, ct.BootstrapResult)
+
+
+def looped_counts(sizes, seed, R):
+    """Count rows drawn one replicate at a time: arm 0, then arm 1, from
+    ``stream(seed, r)``, as the looped bootstrap resamples."""
+    rows = [np.empty((R, n), np.int64) for n in sizes]
+    for r in range(R):
+        rng = stream(seed, r)
+        for arm, n in zip(rows, sizes):
+            arm[r] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    return rows
+
+
+def drawn_counts(sizes, seed, R):
+    """``_count_chunks``' rows stacked, after checking where each chunk starts."""
+    chunks = list(_count_chunks(sizes, seed, R))
+    step = max(1, COUNT_CHUNK_ELEMENTS // max(sizes))
+    assert [start for start, _ in chunks] == list(range(0, R, step))
+    return [np.concatenate(arm) for arm in zip(*(counts for _, counts in chunks))]
+
+
+seed_components = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 80))
+
+
+@settings(max_examples=100)
+@given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=2),
+       seed=st.one_of(seed_components, st.lists(seed_components, min_size=1, max_size=5)),
+       past_boundary=st.integers(-2, 2))
+def test_count_rows_are_the_looped_draws(sizes, seed, past_boundary):
+    # About one chunk of rows and a few past it, at most 400 replicates.
+    R = max(1, min(400, COUNT_CHUNK_ELEMENTS // max(sizes) + past_boundary))
+    for drawn, looped in zip(drawn_counts(sizes, seed, R), looped_counts(sizes, seed, R)):
+        assert drawn.dtype == looped.dtype and drawn.flags.c_contiguous
+        assert np.array_equal(drawn, looped)
+
+
+def test_rows_with_a_rejected_draw_are_drawn_from_their_stream(monkeypatch):
+    # Lemire's method rejects a draw of 0 .. 4 999 with probability about
+    # 5e-7, and replicates 763, 953 and 992 of seed 0 each hold one.
+    redrawn = []
+
+    def recording_stream(seed, *indices):
+        redrawn.append(indices)
+        return stream(seed, *indices)
+
+    monkeypatch.setattr(km, "stream", recording_stream)
+    (drawn,) = drawn_counts((5000,), 0, 1000)
+    assert redrawn == [(763,), (953,), (992,)]
+    monkeypatch.undo()
+    assert np.array_equal(drawn, looped_counts((5000,), 0, 1000)[0])
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -2), [0, 1, -5]])
+def test_a_negative_seed_component_is_rejected(seed):
+    with pytest.raises(ValueError, match="non-negative"):
+        next(_count_chunks((10, 12), seed, 5))
 
 
 def resolve_outcomes(sample, method, b, seed, replicates):

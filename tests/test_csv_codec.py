@@ -13,6 +13,7 @@ import pytest
 
 import curetau as ct
 from curetau.cli import read_experiment_csv
+from curetau.data import _csv_text
 from curetau.errors import ParseError
 from curetau.stepfun import read_curve_csv
 from curetau.tau import read_tau_csv
@@ -78,3 +79,21 @@ def test_writers_use_repr_floats_and_plain_integers():
     tau = ct.TauCurve(np.array([0.5]), np.array([0.25]), "overall")
     assert ct.write_tau_csv(tau.with_bands([0.1], [0.05], [0.45])) == (
         "t,value,sd,lo,hi\n0.5,0.25,0.1,0.05,0.45\n")
+
+
+def test_columns_of_mixed_kinds_keep_the_per_value_formats():
+    rows = [("a", 1, np.int64(-2), 0.1, np.float64(2.0), 3, ""),
+            ("bc", 10 ** 20, np.int32(7), math.nan, 1e-300, 2.5, 0.5),
+            ("", True, np.int64(0), -math.inf, np.float32(0.1), np.int64(4), math.inf)]
+    header = ("s", "i", "j", "f", "g", "mixed", 0.25)
+    assert _csv_text(header, rows) == (
+        "s,i,j,f,g,mixed,0.25\n"
+        "a,1,-2,0.1,2.0,3,\n"
+        "bc,100000000000000000000,7,nan,1e-300,2.5,0.5\n"
+        ",1,0,-inf,0.10000000149011612,4,inf\n")
+    assert _csv_text(header, iter(rows)) == _csv_text(header, rows)
+
+
+def test_an_empty_row_set_writes_the_header_alone():
+    assert _csv_text(("t", "value"), []) == "t,value\n"
+    assert _csv_text(("t", "value"), iter(())) == "t,value\n"

@@ -32,6 +32,21 @@ def test_truncated_weibull_validates():
         ct.truncated_weibull_sample(-1.0, 1.5, 4.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha,beta", [(1, 3), (1, 4), (0.5, 1.5), (0.5, 0.5), (2.5, 0.7)])
+def test_beta_latency_equals_scipy_beta(alpha, beta):
+    dist = ct.BetaLatency(alpha, beta)
+    points = [-0.5, 0.0, 0.3, 1.0, 1.5, math.nan]
+    for mine, reference in ((dist.sf, stats.beta(alpha, beta).sf),
+                            (dist.pdf, stats.beta(alpha, beta).pdf)):
+        for t in points:
+            value, expected = mine(t), reference(t)
+            assert type(value) is type(expected)
+            assert np.array_equal(value, expected, equal_nan=True), (t, value, expected)
+        value, expected = mine(np.array(points)), reference(np.array(points))
+        assert value.dtype == expected.dtype
+        assert np.array_equal(value, expected, equal_nan=True)
+
+
 def test_draw_sample_no_cure_all_susceptible():
     scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.0, 1.0, 500)
     sample = ct.draw_sample(scenario, 1)
