@@ -10,7 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
-from scipy.special._ufuncs import _beta_pdf
+
+try:
+    from scipy.special._ufuncs import _beta_pdf
+except ImportError:  # older scipy: the same density, reached through stats.beta
+    _beta_pdf = stats.beta._pdf
 
 
 def truncated_weibull_sample(shape, scale, t_b, u):

@@ -8,7 +8,9 @@ number of missing replicates and the same failures.  The two-arm tau
 statistic (CLI ``compare`` and the Monte Carlo two-arm run) weighs a subject
 drawn c times by c where the loop adds it c times, so it must match the loop
 to within ``TAU_TOLERANCE`` with the same NaN pattern, and swapping its arms
-must negate it exactly.  The loop forms live here as the reference
+must negate it exactly.  The count rows themselves, drawn in bulk by
+``km._count_chunks``, must equal the counts of the resamples the loop draws
+from ``stream(seed, r)``.  The loop forms live here as the reference
 implementations, as does the CLI's cure-rate rule that ``resolve_cure_rate``
 replaced.
 """
@@ -459,7 +461,6 @@ def test_rows_with_a_rejected_draw_are_drawn_from_their_stream(monkeypatch):
     monkeypatch.setattr(km, "stream", recording_stream)
     (drawn,) = drawn_counts((5000,), 0, 1000)
     assert redrawn == [(763,), (953,), (992,)]
-    monkeypatch.undo()
     assert np.array_equal(drawn, looped_counts((5000,), 0, 1000)[0])
 
 
