@@ -1,0 +1,76 @@
+"""Timings of the two-arm tau kernel, ``tau._tau_rows``.
+
+Run from the repository root with pytest-benchmark installed:
+
+    PYTHONPATH=src python3 -m pytest -q bench/bench_tau.py
+
+(the file name keeps it out of the library's own test collection).  The arms
+are drawn from the ``table3-eta02`` design at n = 200, 2 000 and 20 000
+subjects each.  One case times ``tau_a_curve`` on its default grid, which is
+the kernel on the row of ones; the other times one chunk of bootstrap count
+rows through the kernel that ``compare`` bootstraps (both processes on that
+grid, cure rates re-estimated per row; 81, 8 and 1 rows).  At n = 20 000
+each case also records the tracemalloc peak of one call, in MB, as
+``extra_info["peak_mb"]``, so that any quadratic temporary shows.
+"""
+
+import functools
+import tracemalloc
+
+import pytest
+
+import curetau as ct
+from curetau.inference import _two_arm_statistic
+from curetau.km import _count_chunks
+
+SIZES = [200, 2_000, 20_000]
+# Far above the few MB a linear pass takes at n = 20 000, far below the
+# 3 GB of one (n x n) float array.
+PEAK_MB_LIMIT = 256
+
+
+@functools.lru_cache(maxsize=None)
+def arms(n):
+    design, _ = ct.preset("table3-eta02")
+    arm0, arm1 = (ct.Scenario(arm.latency, arm.eta, arm.c_max, n)
+                  for arm in (design.arm0, design.arm1))
+    s0, s1 = ct.draw_two_arm_sample(ct.TwoArmScenario(arm0, arm1), 1).split_arms()
+    etas = tuple(ct.eta_tail_from_sample(sample) for sample in (s0, s1))
+    return s0, s1, etas
+
+
+def record_peak(benchmark, n, call):
+    if n != SIZES[-1]:
+        return
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["peak_mb"] = round(peak, 2)
+    assert peak < PEAK_MB_LIMIT
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_tau_a_curve(benchmark, n):
+    s0, s1, etas = arms(n)
+
+    def curve():
+        return ct.tau_a_curve(s0, s1, *etas)
+
+    record_peak(benchmark, n, curve)
+    assert benchmark(curve).grid.size > 0
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kernel_chunk(benchmark, n):
+    s0, s1, _ = arms(n)
+    statistic = _two_arm_statistic(s0, s1, ct.tau_curve(s0, s1).grid, overall=True)
+    _, counts = next(_count_chunks((n, n), 1, 100))
+
+    def chunk():
+        return statistic.evaluate(*counts)
+
+    record_peak(benchmark, n, chunk)
+    assert benchmark(chunk).shape[0] == counts[0].shape[0]

@@ -16,9 +16,10 @@ from scipy import special
 
 from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import _censoring_survival, _count_chunks, _km_rows, _left_limits, _sort_sample, km_fit
+from .km import _count_chunks, _km_rows, _sort_sample, km_fit
 from .seeding import seed_tuple, stream
-from .tau import _checked_grid, _orientation, censoring_weight_factor
+from .susceptible import _latency_rows
+from .tau import _tau_rows
 
 
 def z_quantile(p):
@@ -73,9 +74,10 @@ class CountStatistic:
     for a scalar statistic or (rows, width).  A row holding a non-finite
     value is a replicate on which the statistic is undefined.  A row of ones
     is the original sample.  The one-arm statistics and the cure-rate
-    difference equal their callable forms bit for bit; the two-arm tau
-    statistic matches its callable form to within 1e-13, since it weighs a
-    subject drawn c times by c where the resample adds it c times.
+    difference equal their callable forms on each resample bit for bit; the
+    two-arm tau statistic matches ``tau_a_curve`` on each resample to within
+    1e-13, since it weighs a subject drawn c times by c where the resample
+    holds c copies, each weighed by 1.
     """
 
     evaluate: Callable
@@ -96,7 +98,7 @@ def _one_arm_statistic(sample, grid, b=None):
 
     def evaluate(counts):
         km = _km_rows(summary, counts)
-        eta, latency = _latency_rows(km, b, columns)
+        eta, latency = _latency_rows(km, _cure_rate_rows(km, b), b is not None, columns)
         before = at_grid < km.first_event[:, None]
         survival = np.where(before, 1.0, km.surv[:, columns])
         return np.column_stack((survival, np.where(before, 1.0, latency), eta))
@@ -104,100 +106,19 @@ def _one_arm_statistic(sample, grid, b=None):
     return CountStatistic(evaluate)
 
 
-def _latency_rows(km, b, columns):
-    """Each row's cure rate (NaN at or above 1) and its latency curve
-    ``(S - eta) / (1 - eta)`` at the distinct-time indices ``columns``,
-    clamped into [0, 1] only for the extrapolated cure rate."""
-    eta = _cure_rate_rows(km, b)
-    eta[eta >= 1.0] = np.nan
-    latency = (km.surv[:, columns] - eta[:, None]) / (1.0 - eta[:, None])
-    return eta, latency if b is None else np.clip(latency, 0.0, 1.0)
-
-
-def _arm_rows(summary, counts, b):
-    """One arm's replicates, a row each: the event and censoring counts at
-    the distinct times, the censoring curve's left limits there, the cure
-    rates, and the subject weights summed at each distinct time."""
-    km = _km_rows(summary, counts)
-    censored = summary.status == 0
-    # Each censored subject's latency is read at its own distinct time.
-    at_censored = np.searchsorted(summary.first, np.flatnonzero(censored), side="right") - 1
-    eta, latency = _latency_rows(km, b, at_censored)
-    # An undrawn subject's factor may be 0/0: it weighs exactly 0.
-    weights = counts[:, summary.order].astype(float)
-    drawn = weights[:, censored]
-    weights[:, censored] = np.where(drawn > 0, drawn * censoring_weight_factor(
-        latency, eta[:, None]), 0.0)
-    g_left = _left_limits(_censoring_survival(km.censored, km.at_risk))
-    return km.events, km.censored, g_left, eta, np.add.reduceat(weights, summary.first, axis=1)
-
-
 def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
     """Count statistic of two samples: the susceptible tau process at ``grid``,
     preceded by the overall one when ``overall`` is set.
 
-    Each arm's cure rate is its tail value, or with that arm's ``b`` its
-    extrapolated value; a row is undefined where either is undefined or
-    reaches 1.  A row is ``tau_a_curve`` (and ``tau_curve``) of its resamples
-    to within rounding, not bit for bit: a subject drawn c times enters once
-    with c times its weight, where the resample adds it c times.  The arms
-    are oriented once, from the original samples, so swapping them negates
-    every row exactly, and interchangeable arms drawn alike give exactly 0.
+    It is the kernel of ``tau_a_curve`` (``tau._tau_rows``) with each row's
+    cure rates re-estimated: each arm's tail value, or with that arm's ``b``
+    its extrapolated value.  The row of ones is, bit for bit, ``tau_a_curve``
+    (and ``tau_curve``) of the original samples at their own cure rates.
     """
-    samples, bs = (sample0, sample1), (b0, b1)
-    grid = _checked_grid(grid)
-    etas = [_cure_rate(km_fit(sample, "event"), b) for sample, b in zip(samples, bs)]
-    if max(eta.value for eta in etas) >= 1.0:
-        raise EstimationError("degenerate mixture: cure rate at or above 1")
-    orientation = _orientation(*samples, *etas)
-    if orientation > 0:
-        swapped = _two_arm_statistic(sample1, sample0, grid, b1, b0, overall).evaluate
-        return CountStatistic(lambda counts0, counts1: -swapped(counts1, counts0))
-    summaries = [_sort_sample(sample.times, sample.status) for sample in samples]
-    # Fixed by the original data: the distinct times at which each arm has
-    # events, where they fall among the other arm's (an event past its last
-    # time pairs with no one, and reads its last left limit), and their buckets.
-    places = []
-    for own, other in (summaries, summaries[::-1]):
-        jump = np.flatnonzero(np.add.reduceat(own.status, own.first))
-        times = own.distinct[jump]
-        before = np.searchsorted(other.distinct, times, side="left")
-        places.append((jump, np.minimum(before, other.distinct.size - 1),
-                       np.searchsorted(other.distinct, times, side="right"),
-                       np.searchsorted(grid, times, side="left")))
-    width = grid.size + 1
-
-    def evaluate(counts0, counts1):
-        events, censored, g_left, etas, weighted = zip(*(
-            _arm_rows(summary, counts, b)
-            for summary, counts, b in zip(summaries, (counts0, counts1), bs)))
-        offsets = np.arange(counts0.shape[0])[:, None] * width
-
-        def into_grid(own, by_time):
-            # Each event pairs with every opposite subject observed later (the
-            # suffix sums, 0 past the last time), and is divided by both
-            # censoring curves' left limits there.
-            jump, before, beyond, bucket = places[own]
-            g_prod = g_left[own][:, jump] * g_left[1 - own][:, before]
-            later = np.cumsum(np.pad(by_time[1 - own][:, ::-1], ((0, 0), (1, 0))), axis=1)
-            masses = (events[own][:, jump] * later[:, ::-1][:, beyond]
-                      / np.where(g_prod > 0, g_prod, 1.0))
-            return np.bincount((offsets + bucket).ravel(), masses.ravel(),
-                               offsets.size * width).reshape(-1, width)
-
-        def process(by_time):
-            sums = into_grid(0, by_time) - into_grid(1, by_time)
-            if orientation == 0:
-                sums[(counts0 == counts1).all(axis=1)] = 0.0
-            return np.cumsum(sums[:, :-1], axis=1)
-
-        pairs = sample0.n * sample1.n
-        tau_a = process(weighted) / (pairs * (1.0 - etas[0]) * (1.0 - etas[1]))[:, None]
-        if not overall:
-            return tau_a
-        return np.hstack((process([e + c for e, c in zip(events, censored)]) / pairs, tau_a))
-
-    return CountStatistic(evaluate)
+    etas = [_cure_rate(km_fit(sample, "event"), b)
+            for sample, b in ((sample0, b0), (sample1, b1))]
+    return CountStatistic(_tau_rows(sample0, sample1, grid, etas, refit=True,
+                                    overall=overall)[1])
 
 
 def _resample(samples, rng):
@@ -254,8 +175,10 @@ def bootstrap_stats(samples, statistic, R, seed=0):
     callable form computes on each resample, in the same order, gives the
     same result bit for bit, as the one-arm statistics do; one that sums a
     subject's c copies as one term, as the two-arm tau statistic does, agrees
-    to within rounding (1e-13 in absolute value).  An undefined point
-    estimate raises ``EstimationError``.
+    to within rounding (1e-13 in absolute value).  The point estimate is
+    the row of ones, the original samples: for the two-arm tau statistic,
+    ``tau_a_curve`` itself.  An undefined point estimate raises
+    ``EstimationError``.
     """
     if R < 2:
         raise ValueError("R must be at least 2")

@@ -7,9 +7,10 @@ each distinct event time, the raw counts together with the
 inverse-probability-of-censoring adjusted counts used by the latency
 (susceptible-survival) estimators.
 
-Bootstrap replicates can also be held as count weights over the subjects of
-the original sample, and the event curves of many replicates computed at once
-on the original sample's distinct times (``_count_chunks``, ``_km_rows``).
+Every count comes from ``_km_rows``, which takes rows of count weights over
+the subjects of a sample and gives each row's counts and event curve on the
+sample's distinct times.  A bootstrap replicate is one such row
+(``_count_chunks`` draws them); the sample itself is the row of ones.
 """
 
 from dataclasses import dataclass
@@ -45,17 +46,11 @@ def _sort_sample(times, status):
     return _SortedSample(order, distinct, first, np.asarray(status)[order])
 
 
-def _distinct_counts(times, status):
-    """Distinct observed times with event count, censor count, and at-risk count."""
-    summary = _sort_sample(times, status)
-    n = summary.order.size
-    events = (np.add.reduceat(summary.status, summary.first)
-              if summary.distinct.size else np.array([]))
-    totals = np.diff(np.append(summary.first, n))
-    censored = totals - events
-    at_risk = n - np.concatenate(([0], np.cumsum(totals)[:-1]))
-    return (summary.distinct, events.astype(np.int64), censored.astype(np.int64),
-            at_risk.astype(np.int64))
+def _count_rows(sample):
+    """The sample's own counts and event curve: ``_km_rows`` on its row of
+    ones (a ``_KMRows`` of one row)."""
+    return _km_rows(_sort_sample(sample.times, sample.status),
+                    np.ones((1, sample.n), np.int64))
 
 
 def km_fit(sample, target="event"):
@@ -69,27 +64,19 @@ def km_fit(sample, target="event"):
         raise ValueError(f"target must be 'event' or 'censoring', got {target!r}")
     if sample.n == 0:
         raise ValueError("sample is empty")
-    distinct, events, censored, at_risk = _distinct_counts(sample.times, sample.status)
-    jumps = events if target == "event" else censored
-    mask = jumps > 0
-    factors = 1.0 - jumps[mask] / at_risk[mask]
-    return StepFunction(distinct[mask], np.cumprod(factors), initial_value=1.0)
+    rows = _count_rows(sample)
+    if target == "event":
+        jumps, curve = rows.events, rows.surv
+    else:
+        jumps, curve = rows.censored, rows.censoring_curve()
+    mask = jumps[0] > 0
+    return StepFunction(rows.distinct[mask], curve[0, mask], initial_value=1.0)
 
 
 def _hazard(jumps, at_risk):
     """``jumps / at_risk`` where there are jumps, exactly 0.0 elsewhere
     (where nobody is at risk there are no jumps, so a divisor of 1 is exact)."""
     return jumps / np.maximum(at_risk, 1)
-
-
-def _censoring_survival(censored, at_risk):
-    """The censoring KM curve at each distinct time of ``_distinct_counts``
-    (along the last axis: one curve per row of count-weighted replicates).
-
-    Times without censorings contribute a factor of exactly 1.0, so every
-    value is bit-identical to ``km_fit(sample, "censoring")`` there.
-    """
-    return np.cumprod(1.0 - _hazard(censored, at_risk), axis=-1)
 
 
 def _left_limits(curve):
@@ -132,16 +119,16 @@ def risk_table(sample):
         raise ValueError("sample is empty")
     if sample.n_events == 0:
         raise NoEventsError("no events: the adjusted risk table is undefined")
-    distinct, events, censored, at_risk = _distinct_counts(sample.times, sample.status)
-    mask = events > 0
-    d = events[mask]
-    y = at_risk[mask]
+    rows = _count_rows(sample)
+    mask = rows.events[0] > 0
+    d = rows.events[0, mask]
+    y = rows.at_risk[0, mask]
     # Positive: each censoring factor 1 - c_j/Y_j >= Y_(j+1)/Y_j, so G(t-) >= Y(t)/n.
-    g_left = _left_limits(_censoring_survival(censored, at_risk))[mask]
+    g_left = _left_limits(rows.censoring_curve())[0, mask]
     d_tilde = d / g_left
     y_tilde = np.cumsum(d_tilde[::-1])[::-1]
     return RiskTable(
-        times=distinct[mask],
+        times=rows.distinct[mask],
         d=d,
         y=y,
         g_left=g_left,
@@ -205,10 +192,12 @@ class _KMRows:
     ``surv[r, j]`` is replicate ``r``'s curve at the original sample's
     distinct time ``distinct[j]``.  Times a replicate does not jump at
     contribute a factor of exactly 1.0, so every value is bit-identical to
-    ``km_fit`` on the resample.  ``first_event``/``last_event`` index the
-    replicate's smallest and largest event time (meaningless where
-    ``has_events`` is False).  ``events``, ``censored`` and ``at_risk`` are
-    the replicate's counts of ``_distinct_counts`` at each distinct time.
+    the product over the replicate's own event times.  ``first_event``/
+    ``last_event`` index the replicate's smallest and largest event time
+    (meaningless where ``has_events`` is False).  ``events``, ``censored``
+    and ``at_risk`` are the replicate's event, censoring and at-risk counts
+    at each distinct time.  The row of ones is the original sample, and
+    ``km_fit`` and ``risk_table`` read it (``_count_rows``).
     """
 
     distinct: np.ndarray
@@ -226,9 +215,14 @@ class _KMRows:
         values = self.surv[np.arange(self.surv.shape[0]), np.maximum(idx, 0)]
         return np.where(idx < 0, 1.0, values)
 
+    def censoring_curve(self):
+        """Each row's censoring KM curve at the distinct times.  Times without
+        censorings contribute a factor of exactly 1.0, as in ``surv``."""
+        return np.cumprod(1.0 - _hazard(self.censored, self.at_risk), axis=1)
+
 
 def _km_rows(summary, counts):
-    """Batched ``km_fit`` (event target) of the replicates in ``counts``.
+    """The event curves and counts of the replicates in ``counts``.
 
     ``summary`` is the original sample's ``_SortedSample``; ``counts`` is a
     (rows x n) array of subject counts in the original subject order.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .km import _censoring_survival, _distinct_counts, _left_limits, km_fit, risk_table
+from .km import _count_rows, _left_limits, km_fit, risk_table
 from .stepfun import StepFunction
 
 
@@ -44,6 +44,18 @@ def location_scale_curve(event_curve, eta_value, clamp=False):
         clamped = bool(np.any(clipped != values))
         values = clipped
     return StepFunction(event_curve.x, values, initial_value=1.0), clamped
+
+
+def _latency_rows(km, eta, clamp, columns):
+    """``location_scale_curve`` of each row of a ``_KMRows`` by that row's
+    cure rate in ``eta``, at the distinct-time indices ``columns``.
+
+    Returns the cure rates, NaN where at or above 1, and the curves, clamped
+    into [0, 1] with ``clamp``.
+    """
+    eta = np.where(eta >= 1.0, np.nan, eta)
+    latency = (km.surv[:, columns] - eta[:, None]) / (1.0 - eta[:, None])
+    return eta, np.clip(latency, 0.0, 1.0) if clamp else latency
 
 
 def ipcw_latency_curve(table):
@@ -99,12 +111,11 @@ def phi_hat(sample, eta):
     """
     if sample.n == 0:
         raise ValueError("sample is empty")
-    distinct, _, censored, at_risk = _distinct_counts(sample.times, sample.status)
-    g_left = _left_limits(_censoring_survival(censored, at_risk))
-    values = 1.0 - eta.value * g_left / (at_risk / sample.n)
-    return StepFunction(
-        distinct, values, initial_value=1.0 - eta.value, domain_end=float(distinct[-1])
-    )
+    rows = _count_rows(sample)
+    g_left = _left_limits(rows.censoring_curve())[0]
+    values = 1.0 - eta.value * g_left / (rows.at_risk[0] / sample.n)
+    return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value,
+                        domain_end=float(rows.distinct[-1]))
 
 
 def h1a_hat(sample, eta):
@@ -115,10 +126,10 @@ def h1a_hat(sample, eta):
     """
     if sample.n == 0:
         raise ValueError("sample is empty")
-    distinct, events, censored, at_risk = _distinct_counts(sample.times, sample.status)
-    beyond = at_risk - events - censored
-    values = beyond / sample.n - eta.value * _censoring_survival(censored, at_risk)
-    return StepFunction(distinct, values, initial_value=1.0 - eta.value)
+    rows = _count_rows(sample)
+    beyond = (rows.at_risk - rows.events - rows.censored)[0]
+    values = beyond / sample.n - eta.value * rows.censoring_curve()[0]
+    return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value)
 
 
 @dataclass(frozen=True)
@@ -139,10 +150,10 @@ def _phi_right_limits(sample, eta, censored_times):
     vanish; that 0/0 is resolved to phi = 1, and the corresponding term in
     the self-consistency sum is annihilated by the candidate being 0 there.
     """
-    distinct, events, censored, at_risk = _distinct_counts(sample.times, sample.status)
-    at = np.searchsorted(distinct, censored_times)
-    beyond = (at_risk - events - censored)[at]
-    numerator = eta.value * _censoring_survival(censored, at_risk)[at]
+    rows = _count_rows(sample)
+    at = np.searchsorted(rows.distinct, censored_times)
+    beyond = (rows.at_risk - rows.events - rows.censored)[0, at]
+    numerator = eta.value * rows.censoring_curve()[0, at]
     out = np.ones_like(numerator)
     live = beyond > 0
     out[live] = 1.0 - numerator[live] * sample.n / beyond[live]

@@ -29,21 +29,16 @@ class _Frame:
 
 
 def _step_points(grid, values, initial, x_end):
-    xs = [0.0]
-    ys = [initial]
-    for t, v in zip(grid, values):
-        xs.extend([float(t), float(t)])
-        ys.extend([ys[-1], float(v)])
-    xs.append(x_end)
-    ys.append(ys[-1])
+    """The corners of a step curve from 0 to ``x_end``: two at each jump."""
+    xs = np.concatenate(([0.0], np.repeat(np.asarray(grid, dtype=float), 2), [x_end]))
+    ys = np.repeat(np.concatenate(([initial], np.asarray(values, dtype=float))), 2)
     return xs, ys
 
 
-def _path(frame, xs, ys):
-    return " ".join(
-        f"{'M' if k == 0 else 'L'}{frame.px(x):.2f},{frame.py(y):.2f}"
-        for k, (x, y) in enumerate(zip(xs, ys))
-    )
+def _pixels(frame, xs, ys, sep):
+    """The points as ``x,y`` pixel pairs of two decimals, joined by ``sep``."""
+    flat = np.column_stack((frame.px(xs), frame.py(ys))).ravel().tolist()
+    return sep.join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
 
 
 def step_plot_svg(curves, title="", x_label="time", y_label="value", zero_line=False):
@@ -57,9 +52,9 @@ def step_plot_svg(curves, title="", x_label="time", y_label="value", zero_line=F
     x_end = x_end * 1.05 if x_end > 0 else 1.0
     lo, hi = 0.0, 1.0
     for _, grid, values, initial, band in curves:
-        candidates = [initial, *map(float, values)]
+        candidates = [initial, *np.asarray(values, dtype=float).tolist()]
         if band is not None:
-            candidates += [*map(float, band[0]), *map(float, band[1])]
+            candidates += np.asarray(band, dtype=float).ravel().tolist()
         lo = min(lo, min(candidates))
         hi = max(hi, max(candidates))
     hi = hi if hi > lo else lo + 1.0
@@ -116,17 +111,11 @@ def step_plot_svg(curves, title="", x_label="time", y_label="value", zero_line=F
         if band is not None and len(grid):
             lo_x, lo_y = _step_points(grid, band[0], float(band[0][0]), x_end)
             hi_x, hi_y = _step_points(grid, band[1], float(band[1][0]), x_end)
-            points = " ".join(
-                f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(lo_x, lo_y)
-            ) + " " + " ".join(
-                f"{frame.px(x):.2f},{frame.py(y):.2f}"
-                for x, y in zip(reversed(hi_x), reversed(hi_y))
-            )
+            points = _pixels(frame, np.concatenate((lo_x, hi_x[::-1])),
+                             np.concatenate((lo_y, hi_y[::-1])), " ")
             parts.append(f'<polygon points="{points}" fill="{color}" opacity="0.15"/>')
-        xs, ys = _step_points(grid, values, initial, x_end)
-        parts.append(
-            f'<path d="{_path(frame, xs, ys)}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-        )
+        path = "M" + _pixels(frame, *_step_points(grid, values, initial, x_end), " L")
+        parts.append(f'<path d="{path}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         lx = _WIDTH - _MARGIN_R - 150
         ly = _MARGIN_T + 16 * (k + 1)
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>')

@@ -6,10 +6,13 @@ probabilities.  The susceptible variant additionally down-weights censored
 subjects by the estimated probability that they are susceptible and rescales
 by the susceptible fractions, so it targets the latency distributions alone.
 
-The bootstrap evaluates both processes on many replicates at once through
-the count-row kernel ``inference._two_arm_statistic``: the same pair masses,
-computed from each arm's subject counts over the original sample's distinct
-times and summed into the grid with one ``np.bincount`` per arm.
+Both processes are one count-row kernel, ``_tau_rows``.  Each arm's subjects
+are held as rows of counts: a bootstrap replicate is one row, and the sample
+itself is the row of ones (the multinomial view of the bootstrap; Efron &
+Tibshirani 1993, ch. 6).  A row's pair masses come from its counts over the
+original sample's distinct times and go into the grid with one
+``np.bincount`` per arm.  ``tau_curve`` and ``tau_a_curve`` evaluate the row
+of ones; the bootstrap (``inference._two_arm_statistic``) the drawn rows.
 """
 
 from dataclasses import dataclass
@@ -17,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .cure import _cure_rate_rows
 from .data import _csv_columns, _csv_text
 from .errors import EstimationError, ToleranceError
-from .km import km_fit
-from .susceptible import location_scale_curve
+from .km import _km_rows, _left_limits, _sort_sample
+from .susceptible import _latency_rows
 
 
 @dataclass(frozen=True)
@@ -65,80 +69,11 @@ def censoring_weight_factor(latency_survival_at_x, eta_value):
     return out
 
 
-def _subject_weights(sample, eta):
-    """Per-subject weight factor: 1 for events, the censoring factor otherwise."""
-    event_curve = km_fit(sample, "event")
-    latency, _ = location_scale_curve(
-        event_curve, eta.value, clamp=eta.method == "extrapolated"
-    )
-    # Finite: a censored subject is at risk at its own time x, so S(x) > 0
-    # and the factor's denominator never vanishes.
-    weights = np.ones(sample.n)
-    censored = sample.status == 0
-    if censored.any():
-        sa = latency(sample.times[censored])
-        weights[censored] = censoring_weight_factor(sa, eta.value)
-    return weights
-
-
-def _event_masses(events_arm, opposite_arm, g_own, g_other, w_event, w_opposite):
-    """Signed mass placed at each of one arm's event times.
-
-    An event at time x pairs with every opposite-arm subject observed
-    strictly later, so its mass is ``w_event * (suffix weight sum beyond x)``
-    divided by both censoring-survival left limits at x.
-    """
-    event_mask = events_arm.status == 1
-    x_event = events_arm.times[event_mask]
-    order = np.argsort(opposite_arm.times, kind="stable")
-    opp_sorted = opposite_arm.times[order]
-    suffix = np.concatenate((np.cumsum(w_opposite[order][::-1])[::-1], [0.0]))
-    pos = np.searchsorted(opp_sorted, x_event, side="right")
-    opp_weight = suffix[pos]
-    opp_count = opp_sorted.size - pos
-
-    # Positive wherever x has pairs: G(x-) >= Y(x)/n in each arm, and both
-    # the event subject and a later opposite subject are at risk at x.  The
-    # guard below only keeps pairless events from dividing by zero.
-    g_prod = g_own(x_event, side="left") * g_other(x_event, side="left")
-    masses = np.where(opp_count > 0,
-                      w_event[event_mask] * opp_weight
-                      / np.where(g_prod > 0, g_prod, 1.0),
-                      0.0)
-    return x_event, masses, opp_count > 0
-
-
-def _pair_masses(sample0, sample1, eta0=None, eta1=None):
-    """All point masses of the pair sum: +1-signed at arm-0 event times
-    (arm 1 outlives arm 0 there) and -1-signed at arm-1 event times."""
-    if eta0 is None:
-        w0 = np.ones(sample0.n)
-        w1 = np.ones(sample1.n)
-    else:
-        w0 = _subject_weights(sample0, eta0)
-        w1 = _subject_weights(sample1, eta1)
-    g0 = km_fit(sample0, "censoring")
-    g1 = km_fit(sample1, "censoring")
-    x_up, mass_up, live_up = _event_masses(sample0, sample1, g0, g1, w0, w1)
-    x_down, mass_down, live_down = _event_masses(sample1, sample0, g1, g0, w1, w0)
-    times = np.concatenate((x_up, x_down))
-    masses = np.concatenate((mass_up, -mass_down))
-    has_pairs = np.concatenate((live_up, live_down))
-    return times, masses, has_pairs
-
-
 def _checked_grid(grid):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or (grid.size and np.any(np.diff(grid) <= 0)):
         raise ValueError("grid must be a 1-d strictly increasing array")
     return grid
-
-
-def _accumulate(times, masses, has_pairs, grid, normalizer):
-    grid = np.unique(times[has_pairs]) if grid is None else _checked_grid(grid)
-    bucket = np.searchsorted(grid, times, side="left")
-    sums = np.bincount(bucket, weights=masses, minlength=grid.size + 1)[: grid.size]
-    return grid, np.cumsum(sums) / normalizer
 
 
 def _orientation(sample0, sample1, eta0=None, eta1=None):
@@ -154,23 +89,125 @@ def _orientation(sample0, sample1, eta0=None, eta1=None):
     return (key0 > key1) - (key0 < key1)
 
 
+def _arm_rows(summary, counts, eta, refit):
+    """One arm's rows: the event and censoring counts at the distinct times
+    and the censoring curve's left limits there; then, given the arm's
+    cure-rate estimate ``eta`` (else None for both), each row's cure rate and
+    its subject weights summed at each distinct time."""
+    km = _km_rows(summary, counts)
+    g_left = _left_limits(km.censoring_curve())
+    if eta is None:
+        return km.events, km.censored, g_left, None, None
+    censored = summary.status == 0
+    # Each censored subject's latency is read at its own distinct time.
+    at_censored = np.searchsorted(summary.first, np.flatnonzero(censored), side="right") - 1
+    rates = _cure_rate_rows(km, eta.b) if refit else np.full(counts.shape[0], eta.value)
+    rates, latency = _latency_rows(km, rates, eta.method == "extrapolated", at_censored)
+    # An undrawn subject's factor may be 0/0: it weighs exactly 0.
+    weights = counts[:, summary.order].astype(float)
+    drawn = weights[:, censored]
+    weights[:, censored] = np.where(drawn > 0, drawn * censoring_weight_factor(
+        latency, rates[:, None]), 0.0)
+    return km.events, km.censored, g_left, rates, np.add.reduceat(weights, summary.first, axis=1)
+
+
+def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False):
+    """The count-row kernel of both tau processes: returns ``(grid, evaluate)``.
+
+    ``evaluate(counts0, counts1)`` takes one (rows x n) array of subject
+    counts per arm and gives each row's processes at ``grid``: the overall
+    one alone without ``etas``, which needs no cure rate; with ``etas`` (a
+    cure-rate estimate per arm) the susceptible one, preceded by the overall
+    one when ``overall`` is set.  A row's cure rate is its arm's
+    ``eta.value``, or with ``refit`` its own, estimated as ``eta`` was (the
+    row is undefined where that is undefined or reaches 1).  Latencies are
+    clamped into [0, 1] for an extrapolated cure rate.
+
+    The default grid holds the distinct event times of either arm with an
+    opposite-arm subject observed strictly later, where the processes move.
+    A subject drawn c times enters once with c times its weight.  The arms
+    are oriented once, from the original samples and ``etas``, so swapping
+    them negates every row exactly, and interchangeable arms drawn alike
+    give exactly 0.
+    """
+    if sample0.n == 0 or sample1.n == 0:
+        raise ValueError("both samples must be non-empty")
+    if etas is not None and max(eta.value for eta in etas) >= 1.0:
+        raise EstimationError("degenerate mixture: cure rate at or above 1")
+    etas = (None, None) if etas is None else tuple(etas)
+    orientation = _orientation(sample0, sample1, *etas)
+    samples = (sample0, sample1) if orientation <= 0 else (sample1, sample0)
+    etas = etas if orientation <= 0 else etas[::-1]
+    summaries = [_sort_sample(sample.times, sample.status) for sample in samples]
+    # Fixed by the original data: the distinct times at which each arm has
+    # events, and where they fall among the other arm's (an event past its
+    # last time pairs with no one, and reads its last left limit).
+    places = []
+    for own, other in (summaries, summaries[::-1]):
+        jump = np.flatnonzero(np.add.reduceat(own.status, own.first))
+        times = own.distinct[jump]
+        before = np.searchsorted(other.distinct, times, side="left")
+        beyond = np.searchsorted(other.distinct, times, side="right")
+        places.append((jump, np.minimum(before, other.distinct.size - 1), beyond,
+                       times[beyond < other.distinct.size]))
+    if grid is None:
+        grid = np.unique(np.concatenate([place[3] for place in places]))
+    grid = _checked_grid(grid)
+    buckets = [np.searchsorted(grid, own.distinct[place[0]], side="left")
+               for own, place in zip(summaries, places)]
+    width = grid.size + 1
+
+    def evaluate(counts0, counts1):
+        counts = (counts0, counts1) if orientation <= 0 else (counts1, counts0)
+        events, censored, g_left, rates, weighted = zip(*(
+            _arm_rows(summary, arm, eta, refit)
+            for summary, arm, eta in zip(summaries, counts, etas)))
+        offsets = np.arange(counts0.shape[0])[:, None] * width
+
+        def into_grid(own, by_time):
+            # Each event pairs with every opposite subject observed later (the
+            # suffix sums, 0 past the last time), and is divided by both
+            # censoring curves' left limits there.
+            jump, before, beyond, _ = places[own]
+            g_prod = g_left[own][:, jump] * g_left[1 - own][:, before]
+            later = np.cumsum(np.pad(by_time[1 - own][:, ::-1], ((0, 0), (1, 0))), axis=1)
+            masses = (events[own][:, jump] * later[:, ::-1][:, beyond]
+                      / np.where(g_prod > 0, g_prod, 1.0))
+            return np.bincount((offsets + buckets[own]).ravel(), masses.ravel(),
+                               offsets.size * width).reshape(-1, width)
+
+        def process(by_time):
+            sums = into_grid(0, by_time) - into_grid(1, by_time)
+            if orientation == 0:
+                sums[(counts0 == counts1).all(axis=1)] = 0.0
+            return np.cumsum(sums[:, :-1], axis=1)
+
+        pairs = sample0.n * sample1.n
+        parts = []
+        if overall or etas[0] is None:
+            parts.append(process([e + c for e, c in zip(events, censored)]) / pairs)
+        if etas[0] is not None:
+            parts.append(process(weighted) / (pairs * (1.0 - rates[0]) * (1.0 - rates[1]))[:, None])
+        values = np.hstack(parts)
+        return values if orientation <= 0 else -values
+
+    return grid, evaluate
+
+
+def _row_of_ones(kind, sample0, sample1, grid, etas=None):
+    """The process of the samples themselves: the kernel's row of ones."""
+    grid, evaluate = _tau_rows(sample0, sample1, grid, etas)
+    ones = (np.ones((1, sample.n), np.int64) for sample in (sample0, sample1))
+    return TauCurve(grid=grid, values=evaluate(*ones)[0], kind=kind)
+
+
 def tau_curve(sample0, sample1, grid=None):
     """Overall tau process comparing arm 1 against arm 0.
 
     Positive values favor arm 1.  The default grid is the set of distinct
     orderable comparison times, where the process actually moves.
     """
-    if sample0.n == 0 or sample1.n == 0:
-        raise ValueError("both samples must be non-empty")
-    orientation = _orientation(sample0, sample1)
-    if orientation > 0:
-        return tau_curve(sample1, sample0, grid=grid).negated()
-    times, masses, has_pairs = _pair_masses(sample0, sample1)
-    grid, values = _accumulate(times, masses, has_pairs, grid,
-                               sample0.n * sample1.n)
-    if orientation == 0:
-        values = np.zeros_like(values)
-    return TauCurve(grid=grid, values=values, kind="overall")
+    return _row_of_ones("overall", sample0, sample1, grid)
 
 
 def tau_a_curve(sample0, sample1, eta0, eta1, grid=None):
@@ -179,19 +216,7 @@ def tau_a_curve(sample0, sample1, eta0, eta1, grid=None):
     Passing extrapolated cure-rate estimates yields the insufficient-
     follow-up variant of the process.
     """
-    if sample0.n == 0 or sample1.n == 0:
-        raise ValueError("both samples must be non-empty")
-    if eta0.value >= 1.0 or eta1.value >= 1.0:
-        raise EstimationError("degenerate mixture: cure rate at or above 1")
-    orientation = _orientation(sample0, sample1, eta0, eta1)
-    if orientation > 0:
-        return tau_a_curve(sample1, sample0, eta1, eta0, grid=grid).negated()
-    times, masses, has_pairs = _pair_masses(sample0, sample1, eta0, eta1)
-    normalizer = sample0.n * sample1.n * (1.0 - eta0.value) * (1.0 - eta1.value)
-    grid, values = _accumulate(times, masses, has_pairs, grid, normalizer)
-    if orientation == 0:
-        values = np.zeros_like(values)
-    return TauCurve(grid=grid, values=values, kind="susceptible")
+    return _row_of_ones("susceptible", sample0, sample1, grid, (eta0, eta1))
 
 
 _QUAD_TOL = 1e-9

@@ -11,8 +11,9 @@ to within ``TAU_TOLERANCE`` with the same NaN pattern, and swapping its arms
 must negate it exactly.  The count rows themselves, drawn in bulk by
 ``km._count_chunks``, must equal the counts of the resamples the loop draws
 from ``stream(seed, r)``.  The loop forms live here as the reference
-implementations, as does the CLI's cure-rate rule that ``resolve_cure_rate``
-replaced.
+implementations (the looped tau processes in ``tau_oracle``, since
+``tau_curve`` and ``tau_a_curve`` are the kernel's row of ones), as does the
+CLI's cure-rate rule that ``resolve_cure_rate`` replaced.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curetau as ct
+import tau_oracle
 from curetau.cure import DEFAULT_B_GRID
 from curetau.errors import DegenerateWindowError, SelectionFailedError, UnstableStatisticError
 from curetau.cure import _cure_rate
@@ -64,11 +66,12 @@ def looped_tau_statistic(grid, b0=None, b1=None, overall=False):
     value, or with that arm's ``b`` its extrapolated value."""
 
     def statistic(sample0, sample1):
-        tau_a = ct.tau_a_curve(sample0, sample1, _cure_rate(ct.km_fit(sample0, "event"), b0),
-                               _cure_rate(ct.km_fit(sample1, "event"), b1), grid=grid).values
+        tau_a = tau_oracle.tau_a_curve(
+            sample0, sample1, _cure_rate(ct.km_fit(sample0, "event"), b0),
+            _cure_rate(ct.km_fit(sample1, "event"), b1), grid=grid).values
         if not overall:
             return tau_a
-        return np.concatenate((ct.tau_curve(sample0, sample1, grid=grid).values, tau_a))
+        return np.concatenate((tau_oracle.tau_curve(sample0, sample1, grid=grid).values, tau_a))
 
     return statistic
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import curetau as ct
+from curetau import cli
 from curetau.cli import main, read_experiment_csv
 
 D1_TEXT = "time,status\n1,1\n2,0\n3,1\n4,0\n5,0\n"
@@ -163,6 +164,35 @@ def test_compare_tau_consistency_with_library(tmp_path, two_arm_file):
     emitted = ct.read_tau_csv((out / "tau.csv").read_text())
     assert np.array_equal(emitted.grid, expected.grid)
     assert np.array_equal(emitted.values, expected.values)
+
+
+def test_compare_tau_values_are_the_bootstrap_points(tmp_path, monkeypatch):
+    # Each tau CSV holds the point estimate of the bootstrap behind its band:
+    # the count-row kernel's row of ones.  Whole-number times tie within and
+    # across the arms, where a looped pair sum would differ in the last bits.
+    scenario, _ = ct.preset("two-arm-demo")
+    sample = ct.draw_two_arm_sample(scenario, 11)
+    two_arm_file = tmp_path / "tied.csv"
+    two_arm_file.write_text(ct.write_csv(ct.Sample(np.ceil(sample.times), sample.status,
+                                                   sample.arms)))
+    points = []
+
+    def recording(*args, **kwargs):
+        boot = ct.bootstrap_stats(*args, **kwargs)
+        points.append(boot.point)
+        return boot
+
+    monkeypatch.setattr(cli, "bootstrap_stats", recording)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--input", str(two_arm_file), "--boot", "30", "--seed", "5",
+                 "--eta-method", "extrapolate", "--output-dir", str(out)]) == 0
+    both, extrapolated = points
+    tau, tau_a, tau_extrap = (ct.read_tau_csv((out / f"{name}.csv").read_text())
+                              for name in ("tau", "tau_susceptible", "tau_susceptible_extrap"))
+    k = tau.grid.size
+    assert np.array_equal(tau.values, both[:k])
+    assert np.array_equal(tau_a.values, both[k:])
+    assert np.array_equal(tau_extrap.values, extrapolated)
 
 
 def test_simulate_preset_schema_and_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import curetau as ct
+from curetau import simlab
 from curetau.distributions import TruncatedWeibullLatency
 
 
@@ -146,6 +147,25 @@ def test_run_experiment_two_arm_truths_from_quadrature():
     assert [row.estimand for row in rows] == ["tau_susceptible"] * 2
     assert rows[0].truth == pytest.approx((1 - 0.9 ** 6) / 3, abs=1e-8)
     assert rows[1].truth == pytest.approx((1 - 0.5 ** 6) / 3, abs=1e-8)
+
+
+def test_two_arm_point_is_the_bootstrap_row_of_ones(monkeypatch):
+    # The run's point is ``tau_a_curve``; the bootstrap evaluates the same
+    # kernel on the row of ones, and the two agree bit for bit.
+    points = []
+
+    def recording(*args, **kwargs):
+        boot = ct.bootstrap_stats(*args, **kwargs)
+        points.append(boot.point)
+        return boot
+
+    monkeypatch.setattr(simlab, "bootstrap_stats", recording)
+    scenario, _ = ct.preset("table3-eta02")
+    grid = np.round(np.arange(0.1, 1.01, 0.1), 10)
+    for index in range(3):
+        outcome = simlab._run_two_arm(scenario, grid, 20, 7, index)
+        assert not outcome.failed
+        assert outcome.point.tobytes() == points[-1].tobytes()
 
 
 def _rows_identical(lhs, rhs):

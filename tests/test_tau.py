@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curetau as ct
+import tau_oracle
 from curetau.errors import EstimationError
-from curetau.tau import _subject_weights, censoring_weight_factor
+from curetau.km import _sort_sample
+from curetau.tau import _arm_rows, censoring_weight_factor
 from conftest import cross_tie_free_samples, random_tie_free_sample, tied_samples
+
+# Absolute: the kernel and the looped oracle add the same terms in another order.
+ORACLE_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -29,8 +34,8 @@ def pair_table(sample0, sample1, eta0=None, eta1=None):
     g0 = ct.km_fit(sample0, "censoring")
     g1 = ct.km_fit(sample1, "censoring")
     if eta0 is not None:
-        w0 = _subject_weights(sample0, eta0)
-        w1 = _subject_weights(sample1, eta1)
+        w0 = tau_oracle.subject_weights(sample0, eta0)
+        w1 = tau_oracle.subject_weights(sample1, eta1)
     terms = []
     for i in range(sample0.n):
         for j in range(sample1.n):
@@ -116,15 +121,81 @@ def test_identical_arms_give_zero_processes():
         assert curve.grid.size and not np.any(curve.values)
 
 
+def fixed_estimate(value, method):
+    return ct.CureRateEstimate(value=value, method=method, raw_value=value,
+                               b=0.5 if method == "extrapolated" else None)
+
+
+fixed_estimates = st.builds(fixed_estimate, st.floats(0.0, 1.0, exclude_max=True),
+                            st.sampled_from(["tail", "extrapolated"]))
+
+
 @settings(max_examples=300)
-@given(sample=tied_samples(), eta=st.floats(0.0, 1.0, exclude_max=True),
-       method=st.sampled_from(["tail", "extrapolated"]))
-def test_subject_weights_finite(sample, eta, method):
+@given(sample=tied_samples(), estimate=fixed_estimates)
+def test_subject_weights_finite(sample, estimate):
     # A censored subject is at risk at its own time, so S(x) > 0 there and
     # the susceptibility factor never divides 0 by 0.
-    estimate = ct.CureRateEstimate(value=eta, method=method, raw_value=eta,
-                                   b=0.5 if method == "extrapolated" else None)
-    assert np.all(np.isfinite(_subject_weights(sample, estimate)))
+    ones = np.ones((1, sample.n), np.int64)
+    weights = _arm_rows(_sort_sample(sample.times, sample.status), ones, estimate, False)[4]
+    assert np.all(np.isfinite(weights))
+
+
+def raised(call):
+    """The error class and text a call raises, or its result."""
+    try:
+        return call()
+    except Exception as exc:  # every failure is compared by class and text
+        return type(exc), str(exc)
+
+
+def assert_matches_oracle(got, want, scale=1.0):
+    """Same grid and values within the tolerance, or the same error."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, ct.TauCurve) and got.kind == want.kind
+    assert np.array_equal(got.grid, want.grid)
+    assert np.max(np.abs(got.values - want.values), initial=0.0) * scale <= ORACLE_TOLERANCE
+
+
+@settings(max_examples=200)
+@given(s0=tied_samples(), s1=tied_samples(), twin=st.booleans(), default_grid=st.booleans())
+def test_processes_match_the_looped_oracle(s0, s1, twin, default_grid):
+    if twin:
+        s1 = s0
+    grid = None if default_grid else np.array([0.5, 1, 2.5, 3, 4, 6.0, 7])
+    e0, e1 = ct.eta_tail_from_sample(s0), ct.eta_tail_from_sample(s1)
+    assert_matches_oracle(raised(lambda: ct.tau_curve(s0, s1, grid)),
+                          raised(lambda: tau_oracle.tau_curve(s0, s1, grid)))
+    assert_matches_oracle(raised(lambda: ct.tau_a_curve(s0, s1, e0, e1, grid)),
+                          raised(lambda: tau_oracle.tau_a_curve(s0, s1, e0, e1, grid)))
+
+
+@settings(max_examples=200)
+@given(s0=tied_samples(), s1=tied_samples(), e0=fixed_estimates, e1=fixed_estimates,
+       default_grid=st.booleans())
+def test_fixed_cure_rates_match_the_looped_oracle(s0, s1, e0, e1, default_grid):
+    # The values are divided by both susceptible fractions, which a cure rate
+    # near 1 makes small: the tolerance holds before that division.
+    grid = None if default_grid else np.array([1, 2.5, 3, 4, 6.0])
+    assert_matches_oracle(raised(lambda: ct.tau_a_curve(s0, s1, e0, e1, grid)),
+                          raised(lambda: tau_oracle.tau_a_curve(s0, s1, e0, e1, grid)),
+                          scale=(1.0 - e0.value) * (1.0 - e1.value))
+
+
+@settings(max_examples=100)
+@given(s0=tied_samples(), s1=tied_samples(), empty=st.sampled_from([None, 0, 1]),
+       cure_rate=st.sampled_from([0.0, 0.4, 1.0]),
+       grid=st.sampled_from([None, [1.0, 3.0], [3.0, 1.0], [2.0, 2.0], [[1.0, 2.0]]]))
+def test_invalid_input_raises_as_the_looped_oracle(s0, s1, empty, cure_rate, grid):
+    if empty is not None:
+        s0, s1 = (ct.Sample([], []), s1) if empty == 0 else (s0, ct.Sample([], []))
+    e0 = ct.eta_tail_from_sample(s0) if s0.n else fixed_estimate(0.2, "tail")
+    e1 = fixed_estimate(cure_rate, "tail")
+    assert_matches_oracle(raised(lambda: ct.tau_curve(s0, s1, grid)),
+                          raised(lambda: tau_oracle.tau_curve(s0, s1, grid)))
+    assert_matches_oracle(raised(lambda: ct.tau_a_curve(s0, s1, e0, e1, grid)),
+                          raised(lambda: tau_oracle.tau_a_curve(s0, s1, e0, e1, grid)))
 
 
 def test_zero_cure_rates_reduce_to_overall_curve():
