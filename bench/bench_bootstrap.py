@@ -1,0 +1,75 @@
+"""Timings of the one-arm bootstraps: ``select_b`` and ``bootstrap_stats``.
+
+Run from the repository root with pytest-benchmark installed:
+
+    PYTHONPATH=src python3 -m pytest -q bench/bench_bootstrap.py
+
+(the file name keeps it out of the library's own test collection).  The arm
+is a short-follow-up ``table2-eta02`` draw of n = 200, 2 000 and 20 000
+subjects.  One case times ``select_b`` over the default b grid, the other
+the one-arm statistic of the Monte Carlo run (event and latency survival at
+fixed times, then the cure rate) at the b that ``select_b`` picks; both with
+R = 200 replicates.  At n = 20 000 each case also records the tracemalloc
+peak of one call, in MB, as ``extra_info["peak_mb"]``, so that any temporary
+that grows with R x n shows.
+"""
+
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import curetau as ct
+from curetau.inference import _one_arm_statistic
+
+SIZES = [200, 2_000, 20_000]
+R = 200
+GRID = np.linspace(0.1, 0.7, 7)
+# Far above the few MB a chunk of rows takes at n = 20 000, far below the
+# 32 MB of one (R x n) int64 array of subject counts.
+PEAK_MB_LIMIT = 16
+
+
+@functools.lru_cache(maxsize=None)
+def arm(n):
+    design, _ = ct.preset("table2-eta02")
+    scenario = ct.Scenario(design.latency, design.eta, design.c_max, n)
+    return ct.draw_sample(scenario, 1)
+
+
+def record_peak(benchmark, n, call):
+    if n != SIZES[-1]:
+        return
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["peak_mb"] = round(peak, 2)
+    assert peak < PEAK_MB_LIMIT
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_select_b(benchmark, n):
+    sample = arm(n)
+
+    def select():
+        return ct.select_b(sample, replicates=R, seed=1)
+
+    record_peak(benchmark, n, select)
+    assert benchmark(select)[0] in ct.DEFAULT_B_GRID
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_one_arm_bootstrap(benchmark, n):
+    sample = arm(n)
+    b, _ = ct.select_b(sample, replicates=R, seed=1)
+    statistic = _one_arm_statistic(sample, GRID, b)
+
+    def bootstrap():
+        return ct.bootstrap_stats(sample, statistic, R=R, seed=2)
+
+    record_peak(benchmark, n, bootstrap)
+    assert benchmark(bootstrap).replicate_values.shape == (R, 2 * GRID.size + 1)

@@ -67,10 +67,10 @@ def test_tau_a_curve(benchmark, n):
 def test_kernel_chunk(benchmark, n):
     s0, s1, _ = arms(n)
     statistic = _two_arm_statistic(s0, s1, ct.tau_curve(s0, s1).grid, overall=True)
-    _, counts = next(_count_chunks((n, n), 1, 100))
+    _, cells = next(_count_chunks(statistic.summaries, 1, 100))
 
     def chunk():
-        return statistic.evaluate(*counts)
+        return statistic.evaluate(*cells)
 
     record_peak(benchmark, n, chunk)
-    assert benchmark(chunk).shape[0] == counts[0].shape[0]
+    assert benchmark(chunk).shape[0] == cells[0].shape[0]

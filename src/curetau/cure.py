@@ -163,7 +163,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     Ties break toward the larger ``b``.  Returns ``(b_star, diagnostics)``.
 
     Replicate ``r`` is the resample drawn from ``stream(seed, r)``, held as
-    one row of subject counts; rows are evaluated together, at most
+    its row of cell counts (``km._count_chunks``); rows are evaluated at most
     ``km.COUNT_CHUNK_ELEMENTS // n`` at a time (81 at n = 200), so memory
     stays at a few (rows x n) arrays.  Each replicate's estimate is
     bit-identical to ``eta_extrapolated`` on ``km_fit`` of the resample, and
@@ -202,12 +202,12 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
             "every grid point is degenerate on this sample; fall back to the tail estimate"
         )
 
-    summary = _sort_sample(sample.times, sample.status)
+    summary = _sort_sample(sample)
     boot_values = np.empty((replicates, len(live)))
-    for start, (counts,) in _count_chunks((sample.n,), seed, replicates):
-        km = _km_rows(summary, counts)
+    for start, (cells,) in _count_chunks((summary,), seed, replicates):
+        km = _km_rows(summary, cells)
         for j, b in enumerate(live):
-            boot_values[start:start + counts.shape[0], j] = _cure_rate_rows(km, b)
+            boot_values[start:start + cells.shape[0], j] = _cure_rate_rows(km, b)
 
     diagnostics = []
     best = None

@@ -68,19 +68,21 @@ class BootstrapResult:
 class CountStatistic:
     """A statistic evaluated on many bootstrap replicates at once.
 
-    ``evaluate`` receives one count array per sample, each (rows x n) with
-    ``counts[r, i]`` the number of times replicate ``r`` draws subject ``i``
-    of that sample, and returns the statistic for every row: shape (rows,)
-    for a scalar statistic or (rows, width).  A row holding a non-finite
-    value is a replicate on which the statistic is undefined.  A row of ones
-    is the original sample.  The one-arm statistics and the cure-rate
-    difference equal their callable forms on each resample bit for bit; the
-    two-arm tau statistic matches ``tau_a_curve`` on each resample to within
-    1e-13, since it weighs a subject drawn c times by c where the resample
-    holds c copies, each weighed by 1.
+    ``evaluate`` receives one (rows x 2K) array of cell counts per sample, in
+    the layout of that sample's ``km._SortedSample`` in ``summaries``:
+    ``cells[r, 2 * j]`` and ``cells[r, 2 * j + 1]`` are the censorings and
+    the events replicate ``r`` draws at distinct time j.  It returns the
+    statistic for every row: shape (rows,) or (rows, width).  A row holding a
+    non-finite value is a replicate on which the statistic is undefined.  The
+    original sample is the row of ones, ``bincount(cell)``.  The one-arm
+    statistics and the cure-rate difference equal their callable forms on
+    each resample bit for bit; the two-arm tau statistic matches
+    ``tau_a_curve`` on each resample to within 1e-13, since it adds the c
+    subjects drawn at one time as one term where the resample adds c.
     """
 
     evaluate: Callable
+    summaries: tuple
 
 
 def _one_arm_statistic(sample, grid, b=None):
@@ -92,18 +94,18 @@ def _one_arm_statistic(sample, grid, b=None):
     when the cure rate reaches 1.  Both curves are 1.0 before the
     replicate's first event.
     """
-    summary = _sort_sample(sample.times, sample.status)
+    summary = _sort_sample(sample)
     at_grid = np.searchsorted(summary.distinct, grid, side="right") - 1
     columns = np.maximum(at_grid, 0)
 
-    def evaluate(counts):
-        km = _km_rows(summary, counts)
+    def evaluate(cells):
+        km = _km_rows(summary, cells)
         eta, latency = _latency_rows(km, _cure_rate_rows(km, b), b is not None, columns)
         before = at_grid < km.first_event[:, None]
         survival = np.where(before, 1.0, km.surv[:, columns])
         return np.column_stack((survival, np.where(before, 1.0, latency), eta))
 
-    return CountStatistic(evaluate)
+    return CountStatistic(evaluate, (summary,))
 
 
 def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
@@ -118,7 +120,8 @@ def _two_arm_statistic(sample0, sample1, grid, b0=None, b1=None, overall=False):
     etas = [_cure_rate(km_fit(sample, "event"), b)
             for sample, b in ((sample0, b0), (sample1, b1))]
     return CountStatistic(_tau_rows(sample0, sample1, grid, etas, refit=True,
-                                    overall=overall)[1])
+                                    overall=overall)[1],
+                          (_sort_sample(sample0), _sort_sample(sample1)))
 
 
 def _resample(samples, rng):
@@ -142,14 +145,14 @@ def _looped_replicates(samples, statistic, R, seed):
     return point, values
 
 
-def _counted_replicates(samples, statistic, R, seed):
-    ones = [np.ones((1, sample.n), np.int64) for sample in samples]
+def _counted_replicates(statistic, R, seed):
+    ones = [summary.ones() for summary in statistic.summaries]
     point = np.asarray(statistic.evaluate(*ones), dtype=float)[0]
     if not np.all(np.isfinite(point)):
         raise EstimationError("statistic undefined on the original sample")
     values = np.empty((R, point.size))
-    for start, counts in _count_chunks([sample.n for sample in samples], seed, R):
-        block = np.asarray(statistic.evaluate(*counts), dtype=float)
+    for start, cells in _count_chunks(statistic.summaries, seed, R):
+        block = np.asarray(statistic.evaluate(*cells), dtype=float)
         values[start:start + block.shape[0]] = block.reshape(block.shape[0], -1)
     return point, values
 
@@ -167,17 +170,19 @@ def bootstrap_stats(samples, statistic, R, seed=0):
     the RNG stream ``(seed..., r)``, so results are independent of
     evaluation order.
 
-    ``statistic`` may instead be a ``CountStatistic``.  Replicate ``r`` is
-    then the row of subject counts of that same resample (the multinomial
-    view of the bootstrap; Efron & Tibshirani 1993, ch. 6 and 10), and rows
-    are evaluated ``km.COUNT_CHUNK_ELEMENTS // max(n)`` at a time, so memory
+    ``statistic`` may instead be a ``CountStatistic`` built on ``samples``
+    (``ValueError`` if their sizes differ).  Replicate ``r`` is then that
+    same resample's row of event and censoring counts at each distinct
+    time, drawn with the statistic's ``summaries`` (the multinomial view of
+    the bootstrap; Efron & Tibshirani 1993, ch. 6 and 10), and rows are
+    evaluated ``km.COUNT_CHUNK_ELEMENTS // max(n)`` at a time, so memory
     stays at a few (rows x n) arrays.  A statistic that computes what its
     callable form computes on each resample, in the same order, gives the
-    same result bit for bit, as the one-arm statistics do; one that sums a
-    subject's c copies as one term, as the two-arm tau statistic does, agrees
-    to within rounding (1e-13 in absolute value).  The point estimate is
-    the row of ones, the original samples: for the two-arm tau statistic,
-    ``tau_a_curve`` itself.  An undefined point estimate raises
+    same result bit for bit, as the one-arm statistics do; one that sums the
+    c subjects at one time as one term, as the two-arm tau statistic does,
+    agrees to within rounding (1e-13 in absolute value).  The point
+    estimate is the row of ones, the original samples: for the two-arm tau
+    statistic, ``tau_a_curve`` itself.  An undefined point estimate raises
     ``EstimationError``.
     """
     if R < 2:
@@ -186,10 +191,11 @@ def bootstrap_stats(samples, statistic, R, seed=0):
         samples = (samples,)
     samples = tuple(samples)
     seed = seed_tuple(seed)
-
-    replicates = (_counted_replicates if isinstance(statistic, CountStatistic)
-                  else _looped_replicates)
-    point, values = replicates(samples, statistic, R, seed)
+    if isinstance(statistic, CountStatistic) and [sample.n for sample in samples] != [
+            summary.cell.size for summary in statistic.summaries]:
+        raise ValueError("a CountStatistic bootstraps the samples it was built on")
+    point, values = (_counted_replicates(statistic, R, seed) if isinstance(
+        statistic, CountStatistic) else _looped_replicates(samples, statistic, R, seed))
     missing = ~np.isfinite(values).all(axis=1)
     values[missing] = np.nan
     n_missing = int(missing.sum())
@@ -224,7 +230,7 @@ def cure_difference_test(sample0, sample1, method="tail", b0=None, b1=None,
 
     ``method="extrapolated"`` uses the tail-corrected estimates with the
     given per-arm scale factors ``b0`` and ``b1``.  Replicates are evaluated
-    as count weights over each arm's subjects, a chunk of rows at a time
+    as rows of each arm's cell counts, a chunk of rows at a time
     (see ``bootstrap_stats``); each replicate's difference is bit-identical
     to ``eta_tail``/``eta_extrapolated`` on its resampled arms, and a
     replicate is missing exactly where those raise.
@@ -236,14 +242,13 @@ def cure_difference_test(sample0, sample1, method="tail", b0=None, b1=None,
             raise ValueError("extrapolated method requires b0 and b1")
     else:
         raise ValueError(f"method must be 'tail' or 'extrapolated', got {method!r}")
-    arm0 = _sort_sample(sample0.times, sample0.status)
-    arm1 = _sort_sample(sample1.times, sample1.status)
+    arms = (_sort_sample(sample0), _sort_sample(sample1))
 
-    def difference(counts0, counts1):
-        return (_cure_rate_rows(_km_rows(arm1, counts1), b1)
-                - _cure_rate_rows(_km_rows(arm0, counts0), b0))
+    def difference(cells0, cells1):
+        return (_cure_rate_rows(_km_rows(arms[1], cells1), b1)
+                - _cure_rate_rows(_km_rows(arms[0], cells0), b0))
 
-    statistic = CountStatistic(difference)
+    statistic = CountStatistic(difference, arms)
     boot = bootstrap_stats((sample0, sample1), statistic, R=R, seed=seed)
     ci = normal_interval(boot.point, boot.sd, level)
     return TestResult(

@@ -7,10 +7,11 @@ each distinct event time, the raw counts together with the
 inverse-probability-of-censoring adjusted counts used by the latency
 (susceptible-survival) estimators.
 
-Every count comes from ``_km_rows``, which takes rows of count weights over
-the subjects of a sample and gives each row's counts and event curve on the
-sample's distinct times.  A bootstrap replicate is one such row
-(``_count_chunks`` draws them); the sample itself is the row of ones.
+Every estimator reads a sample only through its event and censoring counts
+at each distinct time, and ``_km_rows`` turns rows of those counts into each
+row's at-risk counts and event curve.  A bootstrap replicate is one such row
+(``_count_chunks`` draws them); the sample itself is the row of ones, the
+counts of its own subjects.
 """
 
 from dataclasses import dataclass
@@ -30,27 +31,33 @@ COUNT_CHUNK_ELEMENTS = 2 ** 14
 
 
 class _SortedSample(NamedTuple):
-    """One stable sort of a sample: the order, the distinct times, where each
-    distinct time's run starts in sorted order, and the sorted status."""
+    """A sample's distinct times, and each subject's cell ``2 * j + status``
+    with ``j`` the index of its time among them.  A row of counts over the
+    2K cells holds the censorings (even cells) and the events (odd cells) at
+    each distinct time."""
 
-    order: np.ndarray
     distinct: np.ndarray
-    first: np.ndarray
-    status: np.ndarray
+    cell: np.ndarray
+
+    def ones(self):
+        """The sample's own cell counts, as one row: its row of ones."""
+        return np.bincount(self.cell, minlength=2 * self.distinct.size)[None]
 
 
-def _sort_sample(times, status):
-    times = np.asarray(times, dtype=float)
-    order = np.argsort(times, kind="mergesort")
-    distinct, first = np.unique(times[order], return_index=True)
-    return _SortedSample(order, distinct, first, np.asarray(status)[order])
+def _sort_sample(sample):
+    """The sample's ``_SortedSample``: sorted on first use and then kept on
+    the sample, whose arrays are read-only."""
+    if "_sorted" not in vars(sample):
+        distinct, index = np.unique(sample.times, return_inverse=True)
+        sample._sorted = _SortedSample(distinct, 2 * index + sample.status)
+    return sample._sorted
 
 
 def _count_rows(sample):
     """The sample's own counts and event curve: ``_km_rows`` on its row of
     ones (a ``_KMRows`` of one row)."""
-    return _km_rows(_sort_sample(sample.times, sample.status),
-                    np.ones((1, sample.n), np.int64))
+    summary = _sort_sample(sample)
+    return _km_rows(summary, summary.ones())
 
 
 def km_fit(sample, target="event"):
@@ -139,14 +146,16 @@ def risk_table(sample):
     )
 
 
-def _count_chunks(sizes, seed, R):
-    """Bootstrap replicates ``0 .. R-1`` as count rows, a chunk at a time.
+def _count_chunks(summaries, seed, R):
+    """Bootstrap replicates ``0 .. R-1`` as rows of cell counts, a chunk at a time.
 
-    Row ``r`` of arm ``a`` is ``np.bincount(rng.integers(0, n, size=n),
-    minlength=n)``, arm 0 and then arm 1 drawn from ``rng = stream(seed, r)``:
-    the resamples ``bootstrap_stats`` draws one by one.  Chunks hold at most
-    ``COUNT_CHUNK_ELEMENTS // max(sizes)`` rows (at least one).  Yields
-    ``(start, counts)``, with one (rows x n) int64 array per arm.
+    Row ``r`` of arm ``a`` is ``np.bincount(cell[rng.integers(0, n, size=n)],
+    minlength=2 * K)``, with ``cell`` and the K distinct times from the arm's
+    ``_SortedSample`` ``summaries[a]``, arm 0 and then arm 1 drawn from
+    ``rng = stream(seed, r)``: the cell counts of the resamples
+    ``bootstrap_stats`` draws one by one.  Chunks hold at most
+    ``COUNT_CHUNK_ELEMENTS // max(n)`` rows (at least one).  Yields
+    ``(start, cells)``, with one (rows x 2K) int64 array per arm.
 
     No Generator is built per replicate.  ``integers`` reads the raw PCG64
     outputs of ``seeding._pcg64_states`` as 32-bit words, low half first,
@@ -155,6 +164,7 @@ def _count_chunks(sizes, seed, R):
     ``u * n mod 2**32 < (2**32 - n) % n``: such a row (about 1 in 370 at
     n = 5 000) is drawn again from ``stream(seed, r)``.
     """
+    sizes = [summary.cell.size for summary in summaries]
     step = max(1, COUNT_CHUNK_ELEMENTS // max(sizes))
     outputs = (sum(n for n in sizes if n > 1) + 1) // 2
     states = _pcg64_states(seed, R)
@@ -167,22 +177,24 @@ def _count_chunks(sizes, seed, R):
                             "has_uint32": 0, "uinteger": 0}
             raw[row] = bitgen.random_raw(outputs)
         uniform = raw.astype("<u8", copy=False).view("<u4")
-        counts, offset, rejected = [], 0, np.zeros(rows, bool)
-        for n in sizes:
+        cells, offset, rejected = [], 0, np.zeros(rows, bool)
+        for summary, n in zip(summaries, sizes):
+            width = 2 * summary.distinct.size
             if n == 1:
-                counts.append(np.ones((rows, 1), np.int64))
+                cells.append(np.repeat(summary.ones(), rows, axis=0))
                 continue
             drawn = uniform[:, offset:offset + n]
             offset += n
             rejected |= np.multiply(drawn, n, dtype=np.uint32).min(axis=1) < (2 ** 32 - n) % n
-            index = np.multiply(drawn, n, dtype=np.int64) >> 32
-            index += np.arange(0, rows * n, n)[:, None]
-            counts.append(np.bincount(index.ravel(), minlength=rows * n).reshape(rows, n))
+            bins = summary.cell[np.multiply(drawn, n, dtype=np.int64) >> 32]
+            bins += np.arange(0, rows * width, width)[:, None]
+            cells.append(np.bincount(bins.ravel(), minlength=rows * width).reshape(rows, width))
         for row in np.flatnonzero(rejected):
             rng = stream(seed, start + int(row))
-            for arm, n in zip(counts, sizes):
-                arm[row] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        yield start, tuple(counts)
+            for arm, summary, n in zip(cells, summaries, sizes):
+                arm[row] = np.bincount(summary.cell[rng.integers(0, n, size=n)],
+                                       minlength=arm.shape[1])
+        yield start, tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -221,16 +233,16 @@ class _KMRows:
         return np.cumprod(1.0 - _hazard(self.censored, self.at_risk), axis=1)
 
 
-def _km_rows(summary, counts):
-    """The event curves and counts of the replicates in ``counts``.
+def _km_rows(summary, cells):
+    """The event curves and counts of the replicates in ``cells``.
 
-    ``summary`` is the original sample's ``_SortedSample``; ``counts`` is a
-    (rows x n) array of subject counts in the original subject order.
+    ``cells`` is a (rows x 2K) array of cell counts in the layout of
+    ``summary``, the original sample's ``_SortedSample``; the event and
+    censoring counts are views of it.
     """
-    weights = counts[:, summary.order]
-    totals = np.add.reduceat(weights, summary.first, axis=1)
-    events = np.add.reduceat(weights * summary.status, summary.first, axis=1)
-    at_risk = weights.sum(axis=1, keepdims=True) - (np.cumsum(totals, axis=1) - totals)
+    censored, events = cells[:, 0::2], cells[:, 1::2]
+    totals = censored + events
+    at_risk = np.cumsum(totals[:, ::-1], axis=1)[:, ::-1]
     surv = np.cumprod(1.0 - _hazard(events, at_risk), axis=1)
     jumps = events > 0
     return _KMRows(
@@ -240,6 +252,6 @@ def _km_rows(summary, counts):
         last_event=jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1),
         has_events=jumps.any(axis=1),
         events=events,
-        censored=totals - events,
+        censored=censored,
         at_risk=at_risk,
     )

@@ -6,11 +6,11 @@ probabilities.  The susceptible variant additionally down-weights censored
 subjects by the estimated probability that they are susceptible and rescales
 by the susceptible fractions, so it targets the latency distributions alone.
 
-Both processes are one count-row kernel, ``_tau_rows``.  Each arm's subjects
-are held as rows of counts: a bootstrap replicate is one row, and the sample
-itself is the row of ones (the multinomial view of the bootstrap; Efron &
-Tibshirani 1993, ch. 6).  A row's pair masses come from its counts over the
-original sample's distinct times and go into the grid with one
+Both processes are one count-row kernel, ``_tau_rows``.  Each arm is held as
+rows of its event and censoring counts at its distinct times: a bootstrap
+replicate is one row, and the sample itself is the row of ones (the
+multinomial view of the bootstrap; Efron & Tibshirani 1993, ch. 6).  A row's
+pair masses come from those counts alone and go into the grid with one
 ``np.bincount`` per arm.  ``tau_curve`` and ``tau_a_curve`` evaluate the row
 of ones; the bootstrap (``inference._two_arm_statistic``) the drawn rows.
 """
@@ -89,46 +89,42 @@ def _orientation(sample0, sample1, eta0=None, eta1=None):
     return (key0 > key1) - (key0 < key1)
 
 
-def _arm_rows(summary, counts, eta, refit):
+def _arm_rows(summary, cells, eta, refit):
     """One arm's rows: the event and censoring counts at the distinct times
     and the censoring curve's left limits there; then, given the arm's
     cure-rate estimate ``eta`` (else None for both), each row's cure rate and
-    its subject weights summed at each distinct time."""
-    km = _km_rows(summary, counts)
+    its weighted counts ``d_j + c_j * f_j``, with ``f_j`` the censoring weight
+    factor at distinct time j."""
+    km = _km_rows(summary, cells)
     g_left = _left_limits(km.censoring_curve())
     if eta is None:
         return km.events, km.censored, g_left, None, None
-    censored = summary.status == 0
-    # Each censored subject's latency is read at its own distinct time.
-    at_censored = np.searchsorted(summary.first, np.flatnonzero(censored), side="right") - 1
-    rates = _cure_rate_rows(km, eta.b) if refit else np.full(counts.shape[0], eta.value)
-    rates, latency = _latency_rows(km, rates, eta.method == "extrapolated", at_censored)
-    # An undrawn subject's factor may be 0/0: it weighs exactly 0.
-    weights = counts[:, summary.order].astype(float)
-    drawn = weights[:, censored]
-    weights[:, censored] = np.where(drawn > 0, drawn * censoring_weight_factor(
-        latency, rates[:, None]), 0.0)
-    return km.events, km.censored, g_left, rates, np.add.reduceat(weights, summary.first, axis=1)
+    rates = _cure_rate_rows(km, eta.b) if refit else np.full(cells.shape[0], eta.value)
+    rates, latency = _latency_rows(km, rates, eta.method == "extrapolated", slice(None))
+    # Where no one is censored the factor may be 0/0: it weighs exactly 0.
+    factor = censoring_weight_factor(latency, rates[:, None])
+    return (km.events, km.censored, g_left, rates,
+            km.events + np.where(km.censored > 0, km.censored * factor, 0.0))
 
 
 def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False):
     """The count-row kernel of both tau processes: returns ``(grid, evaluate)``.
 
-    ``evaluate(counts0, counts1)`` takes one (rows x n) array of subject
-    counts per arm and gives each row's processes at ``grid``: the overall
-    one alone without ``etas``, which needs no cure rate; with ``etas`` (a
-    cure-rate estimate per arm) the susceptible one, preceded by the overall
-    one when ``overall`` is set.  A row's cure rate is its arm's
+    ``evaluate(cells0, cells1)`` takes each arm's (rows x 2K) cell counts
+    (``km._count_chunks``) and gives each row's processes at ``grid``: the
+    overall one alone without ``etas``, which needs no cure rate; with
+    ``etas`` (a cure-rate estimate per arm) the susceptible one, preceded by
+    the overall one when ``overall`` is set.  A row's cure rate is its arm's
     ``eta.value``, or with ``refit`` its own, estimated as ``eta`` was (the
     row is undefined where that is undefined or reaches 1).  Latencies are
     clamped into [0, 1] for an extrapolated cure rate.
 
     The default grid holds the distinct event times of either arm with an
     opposite-arm subject observed strictly later, where the processes move.
-    A subject drawn c times enters once with c times its weight.  The arms
-    are oriented once, from the original samples and ``etas``, so swapping
-    them negates every row exactly, and interchangeable arms drawn alike
-    give exactly 0.
+    The subjects at one distinct time enter as one term weighed by their
+    count.  The arms are oriented once, from the original samples and
+    ``etas``, so swapping them negates every row exactly, and
+    interchangeable arms with equal rows give exactly 0.
     """
     if sample0.n == 0 or sample1.n == 0:
         raise ValueError("both samples must be non-empty")
@@ -138,13 +134,13 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
     orientation = _orientation(sample0, sample1, *etas)
     samples = (sample0, sample1) if orientation <= 0 else (sample1, sample0)
     etas = etas if orientation <= 0 else etas[::-1]
-    summaries = [_sort_sample(sample.times, sample.status) for sample in samples]
+    summaries = [_sort_sample(sample) for sample in samples]
     # Fixed by the original data: the distinct times at which each arm has
     # events, and where they fall among the other arm's (an event past its
     # last time pairs with no one, and reads its last left limit).
     places = []
     for own, other in (summaries, summaries[::-1]):
-        jump = np.flatnonzero(np.add.reduceat(own.status, own.first))
+        jump = np.flatnonzero(own.ones()[0, 1::2])
         times = own.distinct[jump]
         before = np.searchsorted(other.distinct, times, side="left")
         beyond = np.searchsorted(other.distinct, times, side="right")
@@ -157,30 +153,32 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
                for own, place in zip(summaries, places)]
     width = grid.size + 1
 
-    def evaluate(counts0, counts1):
-        counts = (counts0, counts1) if orientation <= 0 else (counts1, counts0)
+    def evaluate(cells0, cells1):
+        cells = (cells0, cells1) if orientation <= 0 else (cells1, cells0)
         events, censored, g_left, rates, weighted = zip(*(
             _arm_rows(summary, arm, eta, refit)
-            for summary, arm, eta in zip(summaries, counts, etas)))
-        offsets = np.arange(counts0.shape[0])[:, None] * width
+            for summary, arm, eta in zip(summaries, cells, etas)))
+        rows = cells0.shape[0]
+        # Each event pairs with every opposite subject observed later, and is
+        # divided by both censoring curves' left limits there.  Per arm, for
+        # both processes: the event counts, divisors and grid bins.
+        at_jumps = []
+        for own, (jump, before, _, _) in enumerate(places):
+            g_prod = g_left[own][:, jump] * g_left[1 - own][:, before]
+            at_jumps.append((events[own][:, jump], np.where(g_prod > 0, g_prod, 1.0),
+                             (np.arange(rows)[:, None] * width + buckets[own]).ravel()))
 
         def into_grid(own, by_time):
-            # Each event pairs with every opposite subject observed later (the
-            # suffix sums, 0 past the last time), and is divided by both
-            # censoring curves' left limits there.
-            jump, before, beyond, _ = places[own]
-            g_prod = g_left[own][:, jump] * g_left[1 - own][:, before]
-            later = np.cumsum(np.pad(by_time[1 - own][:, ::-1], ((0, 0), (1, 0))), axis=1)
-            masses = (events[own][:, jump] * later[:, ::-1][:, beyond]
-                      / np.where(g_prod > 0, g_prod, 1.0))
-            return np.bincount((offsets + buckets[own]).ravel(), masses.ravel(),
-                               offsets.size * width).reshape(-1, width)
+            # The opposite arm's suffix sums, 0 past its last time.
+            opposite = by_time[1 - own]
+            later = np.zeros((rows, opposite.shape[1] + 1), opposite.dtype)
+            np.cumsum(opposite[:, ::-1], axis=1, out=later[:, 1:])
+            counts, divisor, bins = at_jumps[own]
+            masses = counts * later[:, ::-1][:, places[own][2]] / divisor
+            return np.bincount(bins, masses.ravel(), rows * width).reshape(rows, width)
 
         def process(by_time):
-            sums = into_grid(0, by_time) - into_grid(1, by_time)
-            if orientation == 0:
-                sums[(counts0 == counts1).all(axis=1)] = 0.0
-            return np.cumsum(sums[:, :-1], axis=1)
+            return np.cumsum((into_grid(0, by_time) - into_grid(1, by_time))[:, :-1], axis=1)
 
         pairs = sample0.n * sample1.n
         parts = []
@@ -197,8 +195,8 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
 def _row_of_ones(kind, sample0, sample1, grid, etas=None):
     """The process of the samples themselves: the kernel's row of ones."""
     grid, evaluate = _tau_rows(sample0, sample1, grid, etas)
-    ones = (np.ones((1, sample.n), np.int64) for sample in (sample0, sample1))
-    return TauCurve(grid=grid, values=evaluate(*ones)[0], kind=kind)
+    values = evaluate(*(_sort_sample(sample).ones() for sample in (sample0, sample1)))[0]
+    return TauCurve(grid=grid, values=values, kind=kind)
 
 
 def tau_curve(sample0, sample1, grid=None):

@@ -5,12 +5,12 @@ run) and ``cure_difference_test`` evaluate their replicates as rows of
 subject counts.  Each must reproduce the loop over resampled ``Sample``
 objects bit for bit: the same values with the same NaN pattern, the same
 number of missing replicates and the same failures.  The two-arm tau
-statistic (CLI ``compare`` and the Monte Carlo two-arm run) weighs a subject
-drawn c times by c where the loop adds it c times, so it must match the loop
-to within ``TAU_TOLERANCE`` with the same NaN pattern, and swapping its arms
-must negate it exactly.  The count rows themselves, drawn in bulk by
-``km._count_chunks``, must equal the counts of the resamples the loop draws
-from ``stream(seed, r)``.  The loop forms live here as the reference
+statistic (CLI ``compare`` and the Monte Carlo two-arm run) weighs the c
+subjects drawn at one time as one term where the loop adds c terms, so it
+must match the loop to within ``TAU_TOLERANCE`` with the same NaN pattern,
+and swapping its arms must negate it exactly.  The rows of cell counts
+themselves, drawn in bulk by ``km._count_chunks``, must equal the cell counts
+of the resamples the loop draws from ``stream(seed, r)``.  The loop forms live here as the reference
 implementations (the looped tau processes in ``tau_oracle``, since
 ``tau_curve`` and ``tau_a_curve`` are the kernel's row of ones), as does the
 CLI's cure-rate rule that ``resolve_cure_rate`` replaced.
@@ -30,7 +30,7 @@ from curetau.errors import DegenerateWindowError, SelectionFailedError, Unstable
 from curetau.cure import _cure_rate
 from curetau.inference import _one_arm_statistic, _two_arm_statistic
 from curetau import km
-from curetau.km import COUNT_CHUNK_ELEMENTS, _count_chunks
+from curetau.km import COUNT_CHUNK_ELEMENTS, _count_chunks, _sort_sample
 from curetau.seeding import stream
 from curetau.tau import _orientation
 from conftest import tied_samples
@@ -343,15 +343,15 @@ def test_two_arm_tau_matches_loop(arm0, arm1, twin, R, seed, overall, default_gr
         backward = _two_arm_statistic(arm1, arm0, grid, b1, b0, overall)
     except ct.EstimationError:
         return
-    ones = (np.ones((1, arm0.n), np.int64), np.ones((1, arm1.n), np.int64))
+    ones = tuple(summary.ones() for summary in forward.summaries)
     # Identical arms give exactly 0 on the original samples, but each drawn
     # pair its own value, which a swap need not negate.
     chunks = [ones]
     if _orientation(arm0, arm1) != 0:
-        chunks.append(next(_count_chunks((arm0.n, arm1.n), seed, R))[1])
-    for counts0, counts1 in chunks:
-        assert np.array_equal(backward.evaluate(counts1, counts0),
-                              -forward.evaluate(counts0, counts1), equal_nan=True)
+        chunks.append(next(_count_chunks(forward.summaries, seed, R))[1])
+    for cells0, cells1 in chunks:
+        assert np.array_equal(backward.evaluate(cells1, cells0),
+                              -forward.evaluate(cells0, cells1), equal_nan=True)
 
 
 def test_two_arm_tau_matches_loop_on_drawn_arms():
@@ -418,23 +418,32 @@ def test_large_arms_with_a_partial_last_chunk():
     assert isinstance(tau, ct.BootstrapResult)
 
 
-def looped_counts(sizes, seed, R):
-    """Count rows drawn one replicate at a time: arm 0, then arm 1, from
+def looped_counts(summaries, seed, R):
+    """Cell-count rows drawn one replicate at a time: arm 0, then arm 1, from
     ``stream(seed, r)``, as the looped bootstrap resamples."""
-    rows = [np.empty((R, n), np.int64) for n in sizes]
+    rows = [np.empty((R, 2 * summary.distinct.size), np.int64) for summary in summaries]
     for r in range(R):
         rng = stream(seed, r)
-        for arm, n in zip(rows, sizes):
-            arm[r] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        for arm, summary in zip(rows, summaries):
+            n = summary.cell.size
+            arm[r] = np.bincount(summary.cell[rng.integers(0, n, size=n)],
+                                 minlength=arm.shape[1])
     return rows
 
 
-def drawn_counts(sizes, seed, R):
+def drawn_counts(summaries, seed, R):
     """``_count_chunks``' rows stacked, after checking where each chunk starts."""
-    chunks = list(_count_chunks(sizes, seed, R))
-    step = max(1, COUNT_CHUNK_ELEMENTS // max(sizes))
+    chunks = list(_count_chunks(summaries, seed, R))
+    step = max(1, COUNT_CHUNK_ELEMENTS // max(summary.cell.size for summary in summaries))
     assert [start for start, _ in chunks] == list(range(0, R, step))
-    return [np.concatenate(arm) for arm in zip(*(counts for _, counts in chunks))]
+    return [np.concatenate(arm) for arm in zip(*(cells for _, cells in chunks))]
+
+
+def summary_of_size(n, slots=7):
+    """The ``_SortedSample`` of n subjects on ``slots`` distinct times, ties
+    and both statuses mixed at each (untied from ``slots=n`` on)."""
+    index = np.arange(n)
+    return _sort_sample(ct.Sample(index * 7919 % slots, index * 5 % 3 == 0))
 
 
 seed_components = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 80))
@@ -443,13 +452,28 @@ seed_components = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers
 @settings(max_examples=100)
 @given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=2),
        seed=st.one_of(seed_components, st.lists(seed_components, min_size=1, max_size=5)),
-       past_boundary=st.integers(-2, 2))
-def test_count_rows_are_the_looped_draws(sizes, seed, past_boundary):
+       past_boundary=st.integers(-2, 2), slots=st.integers(1, 300))
+def test_count_rows_are_the_looped_draws(sizes, seed, past_boundary, slots):
     # About one chunk of rows and a few past it, at most 400 replicates.
     R = max(1, min(400, COUNT_CHUNK_ELEMENTS // max(sizes) + past_boundary))
-    for drawn, looped in zip(drawn_counts(sizes, seed, R), looped_counts(sizes, seed, R)):
+    summaries = [summary_of_size(n, slots) for n in sizes]
+    for drawn, looped in zip(drawn_counts(summaries, seed, R),
+                             looped_counts(summaries, seed, R)):
         assert drawn.dtype == looped.dtype and drawn.flags.c_contiguous
         assert np.array_equal(drawn, looped)
+
+
+@settings(max_examples=100)
+@given(sample=tied_samples(), seed=st.integers(0, 1000), R=st.integers(1, 50))
+def test_cell_counts_hold_each_distinct_times_events_and_censorings(sample, seed, R):
+    summary = _sort_sample(sample)
+    assert np.array_equal(summary.distinct, np.unique(sample.times))
+    ones = summary.ones()
+    for j, t in enumerate(summary.distinct):
+        status = sample.status[sample.times == t]
+        assert ones[0, 2 * j] == np.sum(status == 0) and ones[0, 2 * j + 1] == np.sum(status)
+    for _, (cells,) in _count_chunks((summary,), seed, R):
+        assert np.all(cells.sum(axis=1) == sample.n)
 
 
 def test_rows_with_a_rejected_draw_are_drawn_from_their_stream(monkeypatch):
@@ -462,15 +486,25 @@ def test_rows_with_a_rejected_draw_are_drawn_from_their_stream(monkeypatch):
         return stream(seed, *indices)
 
     monkeypatch.setattr(km, "stream", recording_stream)
-    (drawn,) = drawn_counts((5000,), 0, 1000)
+    summaries = [summary_of_size(5000)]
+    (drawn,) = drawn_counts(summaries, 0, 1000)
     assert redrawn == [(763,), (953,), (992,)]
-    assert np.array_equal(drawn, looped_counts((5000,), 0, 1000)[0])
+    assert np.array_equal(drawn, looped_counts(summaries, 0, 1000)[0])
 
 
 @pytest.mark.parametrize("seed", [-1, (3, -2), [0, 1, -5]])
 def test_a_negative_seed_component_is_rejected(seed):
     with pytest.raises(ValueError, match="non-negative"):
-        next(_count_chunks((10, 12), seed, 5))
+        next(_count_chunks((summary_of_size(10), summary_of_size(12)), seed, 5))
+
+
+def test_a_count_statistic_bootstraps_only_the_samples_it_was_built_on():
+    arm0 = ct.Sample([1, 2, 3, 4, 5, 6], [1, 0, 1, 1, 0, 1])
+    arm1 = ct.Sample([1, 2, 3], [1, 1, 0])
+    for samples, statistic in ((arm1, _one_arm_statistic(arm0, GRID_TIMES)),
+                               ((arm1, arm0), _two_arm_statistic(arm0, arm1, TAU_GRID))):
+        with pytest.raises(ValueError, match="built on"):
+            ct.bootstrap_stats(samples, statistic, R=20, seed=1)
 
 
 def resolve_outcomes(sample, method, b, seed, replicates):

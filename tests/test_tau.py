@@ -135,8 +135,8 @@ fixed_estimates = st.builds(fixed_estimate, st.floats(0.0, 1.0, exclude_max=True
 def test_subject_weights_finite(sample, estimate):
     # A censored subject is at risk at its own time, so S(x) > 0 there and
     # the susceptibility factor never divides 0 by 0.
-    ones = np.ones((1, sample.n), np.int64)
-    weights = _arm_rows(_sort_sample(sample.times, sample.status), ones, estimate, False)[4]
+    summary = _sort_sample(sample)
+    weights = _arm_rows(summary, summary.ones(), estimate, False)[4]
     assert np.all(np.isfinite(weights))
 
 
