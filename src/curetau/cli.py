@@ -3,6 +3,16 @@
 Every artifact write is deterministic given the command line (including the
 seed): floats are serialized with ``repr`` and JSON keys are sorted, so
 repeated invocations produce byte-identical files.
+
+``compare`` makes one two-arm pass (``_two_arm_pass``) per cure-rate method,
+seeded by ``--seed`` extended as shown.  The tail pass, tau bootstrap (0,) and
+test (1,), writes ``tau``, ``tau_susceptible``, ``latency_survival_arm*`` and
+``latency_survival_both``, and the report's ``cure_rate_arm*``, ``tau_end``,
+``tau_susceptible_end``, ``cure_difference`` and ``bootstrap_missing``.  The
+extrapolated pass, b selection (3, arm), tau bootstrap (4,) and test (2,),
+writes the two latency files and ``tau_susceptible`` with ``_extrap`` added,
+and ``cure_rate_extrap_arm*``, ``cure_difference_extrapolated`` and
+``extrapolation_notes``.  The arms' other curves use the tail cure rate.
 """
 
 import argparse
@@ -10,11 +20,12 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .cure import DEFAULT_B_GRID, eta_tail_from_sample, resolve_cure_rate, select_b
+from .cure import DEFAULT_B_GRID, resolve_cure_rate, select_b
 from .data import _csv_columns, _csv_text, parse_csv, validate
 from .errors import CureTauError, EstimationError, ParseError
 from .inference import (
@@ -30,7 +41,7 @@ from .simlab import run_experiment, preset, scenario_from_dict, TwoArmScenario
 from .stepfun import write_curve_csv
 from .susceptible import phi_hat, susceptible_curve
 from .svgplot import step_plot_svg, tau_to_svg
-from .tau import tau_a_curve, tau_curve, write_tau_csv
+from .tau import TauCurve, _tau_rows, write_tau_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -95,28 +106,25 @@ def _parse_b(text, flag="--b"):
     return b
 
 
-def _banded(curve, sd, half):
-    return curve.with_bands(sd, curve.values - half * sd, curve.values + half * sd)
-
-
 def _json_report(directory, payload):
     return _write_text(directory, "report.json",
                        json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _interval_dict(point, sd, level):
-    low, high = normal_interval(point, sd, level)
-    return {"point": point, "sd": sd, "low": low, "high": high, "level": level}
-
-
 def _cure_estimate_dict(est):
-    return {
-        "value": est.value,
-        "method": est.method,
-        "raw_value": est.raw_value,
-        "b": est.b,
-        "b_gamma_check": est.b_gamma_check,
-    }
+    return {name: getattr(est, name)
+            for name in ("value", "method", "raw_value", "b", "b_gamma_check")}
+
+
+def _inputs(args, **sizes):
+    return {"command": args.subcommand, "path": str(args.input), **sizes,
+            "eta_method": args.eta_method, "seed": args.seed, "boot": args.boot,
+            "level": args.level}
+
+
+def _arm_curves(sample, eta):
+    """Event and censoring survival, and the susceptible share of the risk set."""
+    return km_fit(sample, "event"), km_fit(sample, "censoring"), phi_hat(sample, eta)
 
 
 def _run_fit(args):
@@ -129,10 +137,8 @@ def _run_fit(args):
 
     eta, fallback = resolve_cure_rate(sample, args.eta_method, b, replicates=args.boot,
                                       seed=seed_tuple(args.seed) + (1,))
-    survival = km_fit(sample, "event")
-    censoring = km_fit(sample, "censoring")
+    survival, censoring, phi = _arm_curves(sample, eta)
     latency = susceptible_curve(sample, eta)
-    phi = phi_hat(sample, eta)
 
     grid = np.concatenate(([0.0], survival.x))
     boot = bootstrap_stats(sample, _one_arm_statistic(sample, grid, eta.b), R=args.boot,
@@ -166,19 +172,12 @@ def _run_fit(args):
         _write_text(outdir, "susceptible_in_riskset.svg", step_plot_svg(
             [("susceptible share of risk set", phi.x, phi.y, phi.initial_value, None)],
             title="Susceptible proportion in the risk set", y_label="proportion"))
-    eta_interval = _interval_dict(eta.value, sd_eta, args.level)
+    low, high = normal_interval(eta.value, sd_eta, args.level)
+    eta_interval = {"point": eta.value, "sd": sd_eta, "low": low, "high": high,
+                    "level": args.level}
     if "report" in emit:
         _json_report(outdir, {
-            "inputs": {
-                "command": "fit",
-                "path": str(args.input),
-                "n": sample.n,
-                "n_events": sample.n_events,
-                "eta_method": args.eta_method,
-                "seed": args.seed,
-                "boot": args.boot,
-                "level": args.level,
-            },
+            "inputs": _inputs(args, n=sample.n, n_events=sample.n_events),
             "estimates": {
                 "cure_rate": _cure_estimate_dict(eta),
                 "latency_form_divergence": latency.form_divergence,
@@ -210,6 +209,48 @@ def _split_two_arm(sample):
     return s0, s1
 
 
+def _by_arm(curves):
+    return [(f"arm {label}", curve.x, curve.y, 1.0, None) for label, curve in enumerate(curves)]
+
+
+def _two_arm_pass(args, arms, grid, b_settings=None):
+    """Both arms analysed under one cure-rate method: the tail one, or with
+    ``b_settings`` (each arm's ``--b``) the extrapolated one, falling back to
+    the tail one per arm.  The tau processes are the points of the bootstrap
+    that bands them, which includes the overall process on the tail pass."""
+    extrap = b_settings is not None
+    seed = seed_tuple(args.seed)
+    etas, notes = [], []
+    for label, arm, b in zip((0, 1), arms, b_settings or (None, None)):
+        eta, note = resolve_cure_rate(arm, "extrapolate" if extrap else "tail", b,
+                                      replicates=args.boot, seed=seed + (3, label))
+        etas.append(eta)
+        if note:
+            notes.append(f"arm {label}: {note}")
+    b0, b1 = etas[0].b, etas[1].b
+    boot = bootstrap_stats(arms, _two_arm_statistic(*arms, grid, b0, b1, overall=not extrap),
+                           R=args.boot, seed=seed + ((4,) if extrap else (0,)))
+
+    def banded(kind, columns):
+        values, sd = boot.point[columns], boot.sd[columns]
+        half = -normal_interval(0.0, 1.0, args.level)[0]
+        return TauCurve(grid, values, kind, sd, values - half * sd, values + half * sd)
+
+    method = "tail" if None in (b0, b1) else "extrapolated"
+    test = cure_difference_test(*arms, method=method, b0=b0, b1=b1, R=args.boot,
+                                seed=seed + ((2,) if extrap else (1,)), level=args.level)
+    if extrap and method == "tail":
+        notes.append("cure difference used the tail method after fallback")
+    return SimpleNamespace(
+        suffix="_extrap" if extrap else "", etas=etas, test=test, notes=notes,
+        titles=(("Latency survival by arm (extrapolated cure rate)",
+                 "Susceptible process (extrapolated)") if extrap else
+                ("Latency survival by arm", "Susceptible treatment-effect process")),
+        n_missing=boot.n_missing, tau=None if extrap else banded("overall", slice(0, grid.size)),
+        tau_a=banded("susceptible", slice(boot.point.size - grid.size, None)),
+        latency=[susceptible_curve(arm, eta).curve for arm, eta in zip(arms, etas)])
+
+
 def _run_compare(args):
     emit = _emit_set(args.emit)
     b = _parse_b(args.b)
@@ -217,133 +258,67 @@ def _run_compare(args):
                   for text, flag in ((args.b0, "--b0"), (args.b1, "--b1"))]
     sample = _read_sample(args.input)
     report = _gate_on_validation(sample)
-    s0, s1 = _split_two_arm(sample)
+    arms = _split_two_arm(sample)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    half = -normal_interval(0.0, 1.0, args.level)[0]
 
-    etas = [eta_tail_from_sample(s) for s in (s0, s1)]
-    curves = {}
-    for label, arm, eta in ((0, s0, etas[0]), (1, s1, etas[1])):
-        curves[label] = {
-            "survival": km_fit(arm, "event"),
-            "censoring": km_fit(arm, "censoring"),
-            "latency": susceptible_curve(arm, eta).curve,
-            "phi": phi_hat(arm, eta),
-        }
-
-    tau = tau_curve(s0, s1)
-    tau_a = tau_a_curve(s0, s1, etas[0], etas[1], grid=tau.grid)
-    boot = bootstrap_stats((s0, s1), _two_arm_statistic(s0, s1, tau.grid, overall=True),
-                           R=args.boot, seed=seed_tuple(args.seed) + (0,))
-    k = tau.grid.size
-    tau = _banded(tau, boot.sd[:k], half)
-    tau_a = _banded(tau_a, boot.sd[k:], half)
-
-    test_tail = cure_difference_test(s0, s1, method="tail", R=args.boot,
-                                     seed=seed_tuple(args.seed) + (1,),
-                                     level=args.level)
-
-    extrap = None
+    grid = _tau_rows(*arms)[0]  # where either tau process can move
+    passes = [_two_arm_pass(args, arms, grid)]
     if args.eta_method == "extrapolate":
-        extrap = _compare_extrapolated(args, s0, s1, tau.grid, half, b_settings)
+        passes.append(_two_arm_pass(args, arms, grid, b_settings))
+    tail = passes[0]
+    curves = [_arm_curves(arm, eta) for arm, eta in zip(arms, tail.etas)]
+    survivals, _, phis = zip(*curves)
 
     if "csv" in emit:
-        for label in (0, 1):
-            _write_text(outdir, f"survival_arm{label}.csv",
-                        write_curve_csv(curves[label]["survival"]))
-            _write_text(outdir, f"censoring_survival_arm{label}.csv",
-                        write_curve_csv(curves[label]["censoring"]))
-            _write_text(outdir, f"latency_survival_arm{label}.csv",
-                        write_curve_csv(curves[label]["latency"]))
-            _write_text(outdir, f"susceptible_in_riskset_arm{label}.csv",
-                        write_curve_csv(curves[label]["phi"]))
-        _write_text(outdir, "tau.csv", write_tau_csv(tau))
-        _write_text(outdir, "tau_susceptible.csv", write_tau_csv(tau_a))
-        if extrap is not None:
-            for label in (0, 1):
-                _write_text(outdir, f"latency_survival_extrap_arm{label}.csv",
-                            write_curve_csv(extrap["latency"][label]))
-            _write_text(outdir, "tau_susceptible_extrap.csv",
-                        write_tau_csv(extrap["tau_a"]))
+        for label, arm_curves in enumerate(curves):
+            for name, curve in zip(("survival", "censoring_survival", "susceptible_in_riskset"),
+                                   arm_curves):
+                _write_text(outdir, f"{name}_arm{label}.csv", write_curve_csv(curve))
+        _write_text(outdir, "tau.csv", write_tau_csv(tail.tau))
+        for run in passes:
+            for label, curve in enumerate(run.latency):
+                _write_text(outdir, f"latency_survival{run.suffix}_arm{label}.csv",
+                            write_curve_csv(curve))
+            _write_text(outdir, f"tau_susceptible{run.suffix}.csv", write_tau_csv(run.tau_a))
     if "svg" in emit:
         _write_text(outdir, "survival_both.svg", step_plot_svg(
-            [(f"arm {label}", curves[label]["survival"].x,
-              curves[label]["survival"].y, 1.0, None) for label in (0, 1)],
-            title="Event survival by arm", y_label="survival"))
-        _write_text(outdir, "latency_survival_both.svg", step_plot_svg(
-            [(f"arm {label}", curves[label]["latency"].x,
-              curves[label]["latency"].y, 1.0, None) for label in (0, 1)],
-            title="Latency survival by arm", y_label="survival"))
+            _by_arm(survivals), title="Event survival by arm", y_label="survival"))
         _write_text(outdir, "cured_in_riskset.svg", step_plot_svg(
-            [(f"arm {label}", curves[label]["phi"].x,
-              1.0 - curves[label]["phi"].y,
-              1.0 - curves[label]["phi"].initial_value, None)
-             for label in (0, 1)],
+            [(f"arm {label}", phi.x, 1.0 - phi.y, 1.0 - phi.initial_value, None)
+             for label, phi in enumerate(phis)],
             title="Cured proportion in the risk set", y_label="proportion"))
-        _write_text(outdir, "tau.svg",
-                    tau_to_svg(tau, "tau", title="Treatment-effect process",
-                               y_label="tau"))
-        _write_text(outdir, "tau_susceptible.svg",
-                    tau_to_svg(tau_a, "susceptible tau",
-                               title="Susceptible treatment-effect process",
-                               y_label="tau"))
-        if extrap is not None:
-            _write_text(outdir, "latency_survival_extrap_both.svg", step_plot_svg(
-                [(f"arm {label}", extrap["latency"][label].x,
-                  extrap["latency"][label].y, 1.0, None) for label in (0, 1)],
-                title="Latency survival by arm (extrapolated cure rate)",
-                y_label="survival"))
-            _write_text(outdir, "tau_susceptible_extrap.svg",
-                        tau_to_svg(extrap["tau_a"], "susceptible tau",
-                                   title="Susceptible process (extrapolated)",
-                                   y_label="tau"))
+        _write_text(outdir, "tau.svg", tau_to_svg(
+            tail.tau, "tau", title="Treatment-effect process", y_label="tau"))
+        for run in passes:
+            latency_title, tau_title = run.titles
+            _write_text(outdir, f"latency_survival{run.suffix}_both.svg", step_plot_svg(
+                _by_arm(run.latency), title=latency_title, y_label="survival"))
+            _write_text(outdir, f"tau_susceptible{run.suffix}.svg", tau_to_svg(
+                run.tau_a, "susceptible tau", title=tau_title, y_label="tau"))
 
+    estimates = {f"cure_rate{run.suffix}_arm{label}": _cure_estimate_dict(eta)
+                 for run in passes for label, eta in enumerate(run.etas)}
     payload = {
-        "inputs": {
-            "command": "compare",
-            "path": str(args.input),
-            "n": sample.n,
-            "n0": s0.n,
-            "n1": s1.n,
-            "eta_method": args.eta_method,
-            "seed": args.seed,
-            "boot": args.boot,
-            "level": args.level,
-        },
+        "inputs": _inputs(args, n=sample.n, n0=arms[0].n, n1=arms[1].n),
         "estimates": {
-            "cure_rate_arm0": _cure_estimate_dict(etas[0]),
-            "cure_rate_arm1": _cure_estimate_dict(etas[1]),
-            "tau_end": float(tau.values[-1]) if tau.values.size else 0.0,
-            "tau_susceptible_end":
-                float(tau_a.values[-1]) if tau_a.values.size else 0.0,
+            **estimates,
+            "tau_end": float(tail.tau.values[-1]) if grid.size else 0.0,
+            "tau_susceptible_end": float(tail.tau_a.values[-1]) if grid.size else 0.0,
         },
-        "intervals": {"cure_difference": _test_dict(test_tail)},
-        "diagnostics": {
-            "warnings": list(report.warnings),
-            "bootstrap_missing": boot.n_missing,
-        },
+        "intervals": {"cure_difference": _test_dict(tail.test)},
+        "diagnostics": {"warnings": list(report.warnings), "bootstrap_missing": tail.n_missing},
     }
-    if extrap is not None:
-        payload["estimates"]["cure_rate_extrap_arm0"] = _cure_estimate_dict(
-            extrap["etas"][0])
-        payload["estimates"]["cure_rate_extrap_arm1"] = _cure_estimate_dict(
-            extrap["etas"][1])
+    for run in passes[1:]:
         payload["intervals"]["cure_difference_extrapolated"] = {
-            **_test_dict(extrap["test"]),
-            "b0": extrap["etas"][0].b,
-            "b1": extrap["etas"][1].b,
-        }
-        payload["diagnostics"]["extrapolation_notes"] = extrap["notes"]
+            **_test_dict(run.test), "b0": run.etas[0].b, "b1": run.etas[1].b}
+        payload["diagnostics"]["extrapolation_notes"] = run.notes
     if "report" in emit:
         _json_report(outdir, payload)
-    print(f"cure_rate arm0 (tail): {etas[0].value:.4f}")
-    print(f"cure_rate arm1 (tail): {etas[1].value:.4f}")
-    print(f"cure_difference (tail): {test_tail.difference:.4f} "
-          f"[{test_tail.ci[0]:.4f}, {test_tail.ci[1]:.4f}] "
-          f"p={test_tail.p_value:.3g}")
-    if extrap is not None:
-        test = extrap["test"]
+    for label, eta in enumerate(tail.etas):
+        print(f"cure_rate arm{label} (tail): {eta.value:.4f}")
+    for run in passes:
+        test = run.test
         print(f"cure_difference ({test.method}): {test.difference:.4f} "
               f"[{test.ci[0]:.4f}, {test.ci[1]:.4f}] p={test.p_value:.3g}")
     return EXIT_OK
@@ -353,30 +328,6 @@ def _test_dict(test):
     return {"point": test.difference, "sd": test.sd, "low": test.ci[0],
             "high": test.ci[1], "level": test.level, "p_value": test.p_value,
             "method": test.method}
-
-
-def _compare_extrapolated(args, s0, s1, grid, half, b_settings):
-    notes = []
-    etas = []
-    for label, arm, b in zip((0, 1), (s0, s1), b_settings):
-        est, note = resolve_cure_rate(arm, "extrapolate", b, replicates=args.boot,
-                                      seed=seed_tuple(args.seed) + (3, label))
-        if note:
-            notes.append(f"arm {label}: {note}")
-        etas.append(est)
-    b0, b1 = etas[0].b, etas[1].b
-    tau_a = tau_a_curve(s0, s1, etas[0], etas[1], grid=grid)
-    boot = bootstrap_stats((s0, s1), _two_arm_statistic(s0, s1, grid, b0, b1), R=args.boot,
-                           seed=seed_tuple(args.seed) + (4,))
-    method = "tail" if b0 is None or b1 is None else "extrapolated"
-    test = cure_difference_test(s0, s1, method=method, b0=b0, b1=b1, R=args.boot,
-                                seed=seed_tuple(args.seed) + (2,), level=args.level)
-    if method == "tail":
-        notes.append("cure difference used the tail method after fallback")
-    latencies = {label: susceptible_curve(arm, est).curve
-                 for label, arm, est in ((0, s0, etas[0]), (1, s1, etas[1]))}
-    return {"etas": etas, "latency": latencies, "tau_a": _banded(tau_a, boot.sd, half),
-            "test": test, "notes": notes}
 
 
 _EXPERIMENT_HEADER = ("t", "truth", "a", "b", "c", "d", "e")
@@ -479,8 +430,7 @@ def _run_btune(args):
     sample = _read_sample(args.input)
     _gate_on_validation(sample)
     grid = _parse_grid(args.grid) if args.grid else DEFAULT_B_GRID
-    bad = [b for b in grid if not 0.0 < b < 1.0]
-    if bad:
+    if not all(0.0 < b < 1.0 for b in grid):
         raise _ValidationFailure("b grid values must lie strictly inside (0, 1)")
     b_star, diagnostics = select_b(sample, grid=grid, replicates=args.boot,
                                    seed=seed_tuple(args.seed))
@@ -494,15 +444,15 @@ def _run_btune(args):
     return EXIT_OK
 
 
-def _add_common(parser, with_input=True):
+def _add_common(parser, with_input=True, min_boot=2):
     if with_input:
         parser.add_argument("--input", required=True, help="CSV file: time,status[,arm]")
     parser.add_argument("--output-dir", default=".", help="directory for artifacts")
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed (>= 0)")
     parser.add_argument("--boot", type=int, default=500,
-                        help="bootstrap replicates")
-    parser.add_argument("--level", type=float, default=0.95,
-                        help="confidence level")
+                        help=f"bootstrap replicates (>= {min_boot})")
+    parser.add_argument("--level", type=float, default=0.95, help="confidence level in (0, 1)")
+    parser.set_defaults(min_boot=min_boot)
 
 
 def build_parser():
@@ -522,8 +472,7 @@ def build_parser():
 
     compare = sub.add_parser("compare", help="compare two arms")
     _add_common(compare)
-    compare.add_argument("--eta-method", choices=("tail", "extrapolate"),
-                         default="tail")
+    compare.add_argument("--eta-method", choices=("tail", "extrapolate"), default="tail")
     compare.add_argument("--b", default="auto")
     compare.add_argument("--b0", default=None, help="arm-0 override")
     compare.add_argument("--b1", default=None, help="arm-1 override")
@@ -534,7 +483,7 @@ def build_parser():
     _add_common(simulate, with_input=False)
     simulate.add_argument("--scenario", default=None, help="preset name")
     simulate.add_argument("--scenario-file", default=None, help="JSON scenario")
-    simulate.add_argument("--runs", type=int, default=200)
+    simulate.add_argument("--runs", type=int, default=200, help="Monte Carlo runs (>= 2)")
     simulate.add_argument("--full-profile", action="store_true",
                           help="use 500 runs x 2000 resamples")
     simulate.add_argument("--grid", default=None, help="comma list of times")
@@ -547,18 +496,22 @@ def build_parser():
     simulate.set_defaults(func=_run_simulate)
 
     btune = sub.add_parser("btune", help="tune the extrapolation scale factor")
-    _add_common(btune)
+    _add_common(btune, min_boot=1)
     btune.add_argument("--grid", default=None, help="comma list of b values")
     btune.set_defaults(func=_run_btune)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed < 0:
-        print("error: seed must be non-negative", file=sys.stderr)
-        return EXIT_VALIDATION
+    args = build_parser().parse_args(argv)
+    # Flag values outside the bounds the library applies, rejected before any work.
+    for problem, bad in (("seed must be non-negative", args.seed < 0),
+                         (f"--boot must be at least {args.min_boot}", args.boot < args.min_boot),
+                         ("--runs must be at least 2", getattr(args, "runs", 2) < 2),
+                         ("--level must lie strictly inside (0, 1)", not 0.0 < args.level < 1.0)):
+        if bad:
+            print(f"error: {problem}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.func(args)
     except (_ValidationFailure, ParseError) as exc:

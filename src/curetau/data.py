@@ -4,6 +4,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -176,8 +177,9 @@ def _csv_text(header, rows):
     A str field is written as it is, an integer via ``str(int)`` and any
     other number via ``repr(float)``, so floats round-trip exactly and equal
     inputs give equal bytes.  A column of integers or of other numbers gets
-    its format once and each row is written with one ``%``; the header and
-    any other column go value by value.
+    its format once, the header and any other column go value by value, and
+    the body is written with one ``%``: the line format repeated once per
+    row, applied to all fields in row order.
     """
 
     def field(value):
@@ -200,7 +202,8 @@ def _csv_text(header, rows):
             column = map(field, column)
         columns.append(column)
     line = ",".join(formats) + "\n"
-    body = "".join(line % row for row in zip(*columns))
+    fields = tuple(chain.from_iterable(zip(*columns)))
+    body = line * (len(fields) // max(len(formats), 1)) % fields
     return ",".join(map(field, header)) + "\n" + body
 
 

@@ -120,6 +120,30 @@ def test_compare_extrapolated_fallback_labelled_tail(tmp_path, capsys):
     assert stdout.count("cure_difference (tail)") == 2
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_compare_extrapolated_rerun_byte_identical(tmp_path, two_arm_file, mixed):
+    path = two_arm_file
+    if mixed:
+        # Arm 0 of the draw extrapolates; the short arm 1 has no usable b and falls back.
+        arm0 = ct.parse_csv(two_arm_file.read_text()).split_arms()[0]
+        path = tmp_path / "mixed.csv"
+        path.write_text("time,status,arm\n" + "".join(
+            [f"{t!r},{s},0\n" for t, s in zip(arm0.times.tolist(), arm0.status.tolist())]
+            + [f"{t},{s},1\n" for t, s in zip(range(1, 6), (1, 0, 1, 0, 0))]))
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["compare", "--input", str(path), "--eta-method", "extrapolate",
+                     "--emit", "csv,svg,report", "--boot", "30", "--seed", "6",
+                     "--output-dir", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 21
+    notes = json.loads(outputs[0]["report.json"])["diagnostics"]["extrapolation_notes"]
+    assert any(note.startswith("arm 1: extrapolation fell back") for note in notes) == mixed
+    assert not any(note.startswith("arm 0:") for note in notes)
+
+
 def test_compare_all_censored_arm_message(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("time,status,arm\n1,0,0\n2,0,0\n1,1,1\n3,1,1\n")
@@ -288,6 +312,26 @@ def test_btune_rerun_byte_identical(tmp_path, two_arm_file):
                      "--output-dir", str(out)]) == 0
         blobs.append((out / "btune.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("fit", ["--boot", "1"], "--boot must be at least 2"),
+    ("fit", ["--boot", "-3"], "--boot must be at least 2"),
+    ("fit", ["--level", "1.5"], "--level must lie strictly inside (0, 1)"),
+    ("compare", ["--boot", "1"], "--boot must be at least 2"),
+    ("compare", ["--level", "0"], "--level must lie strictly inside (0, 1)"),
+    ("simulate", ["--runs", "1"], "--runs must be at least 2"),
+    ("simulate", ["--boot", "1"], "--boot must be at least 2"),
+    ("btune", ["--boot", "0"], "--boot must be at least 1"),
+])
+def test_out_of_range_flags_exit_2_before_any_work(tmp_path, two_arm_file, capsys,
+                                                   command, flags, message):
+    source = (["--scenario", "table1-eta02"] if command == "simulate"
+              else ["--input", str(two_arm_file)])
+    out = tmp_path / "out"
+    assert main([command, *source, *flags, "--output-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_rejected(tmp_path, d1_file):
