@@ -18,6 +18,7 @@ and ``cure_rate_extrap_arm*``, ``cure_difference_extrapolated`` and
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -389,7 +390,7 @@ def _run_simulate(args):
     result = run_experiment(
         scenario, runs=runs, R=boot, seed=args.seed, times=times,
         level=args.level, eta_method=eta_method, b=b_setting,
-        jobs=max(1, args.jobs), collect_points=args.emit_raw,
+        jobs=min(args.jobs, os.cpu_count() or 1), collect_points=args.emit_raw,
     )
     rows, points = result if args.emit_raw else (result, None)
     _write_text(outdir, "experiment.csv", write_experiment_csv(rows))
@@ -490,7 +491,8 @@ def build_parser():
     simulate.add_argument("--eta-method", choices=("tail", "extrapolate"),
                           default=None)
     simulate.add_argument("--b", default="auto")
-    simulate.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    simulate.add_argument("--jobs", type=int, default=1,
+                          help="parallel runs (at most one worker per CPU)")
     simulate.add_argument("--emit-raw", action="store_true",
                           help="also write per-run estimates")
     simulate.set_defaults(func=_run_simulate)
@@ -508,7 +510,8 @@ def main(argv=None):
     for problem, bad in (("seed must be non-negative", args.seed < 0),
                          (f"--boot must be at least {args.min_boot}", args.boot < args.min_boot),
                          ("--runs must be at least 2", getattr(args, "runs", 2) < 2),
-                         ("--level must lie strictly inside (0, 1)", not 0.0 < args.level < 1.0)):
+                         ("--level must lie strictly inside (0, 1)", not 0.0 < args.level < 1.0),
+                         ("--jobs must be at least 1", getattr(args, "jobs", 1) < 1)):
         if bad:
             print(f"error: {problem}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -3,18 +3,26 @@
 Used both to generate susceptible event times and to compute population
 truths by quadrature.  All sampling goes through the inverse CDF so draws are
 fully determined by the supplied uniforms.
+
+Each function is the ``scipy.special`` form that ``scipy.stats`` evaluates
+for the same distribution, with its support rule, so values match
+``stats.beta`` and ``stats.weibull_min`` bit for bit without importing
+``scipy.stats``.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 try:
-    from scipy.special._ufuncs import _beta_pdf
-except ImportError:  # older scipy: the same density, reached through stats.beta
+    from scipy.special._ufuncs import _beta_pdf, _beta_ppf
+except ImportError:  # older scipy: the same forms, reached through stats.beta
+    from scipy import stats
+
     _beta_pdf = stats.beta._pdf
+    _beta_ppf = stats.beta.ppf
 
 
 def truncated_weibull_sample(shape, scale, t_b, u):
@@ -35,7 +43,8 @@ def truncated_weibull_sample(shape, scale, t_b, u):
 class BetaLatency:
     """Beta(alpha, beta) event times on [0, 1].
 
-    ``sf`` and ``pdf`` call ``stats.beta``'s ufuncs, with its support rule.
+    Each method calls the ``scipy.special`` ufunc behind ``stats.beta``'s,
+    with its support rule.
     """
 
     alpha: float
@@ -49,7 +58,7 @@ class BetaLatency:
         return special.betaincc(self.alpha, self.beta, np.clip(t, 0.0, 1.0))
 
     def cdf(self, t):
-        return stats.beta.cdf(t, self.alpha, self.beta)
+        return special.betainc(self.alpha, self.beta, np.clip(t, 0.0, 1.0))
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -58,7 +67,7 @@ class BetaLatency:
         return np.where((t < 0.0) | (t > 1.0), 0.0, dens)[()]
 
     def ppf(self, q):
-        return stats.beta.ppf(q, self.alpha, self.beta)
+        return _beta_ppf(q, self.alpha, self.beta)
 
     def label(self):
         return f"beta({self.alpha:g},{self.beta:g})"
@@ -98,7 +107,11 @@ class TruncatedWeibullLatency:
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
         inside = (t >= 0.0) & (t <= self.t_b)
-        dens = stats.weibull_min.pdf(t, self.shape, scale=self.scale) / self._mass()
+        y = t / self.scale
+        c = self.shape
+        with np.errstate(all="ignore"):  # inf at t = 0 when c < 1; outside is masked
+            dens = c * np.power(y, c - 1.0) * np.exp(-np.power(y, c)) / self.scale
+        dens = dens / self._mass()
         out = np.where(inside, dens, 0.0)
         return float(out) if out.ndim == 0 else out
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .km import _count_rows, _left_limits, km_fit, risk_table
+from .km import _count_rows, _left_limits, _sort_sample, km_fit, risk_table
 from .stepfun import StepFunction
 
 
@@ -101,6 +101,32 @@ def susceptible_curve(sample, eta):
     )
 
 
+def _sample_rows(sample):
+    """The sample's count rows and its censoring curve, for the phi and H1a
+    estimators; raises on an empty sample."""
+    if sample.n == 0:
+        raise ValueError("sample is empty")
+    rows = _count_rows(sample)
+    return rows, rows.censoring_curve()[0]
+
+
+def _phi_curve(rows, censoring, n, eta):
+    g_left = _left_limits(censoring)
+    values = 1.0 - eta.value * g_left / (rows.at_risk[0] / n)
+    return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value,
+                        domain_end=float(rows.distinct[-1]))
+
+
+def _beyond(rows):
+    """Number still at risk just after each distinct time."""
+    return (rows.at_risk - rows.events - rows.censored)[0]
+
+
+def _h1a_curve(rows, censoring, n, eta):
+    values = _beyond(rows) / n - eta.value * censoring
+    return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value)
+
+
 def phi_hat(sample, eta):
     """Susceptible proportion of the risk set at each distinct observed time.
 
@@ -109,13 +135,7 @@ def phi_hat(sample, eta):
     the value ``phi(x_k)`` on ``[x_k, x_{k+1})`` and raises past the largest
     observation, where the risk set is empty.
     """
-    if sample.n == 0:
-        raise ValueError("sample is empty")
-    rows = _count_rows(sample)
-    g_left = _left_limits(rows.censoring_curve())[0]
-    values = 1.0 - eta.value * g_left / (rows.at_risk[0] / sample.n)
-    return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value,
-                        domain_end=float(rows.distinct[-1]))
+    return _phi_curve(*_sample_rows(sample), sample.n, eta)
 
 
 def h1a_hat(sample, eta):
@@ -124,12 +144,7 @@ def h1a_hat(sample, eta):
     ``H1a(t) = Y(t+)/n - eta * G(t)``, a right-continuous step function over
     the distinct observed times.
     """
-    if sample.n == 0:
-        raise ValueError("sample is empty")
-    rows = _count_rows(sample)
-    beyond = (rows.at_risk - rows.events - rows.censored)[0]
-    values = beyond / sample.n - eta.value * rows.censoring_curve()[0]
-    return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value)
+    return _h1a_curve(*_sample_rows(sample), sample.n, eta)
 
 
 @dataclass(frozen=True)
@@ -144,21 +159,27 @@ class SelfConsistencyReport:
 
 
 def _phi_right_limits(sample, eta, censored_times):
-    """phi evaluated just after each censored time.
+    """phi evaluated just after each censored time."""
+    rows, censoring = _sample_rows(sample)
+    at = np.searchsorted(rows.distinct, censored_times)
+    return _phi_after(rows, censoring, sample.n, eta, at)
+
+
+def _phi_after(rows, censoring, n, eta, at):
+    """phi just after the distinct times of indices ``at``, from the sample's
+    count rows and censoring curve.
 
     Past the largest observation both the numerator and the empty risk set
     vanish; that 0/0 is resolved to phi = 1, and the corresponding term in
     the self-consistency sum is annihilated by the candidate being 0 there.
     """
-    rows = _count_rows(sample)
-    at = np.searchsorted(rows.distinct, censored_times)
-    beyond = (rows.at_risk - rows.events - rows.censored)[0, at]
-    numerator = eta.value * rows.censoring_curve()[0, at]
+    beyond = _beyond(rows)[at]
+    numerator = eta.value * censoring[at]
     out = np.ones_like(numerator)
     live = beyond > 0
-    out[live] = 1.0 - numerator[live] * sample.n / beyond[live]
+    out[live] = 1.0 - numerator[live] * n / beyond[live]
     if np.any(~live & (numerator > 0)):
-        bad = censored_times[~live & (numerator > 0)][0]
+        bad = rows.distinct[at[~live & (numerator > 0)][0]]
         raise EstimationError(f"susceptible proportion undefined just after {float(bad)}")
     return out
 
@@ -176,19 +197,23 @@ def self_consistency_residual(candidate, sample, eta):
     zero; a zero denominator with a nonzero numerator raises.  The sum is
     ``candidate(t)`` times a prefix sum of ``phi(X_i+)/candidate(X_i)`` over
     the censored times in increasing order, so time and memory are
-    O(n log n).
+    O(n log n).  The candidate is evaluated once, at the distinct observed
+    times.
     """
-    phi_curve = phi_hat(sample, eta)
-    h1a_curve = h1a_hat(sample, eta)
+    rows, censoring = _sample_rows(sample)
+    n = sample.n
+    phi_curve = _phi_curve(rows, censoring, n, eta)
+    h1a_curve = _h1a_curve(rows, censoring, n, eta)
     times = phi_curve.x
     cand_t = np.asarray(candidate(times), dtype=float)
 
-    censored_times = sample.times[sample.status == 0]
-    n = sample.n
+    censored = sample.status == 0
+    censored_times = sample.times[censored]
     redistributed = np.zeros_like(times)
     if censored_times.size:
-        phi_plus = _phi_right_limits(sample, eta, censored_times)
-        cand_c = np.asarray(candidate(censored_times), dtype=float)
+        at = _sort_sample(sample).cell[censored] // 2  # each one's index in ``times``
+        phi_plus = _phi_after(rows, censoring, n, eta, at)
+        cand_c = cand_t[at]
         # A censored X_i with candidate(X_i) = 0 enters the sum at every
         # t >= X_i; that is 0/0 unless candidate(t) = 0 there as well.
         positive_times = times[cand_t > 0.0]
@@ -198,13 +223,14 @@ def self_consistency_residual(candidate, sample, eta):
         if np.any(bad):
             where = positive_times[reach[bad][0]]
             raise EstimationError(f"0/0 outside the stated convention at time {float(where)}")
-        order = np.argsort(censored_times, kind="mergesort")
+        order = np.argsort(at, kind="stable")
         terms = phi_plus / np.where(cand_c > 0.0, cand_c, 1.0)
         prefix = np.concatenate(([0.0], np.cumsum(terms[order])))
-        included = np.searchsorted(censored_times[order], times, side="right")
+        included = np.cumsum(np.bincount(at, minlength=times.size))  # censored <= t
         redistributed = np.where(cand_t > 0.0, cand_t * prefix[included], 0.0)
 
-    residuals = n * (1.0 - eta.value) * cand_t - redistributed - n * h1a_curve(times)
+    # ``times`` are H1a's own jump points, so its values are read directly.
+    residuals = n * (1.0 - eta.value) * cand_t - redistributed - n * h1a_curve.y
     return SelfConsistencyReport(
         times=times,
         residuals=residuals,

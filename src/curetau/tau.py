@@ -18,7 +18,6 @@ of ones; the bootstrap (``inference._two_arm_statistic``) the drawn rows.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .cure import _cure_rate_rows
 from .data import _csv_columns, _csv_text
@@ -223,6 +222,8 @@ _QUAD_TOL = 1e-9
 def _quad(fn, upper):
     if upper <= 0:
         return 0.0
+    from scipy import integrate  # only the quadrature truths need it; slow to import
+
     out = integrate.quad(fn, 0.0, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
                          full_output=1)
     value, abserr = out[0], out[1]

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,37 @@ def test_out_of_range_flags_exit_2_before_any_work(tmp_path, two_arm_file, capsy
     assert main([command, *source, *flags, "--output-dir", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+class _Recorded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("jobs, workers", [
+    ("0", None), ("-5", None), ("1", 1), (str(os.cpu_count() or 1), os.cpu_count() or 1),
+    (str((os.cpu_count() or 1) + 1), os.cpu_count() or 1), ("100000", os.cpu_count() or 1),
+])
+def test_simulate_jobs_at_least_one_and_at_most_the_cpus(tmp_path, capsys, monkeypatch,
+                                                          jobs, workers):
+    # The stub stands in for the runner, so no worker process is ever started.
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["jobs"])
+        raise _Recorded
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", "table1-eta02", "--jobs", jobs, "--output-dir", str(out)]
+    if workers is None:
+        assert main(argv) == 2
+        assert "error: --jobs must be at least 1" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+    else:
+        with pytest.raises(_Recorded):
+            main(argv)
+        assert calls == [workers]
 
 
 def test_negative_seed_rejected(tmp_path, d1_file):

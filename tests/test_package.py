@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import curetau as ct
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -14,3 +21,27 @@ def test_all_lists_exactly_the_public_names():
     exec("from curetau import *", namespace)
     assert "np" not in namespace and "km" not in namespace
     assert set(namespace) - {"__builtins__"} == set(listed)
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate():
+    """A CLI call pays only for ``numpy`` and ``scipy.special`` at import;
+    ``scipy.integrate`` loads on the first quadrature."""
+    child = """
+import json, sys
+import curetau.cli
+import curetau
+heavy = ("scipy.stats", "scipy.integrate")
+before = [name for name in heavy if name in sys.modules]
+value = curetau.true_tau_quadrature(curetau.BetaLatency(1, 4), curetau.BetaLatency(1, 2),
+                                    0.2, 0.2, 0.5)
+print(json.dumps({"before": before, "value": value,
+                  "after": [name for name in heavy if name in sys.modules]}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, check=True)
+    seen = json.loads(done.stdout)
+    assert seen["before"] == []
+    assert seen["after"] == ["scipy.integrate"]
+    assert seen["value"] == ct.true_tau_quadrature(ct.BetaLatency(1, 4), ct.BetaLatency(1, 2),
+                                                   0.2, 0.2, 0.5)

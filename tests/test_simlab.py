@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,10 @@ def test_truncated_weibull_validates():
         ct.truncated_weibull_sample(-1.0, 1.5, 4.0, 0.5)
 
 
-@pytest.mark.parametrize("alpha,beta", [(1, 3), (1, 4), (0.5, 1.5), (0.5, 0.5), (2.5, 0.7)])
+BETA_PAIRS = [(1, 3), (1, 4), (0.5, 1.5), (0.5, 0.5), (2.5, 0.7)]
+
+
+@pytest.mark.parametrize("alpha,beta", BETA_PAIRS)
 def test_beta_latency_equals_scipy_beta(alpha, beta):
     dist = ct.BetaLatency(alpha, beta)
     points = [-0.5, 0.0, 0.3, 1.0, 1.5, math.nan]
@@ -46,6 +50,78 @@ def test_beta_latency_equals_scipy_beta(alpha, beta):
         value, expected = mine(np.array(points)), reference(np.array(points))
         assert value.dtype == expected.dtype
         assert np.array_equal(value, expected, equal_nan=True)
+
+
+def _latencies():
+    """Every preset's latency distribution, then the Beta pairs above."""
+    found = {}
+    for design, _ in ct.PRESETS.values():
+        arms = (design.arm0, design.arm1) if isinstance(design, ct.TwoArmScenario) else (design,)
+        found.update((arm.latency, None) for arm in arms)
+    found.update((ct.BetaLatency(alpha, beta), None) for alpha, beta in BETA_PAIRS)
+    return list(found)
+
+
+def _stats_forms(dist):
+    """Each latency method's ``scipy.stats`` form, and whether the method
+    must equal it bit for bit: ``stats.beta`` for a Beta; for a truncated
+    Weibull, ``stats.weibull_min`` renormalized over [0, t_b].  That Weibull's
+    cdf, sf and ppf are its own closed forms, never ``scipy.stats``, so they
+    only agree to rounding."""
+    if isinstance(dist, ct.BetaLatency):
+        ref = stats.beta(dist.alpha, dist.beta)
+        return {"ppf": (ref.ppf, True), "cdf": (ref.cdf, True), "sf": (ref.sf, True),
+                "pdf": (ref.pdf, True)}
+    ref = stats.weibull_min(dist.shape, scale=dist.scale)
+    mass = ref.cdf(dist.t_b)
+
+    def pdf(t):
+        t = np.asarray(t, dtype=float)
+        out = np.where((t >= 0.0) & (t <= dist.t_b), ref.pdf(t) / dist._mass(), 0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def cdf(t):
+        return np.clip(ref.cdf(np.clip(t, 0.0, dist.t_b)) / mass, 0.0, 1.0)
+
+    return {"ppf": (lambda q: np.minimum(ref.ppf(np.multiply(q, mass)), dist.t_b), False),
+            "cdf": (cdf, False), "sf": (lambda t: 1.0 - cdf(t), False), "pdf": (pdf, True)}
+
+
+@pytest.mark.parametrize("dist", _latencies(), ids=lambda dist: dist.label())
+def test_latency_forms_equal_scipy_stats(dist):
+    """Scalars and arrays at the support ends, outside the support, at +-inf
+    and at NaN, plus 2 000 random points; the methods raise no warning there
+    (the Weibull density at t = 0 with shape < 1 is inf)."""
+    end = dist.support_end
+    times = [-math.inf, -0.5 * end, -0.0, 0.0, 1e-300, 0.3 * end, end * (1.0 - 1e-16), end,
+             1.5 * end, math.inf, math.nan]
+    levels = [-math.inf, -0.1, 0.0, 1e-300, 0.25, 1.0 - 1e-16, 1.0, 1.1, math.inf, math.nan]
+    uniforms = np.random.default_rng(3).random(2_000)
+    for name, (reference, exact) in _stats_forms(dist).items():
+        if name == "ppf":
+            # outside [0, 1] the Weibull's own inverse is not scipy's
+            grid = levels if exact else [q for q in levels if 0.0 <= q <= 1.0]
+            dense = uniforms
+        else:
+            grid, dense = times, (1.2 * uniforms - 0.1) * end
+        inputs = [*grid, np.array(grid), dense]
+        method = getattr(dist, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [method(x) for x in inputs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = [reference(x) for x in inputs]
+        for x, value, want in zip(inputs, values, expected):
+            if exact:
+                assert type(value) is type(want), (name, x)
+                assert np.asarray(value).dtype == np.asarray(want).dtype, (name, x)
+                assert np.array_equal(value, want, equal_nan=True), (name, x, value, want)
+            else:
+                np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-15,
+                                           equal_nan=True, err_msg=name)
+    if isinstance(dist, ct.TruncatedWeibullLatency) and dist.shape < 1.0:
+        assert dist.pdf(0.0) == math.inf
 
 
 def test_draw_sample_no_cure_all_susceptible():
