@@ -7,10 +7,12 @@ Run from the repository root with pytest-benchmark installed:
 (the file name keeps it out of the library's own test collection).  Each
 round starts a new Python process with ``PYTHONPATH`` set to ``src``, so the
 time includes interpreter start-up and every module import.  One case only
-imports ``curetau.cli``; the other runs ``curetau fit --boot 200`` on a
-200-subject ``table1-eta02`` draw.  Each case records the child's peak
-resident set (``ru_maxrss``, in MB) as ``extra_info["maxrss_mb"]`` and the
-number of ``scipy`` modules it loaded as ``extra_info["scipy_modules"]``.
+imports ``curetau.cli``; one runs ``curetau fit --boot 200`` on a
+200-subject ``table1-eta02`` draw; one runs the two-arm ``curetau simulate
+--scenario table3-eta02 --runs 2 --boot 20``, which computes ten quadrature
+truths.  Each case records the child's peak resident set (``ru_maxrss``, in
+MB) as ``extra_info["maxrss_mb"]`` and the number of ``scipy`` modules it
+loaded as ``extra_info["scipy_modules"]``.
 """
 
 import json
@@ -51,14 +53,17 @@ def run_child(body):
     return json.loads(done.stderr)
 
 
-@pytest.mark.parametrize("case", ["import", "fit"])
+@pytest.mark.parametrize("case", ["import", "fit", "simulate"])
 def test_startup(benchmark, fit_input, case):
-    if case == "import":
-        body = "import curetau.cli"
-    else:
-        argv = ["fit", "--input", str(fit_input), "--boot", "200",
-                "--output-dir", str(fit_input.parent / "fit")]
-        body = f"import curetau.cli\nassert curetau.cli.main({argv!r}) == 0"
+    argv = {
+        "fit": ["fit", "--input", str(fit_input), "--boot", "200",
+                "--output-dir", str(fit_input.parent / "fit")],
+        "simulate": ["simulate", "--scenario", "table3-eta02", "--runs", "2", "--boot", "20",
+                     "--output-dir", str(fit_input.parent / "simulate")],
+    }.get(case)
+    body = "import curetau.cli"
+    if argv is not None:
+        body += f"\nassert curetau.cli.main({argv!r}) == 0"
     seen = benchmark.pedantic(run_child, args=(body,), rounds=ROUNDS, iterations=1)
     benchmark.extra_info.update(seen)
     assert seen["scipy_modules"] > 0

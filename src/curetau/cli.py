@@ -11,14 +11,15 @@ test (1,), writes ``tau``, ``tau_susceptible``, ``latency_survival_arm*`` and
 ``tau_susceptible_end``, ``cure_difference`` and ``bootstrap_missing``.  The
 extrapolated pass, b selection (3, arm), tau bootstrap (4,) and test (2,),
 writes the two latency files and ``tau_susceptible`` with ``_extrap`` added,
-and ``cure_rate_extrap_arm*``, ``cure_difference_extrapolated`` and
-``extrapolation_notes``.  The arms' other curves use the tail cure rate.
+and ``cure_rate_extrap_arm*``, ``cure_difference_extrapolated``,
+``bootstrap_missing_extrapolated`` and ``extrapolation_notes``.  Each
+``cure_difference*`` carries its test's ``n_missing``.  The arms' other
+curves use the tail cure rate.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -313,6 +314,7 @@ def _run_compare(args):
     for run in passes[1:]:
         payload["intervals"]["cure_difference_extrapolated"] = {
             **_test_dict(run.test), "b0": run.etas[0].b, "b1": run.etas[1].b}
+        payload["diagnostics"]["bootstrap_missing_extrapolated"] = run.n_missing
         payload["diagnostics"]["extrapolation_notes"] = run.notes
     if "report" in emit:
         _json_report(outdir, payload)
@@ -328,7 +330,7 @@ def _run_compare(args):
 def _test_dict(test):
     return {"point": test.difference, "sd": test.sd, "low": test.ci[0],
             "high": test.ci[1], "level": test.level, "p_value": test.p_value,
-            "method": test.method}
+            "method": test.method, "n_missing": test.n_missing}
 
 
 _EXPERIMENT_HEADER = ("t", "truth", "a", "b", "c", "d", "e")
@@ -390,7 +392,7 @@ def _run_simulate(args):
     result = run_experiment(
         scenario, runs=runs, R=boot, seed=args.seed, times=times,
         level=args.level, eta_method=eta_method, b=b_setting,
-        jobs=min(args.jobs, os.cpu_count() or 1), collect_points=args.emit_raw,
+        jobs=args.jobs, collect_points=args.emit_raw,
     )
     rows, points = result if args.emit_raw else (result, None)
     _write_text(outdir, "experiment.csv", write_experiment_csv(rows))

@@ -198,9 +198,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
         originals[b] = estimate.value
     live = [b for b in grid if b in originals]
     if not live:
-        raise SelectionFailedError(
-            "every grid point is degenerate on this sample; fall back to the tail estimate"
-        )
+        raise SelectionFailedError("every grid point is degenerate on this sample")
 
     summary = _sort_sample(sample)
     boot_values = np.empty((replicates, len(live)))
@@ -234,9 +232,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
         if best is None or criterion <= best[0]:
             best = (criterion, b)
     if best is None:
-        raise SelectionFailedError(
-            "no grid point has a defined bootstrap mean; fall back to the tail estimate"
-        )
+        raise SelectionFailedError("no grid point has a defined bootstrap mean")
     return best[1], diagnostics
 
 

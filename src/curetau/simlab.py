@@ -8,6 +8,7 @@ average bias, mean bootstrap SD, empirical SD, CI coverage, and CI length.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -218,13 +219,16 @@ def run_experiment(scenario, runs=200, R=500, seed=0, times=None,
     One-arm scenarios study the latency survival curve (at ``times`` or at
     the times hitting the given survival ``levels``) together with the cure
     rate; two-arm scenarios study the susceptible tau process on ``times``
-    (default ``0.1 ... 1.0`` capped to the support).  Per-run RNG streams
-    derive from ``(seed, run index)``, so ``jobs > 1`` changes nothing but
-    wall time.  Returns the rows, or ``(rows, per-run point matrix)`` when
-    ``collect_points`` is set.
+    (default ``0.1 ... 1.0`` capped to the support).  The runs go to
+    ``jobs`` worker processes, at most one per CPU, or with one worker run
+    in this process.  Per-run RNG streams derive from ``(seed, run index)``,
+    so ``jobs`` changes nothing but wall time.  Returns the rows, or
+    ``(rows, per-run point matrix)`` when ``collect_points`` is set.
     """
     if runs < 2 or R < 2:
         raise ValueError("runs and R must both be at least 2")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if eta_method not in ("tail", "extrapolate"):
         raise ValueError(f"eta_method must be 'tail' or 'extrapolate', got {eta_method!r}")
 
@@ -257,8 +261,9 @@ def run_experiment(scenario, runs=200, R=500, seed=0, times=None,
         ]
         runner = _run_one_arm
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(runner, *zip(*run_args)))
     else:
         outcomes = [runner(*args) for args in run_args]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import curetau as ct
-from curetau import cli
+from curetau import cli, simlab
 from curetau.cli import main, read_experiment_csv
 
 D1_TEXT = "time,status\n1,1\n2,0\n3,1\n4,0\n5,0\n"
@@ -143,6 +143,28 @@ def test_compare_extrapolated_rerun_byte_identical(tmp_path, two_arm_file, mixed
     notes = json.loads(outputs[0]["report.json"])["diagnostics"]["extrapolation_notes"]
     assert any(note.startswith("arm 1: extrapolation fell back") for note in notes) == mixed
     assert not any(note.startswith("arm 0:") for note in notes)
+
+
+def test_compare_reports_every_bootstraps_missing_count(tmp_path, two_arm_file):
+    draw = ct.parse_csv(two_arm_file.read_text())
+    whole_months = tmp_path / "months.csv"
+    whole_months.write_text(ct.write_csv(ct.Sample(np.ceil(draw.times), draw.status, draw.arms)))
+    # Arm 0 of the draw extrapolates; the short arm 1 has no usable b and falls back.
+    mixed = tmp_path / "mixed.csv"
+    arm0 = draw.split_arms()[0]
+    mixed.write_text("time,status,arm\n" + "".join(
+        [f"{t!r},{s},0\n" for t, s in zip(arm0.times.tolist(), arm0.status.tolist())]
+        + [f"{t},{s},1\n" for t, s in zip(range(1, 6), (1, 0, 1, 0, 0))]))
+    # (tail tau, extrapolated tau, tail test, extrapolated test) replicates lost of 60
+    for path, lost in ((whole_months, (0, 7, 0, 0)), (mixed, (6, 9, 7, 8))):
+        out = tmp_path / path.stem
+        assert main(["compare", "--input", str(path), "--eta-method", "extrapolate",
+                     "--boot", "60", "--seed", "4", "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["diagnostics"]["bootstrap_missing"],
+                report["diagnostics"]["bootstrap_missing_extrapolated"],
+                report["intervals"]["cure_difference"]["n_missing"],
+                report["intervals"]["cure_difference_extrapolated"]["n_missing"]) == lost
 
 
 def test_compare_all_censored_arm_message(tmp_path, capsys):
@@ -291,6 +313,16 @@ def test_btune_emits_diagnostics(tmp_path):
     assert sum(line.endswith(",1") for line in lines[1:]) == 1
 
 
+def test_fit_fallback_note_names_the_fallback_once(tmp_path, d1_file, capsys):
+    out = tmp_path / "fit"
+    assert main(["fit", "--input", str(d1_file), "--eta-method", "extrapolate",
+                 "--boot", "20", "--seed", "1", "--output-dir", str(out)]) == 0
+    note = "extrapolation fell back to the tail estimate: every grid point is degenerate " \
+           "on this sample"
+    assert json.loads((out / "report.json").read_text())["diagnostics"]["fallback"] == note
+    assert capsys.readouterr().err == f"note: {note}\n"
+
+
 def test_btune_selection_failure_exits_3(tmp_path, capsys):
     # a single tight grid point on a tiny sample leaves no usable window
     path = tmp_path / "tiny.csv"
@@ -298,7 +330,9 @@ def test_btune_selection_failure_exits_3(tmp_path, capsys):
     rc = main(["btune", "--input", str(path), "--boot", "10", "--seed", "1",
                "--grid", "0.9", "--output-dir", str(tmp_path)])
     assert rc == 3
-    assert "fall back" in capsys.readouterr().err
+    # btune has nothing to fall back to, so its message offers no fallback.
+    assert capsys.readouterr().err == \
+        "estimation error: every grid point is degenerate on this sample\n"
 
 
 def test_btune_rerun_byte_identical(tmp_path, two_arm_file):
@@ -345,21 +379,26 @@ class _Recorded(Exception):
 ])
 def test_simulate_jobs_at_least_one_and_at_most_the_cpus(tmp_path, capsys, monkeypatch,
                                                           jobs, workers):
-    # The stub stands in for the runner, so no worker process is ever started.
+    # The stub stands in for the process pool, so no worker process is ever
+    # started; one worker runs the (two, tiny) runs in this process.
     calls = []
 
-    def recording(*args, **kwargs):
-        calls.append(kwargs["jobs"])
+    def recording(max_workers):
+        calls.append(max_workers)
         raise _Recorded
 
-    monkeypatch.setattr(cli, "run_experiment", recording)
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", recording)
     out = tmp_path / "out"
-    argv = ["simulate", "--scenario", "table1-eta02", "--jobs", jobs, "--output-dir", str(out)]
+    argv = ["simulate", "--scenario", "table1-eta02", "--runs", "2", "--boot", "2",
+            "--jobs", jobs, "--output-dir", str(out)]
     if workers is None:
         assert main(argv) == 2
         assert "error: --jobs must be at least 1" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+    elif workers == 1:
+        assert main(argv) == 0
+        assert calls == []
     else:
         with pytest.raises(_Recorded):
             main(argv)

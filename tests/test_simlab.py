@@ -265,6 +265,38 @@ def test_run_experiment_serial_matches_parallel():
     assert _rows_identical(serial, parallel)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_experiment_rejects_jobs_below_one(jobs):
+    scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 30)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        ct.run_experiment(scenario, runs=2, R=2, seed=1, jobs=jobs)
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def test_run_experiment_caps_workers_at_the_cpus(monkeypatch):
+    # The stub stands in for the pool, so no worker process is ever started.
+    workers = []
+
+    def recording(max_workers):
+        workers.append(max_workers)
+        raise _PoolStarted
+
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", recording)
+    scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 30)
+    monkeypatch.setattr(simlab.os, "cpu_count", lambda: 3)
+    for jobs in (2, 3, 4, 100_000):
+        with pytest.raises(_PoolStarted):
+            ct.run_experiment(scenario, runs=2, R=2, seed=1, jobs=jobs)
+    assert workers == [2, 3, 3, 3]
+    # An unknown CPU count is taken as one: the runs stay in this process.
+    monkeypatch.setattr(simlab.os, "cpu_count", lambda: None)
+    assert len(ct.run_experiment(scenario, runs=2, R=2, seed=1, times=[0.2], jobs=4)) == 2
+    assert workers == [2, 3, 3, 3]
+
+
 def test_run_experiment_collect_points_shape():
     scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 30)
     rows, points = ct.run_experiment(scenario, runs=3, R=2, seed=2, times=[0.2],

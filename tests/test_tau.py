@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import curetau as ct
 import tau_oracle
-from curetau.errors import EstimationError
+from curetau.errors import EstimationError, ToleranceError
 from curetau.km import _sort_sample
-from curetau.tau import _arm_rows, censoring_weight_factor
+from curetau.tau import _arm_rows, _quad, censoring_weight_factor
 from conftest import cross_tie_free_samples, random_tie_free_sample, tied_samples
 
 # Absolute: the kernel and the looped oracle add the same terms in another order.
@@ -319,6 +319,70 @@ def test_quadrature_reported_moderate_design_values():
     for t, want in {0.1: 0.075, 0.5: 0.142, 1.0: 0.143}.items():
         value = ct.true_tau_quadrature(dist0, dist1, 0.2, 0.2, t)
         assert value == pytest.approx(want, abs=5e-4)
+
+
+# Absolute: the numpy rule and scipy's quad each meet 1e-9 on [0, 1]-valued integrals.
+QUAD_ORACLE_TOLERANCE = 2e-9
+
+
+def quad_truth(dist0, dist1, eta0, eta1, t, kind):
+    """``true_tau_quadrature`` by ``scipy.integrate.quad`` at the same tolerance,
+    or None where quad reports that it did not meet it."""
+    from scipy import integrate
+
+    keep0, keep1 = 1.0 - eta0, 1.0 - eta1
+    if kind == "susceptible":
+        keep0 = keep1 = 1.0
+        eta0 = eta1 = 0.0
+    value = 0.0
+    for sign, own, other, keep_own, keep_other, eta_other in (
+            (1.0, dist0, dist1, keep0, keep1, eta1), (-1.0, dist1, dist0, keep1, keep0, eta0)):
+        out = integrate.quad(
+            lambda u: (keep_other * other.sf(u) + eta_other) * keep_own * own.pdf(u),
+            0.0, min(t, own.support_end), epsabs=1e-9, epsrel=1e-9, limit=200, full_output=1)
+        if len(out) > 3 or out[1] > 1e-7 * max(1.0, abs(out[0])):
+            return None
+        value += sign * out[0]
+    return value
+
+
+def oracle_latency_pairs():
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        yield tuple(ct.BetaLatency(*rng.uniform(0.3, 6.0, 2)) for _ in range(2))
+    for _ in range(4):  # beta0 + beta1 < 1: both densities singular at u = 1
+        yield tuple(ct.BetaLatency(rng.uniform(0.3, 6.0), rng.uniform(0.3, 0.5))
+                    for _ in range(2))
+    for _ in range(10):
+        t_b = rng.uniform(1.0, 10.0)
+        yield tuple(ct.TruncatedWeibullLatency(rng.uniform(0.4, 3.0), rng.uniform(0.5, 10.0),
+                                               t_b) for _ in range(2))
+
+
+def test_quadrature_matches_scipy_quad():
+    """The numpy rule against scipy's QUADPACK on seeded Beta and truncated
+    Weibull pairs, both kinds: within 2e-9 wherever quad meets its tolerance,
+    and never a ``ToleranceError`` there."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for dist0, dist1 in oracle_latency_pairs():
+        eta0, eta1 = rng.uniform(0.0, 0.6, 2)
+        end = min(dist0.support_end, dist1.support_end)
+        for t in (0.1 * end, 0.4 * end, 0.7 * end, end):
+            for kind in ("susceptible", "overall"):
+                expected = quad_truth(dist0, dist1, eta0, eta1, t, kind)
+                if expected is None:
+                    continue
+                value = ct.true_tau_quadrature(dist0, dist1, eta0, eta1, t, kind=kind)
+                assert value == pytest.approx(expected, abs=QUAD_ORACLE_TOLERANCE), \
+                    (dist0, dist1, eta0, eta1, t, kind)
+                checked += 1
+    assert checked >= 180
+
+
+def test_quadrature_raises_instead_of_diverging():
+    with pytest.raises(ToleranceError):
+        _quad(lambda u: 1.0 / u, 1.0)
 
 
 def test_decomposition_identity():
