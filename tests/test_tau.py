@@ -330,15 +330,13 @@ def quad_truth(dist0, dist1, eta0, eta1, t, kind):
     or None where quad reports that it did not meet it."""
     from scipy import integrate
 
-    keep0, keep1 = 1.0 - eta0, 1.0 - eta1
-    if kind == "susceptible":
-        keep0 = keep1 = 1.0
+    if kind == "susceptible":  # the latencies alone: no one is cured
         eta0 = eta1 = 0.0
     value = 0.0
-    for sign, own, other, keep_own, keep_other, eta_other in (
-            (1.0, dist0, dist1, keep0, keep1, eta1), (-1.0, dist1, dist0, keep1, keep0, eta0)):
+    for sign, own, other, eta_own, eta_other in (
+            (1.0, dist0, dist1, eta0, eta1), (-1.0, dist1, dist0, eta1, eta0)):
         out = integrate.quad(
-            lambda u: (keep_other * other.sf(u) + eta_other) * keep_own * own.pdf(u),
+            lambda u: ((1.0 - eta_other) * other.sf(u) + eta_other) * (1.0 - eta_own) * own.pdf(u),
             0.0, min(t, own.support_end), epsabs=1e-9, epsrel=1e-9, limit=200, full_output=1)
         if len(out) > 3 or out[1] > 1e-7 * max(1.0, abs(out[0])):
             return None
@@ -378,6 +376,18 @@ def test_quadrature_matches_scipy_quad():
                     (dist0, dist1, eta0, eta1, t, kind)
                 checked += 1
     assert checked >= 180
+
+
+def test_quadrature_extrapolates_past_early_agreement():
+    """Beta(0.72, 0.70) is singular at both ends with nearly equal powers, so
+    two or three successive epsilon limits first agree about 1e-8 away from
+    the integral."""
+    dist0 = ct.BetaLatency(0.7193085603846026, 0.700859645344543)
+    dist1 = ct.BetaLatency(5.25246947777972, 3.9141988822804263)
+    etas = (0.2979430162793118, 0.09812604971788816)
+    value = ct.true_tau_quadrature(dist0, dist1, *etas, 1.0, kind="overall")
+    assert value == pytest.approx(quad_truth(dist0, dist1, *etas, 1.0, "overall"),
+                                  abs=QUAD_ORACLE_TOLERANCE)
 
 
 def test_quadrature_raises_instead_of_diverging():
