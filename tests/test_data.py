@@ -114,3 +114,51 @@ def test_sample_arrays_are_immutable():
     sample = ct.Sample([1, 2], [1, 0])
     with pytest.raises(ValueError):
         sample.times[0] = 9.0
+
+
+# The parse_csv error contract: (input, line, message) for the first bad line.
+PARSE_ERRORS = {
+    "empty": ("", 1, "empty input: missing header line"),
+    "missing-time": ("status,arm\n1,0\n", 1, "missing required column 'time'"),
+    "missing-status": ("time,arm\n1,0\n", 1, "missing required column 'status'"),
+    "unknown-column": ("time,status,group\n1,1,0\n", 1, "unknown column 'group'"),
+    "duplicate-column": ("time,status,Time\n1,1,1\n", 1, "duplicate column in header"),
+    "wrong-width": ("time,status\n1,1\n2,0,1\n", 3, "expected 2 fields, got 3"),
+    "short-row": ("time,status,arm\n1,1,0\n2\n", 3, "expected 3 fields, got 1"),
+    "malformed-time": ("time,status,arm\nabc,1,0\n", 2, "malformed number 'abc' in column 'time'"),
+    "malformed-status": ("time,status,arm\n1, x ,0\n", 2,
+                         "malformed number 'x' in column 'status'"),
+    "malformed-arm": ("time,status,arm\n1,1,0\n2,0,\n", 3, "malformed number '' in column 'arm'"),
+    "nan-time": ("time,status\nNaN,1\n", 2, "malformed number 'NaN' in column 'time'"),
+    "nan-status": ("time,status\n1,nan\n", 2, "malformed number 'nan' in column 'status'"),
+    "negative-time": ("time,status\n1,1\n-1,1\n", 3, "negative or non-finite time '-1'"),
+    "infinite-time": ("time,status\ninf,0\n", 2, "negative or non-finite time 'inf'"),
+    "status-2": ("time,status\n1,2\n", 2, "status must be 0 or 1, got '2'"),
+    "status-1.5": ("time,status\n1,1.5\n", 2, "status must be 0 or 1, got '1.5'"),
+    "arm-7": ("time,status,arm\n1,1,0\n2,1,7\n", 3, "arm must be 0 or 1, got '7'"),
+    "blank-lines-count": ("time,status\n1,1\n\n  \n,\n-2.5,0\n", 6,
+                          "negative or non-finite time '-2.5'"),
+    "crlf": ("time,status\r\n1,1\r\n\r\n2,x\r\n", 4, "malformed number 'x' in column 'status'"),
+    "quoted-comma": ('time,status\n"1,5",1\n', 2, "malformed number '1,5' in column 'time'"),
+    "bad-time-before-wrong-width": ("time,status\n-1,1\n2,0\n3,0,1\n", 2,
+                                    "negative or non-finite time '-1'"),
+    "wrong-width-before-bad-status": ("time,status\n1\n2,0\n3,2\n", 2, "expected 2 fields, got 1"),
+    "bad-arm-before-malformed-time": ("time,status,arm\n1,1,3\nx,1,0\n", 2,
+                                      "arm must be 0 or 1, got '3'"),
+    "time-checked-first": ("status,arm,time\nx,5,-1\n", 2, "negative or non-finite time '-1'"),
+    "status-before-arm": ("arm,status,time\nx,y,1\n", 2, "malformed number 'y' in column 'status'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_names_the_first_bad_line(case):
+    text, line, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as info:
+        ct.parse_csv(text)
+    assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
+
+def test_parse_reads_crlf_and_quoted_fields():
+    expected = ct.Sample([1.5, 2.0], [1, 0], [0, 1])
+    assert ct.parse_csv("time,status,arm\r\n1.5,1,0\r\n2,0,1\r\n") == expected
+    assert ct.parse_csv('"time",status,arm\n"1.5",1,0\n2," 0 ","1"\n') == expected
