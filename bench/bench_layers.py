@@ -12,9 +12,12 @@ event time), and ``self_consistency_residual`` of the sample's own latency
 curve.  At n = 20 000 each case also records the tracemalloc peak of one
 call, in MB, as ``extra_info["peak_mb"]``, so that any quadratic temporary
 shows.  ``true_tau_quadrature`` is timed once, on the ``table3-eta02`` arms
-at t = 0.5, for each kind of process.
+at t = 0.5, for each kind of process.  ``parse_csv`` reads the ``write_csv``
+text of a ``table3-eta02`` draw of n = 200, 2 000 and 20 000 subjects, half
+in each arm.
 """
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -70,6 +73,24 @@ def test_layer(benchmark, n, layer):
     call = layer_calls(n)[layer]
     record_peak(benchmark, n, call)
     assert benchmark(call) is not None
+
+
+@functools.lru_cache(maxsize=None)
+def two_arm_csv(n):
+    design, _ = ct.preset("table3-eta02")
+    arms = (dataclasses.replace(arm, n=n // 2) for arm in (design.arm0, design.arm1))
+    return ct.write_csv(ct.draw_two_arm_sample(ct.TwoArmScenario(*arms), 1))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_parse_csv(benchmark, n):
+    text = two_arm_csv(n)
+
+    def call():
+        return ct.parse_csv(text)
+
+    record_peak(benchmark, n, call)
+    assert benchmark(call).n == n
 
 
 @pytest.mark.parametrize("kind", ["susceptible", "overall"])

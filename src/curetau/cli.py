@@ -129,6 +129,11 @@ def _arm_curves(sample, eta):
     return km_fit(sample, "event"), km_fit(sample, "censoring"), phi_hat(sample, eta)
 
 
+def _bands(values, sd, level):
+    half = -normal_interval(0.0, 1.0, level)[0]
+    return values - half * sd, values + half * sd
+
+
 def _run_fit(args):
     emit = _emit_set(args.emit)
     b = _parse_b(args.b)
@@ -147,29 +152,24 @@ def _run_fit(args):
                            seed=seed_tuple(args.seed) + (0,))
     k = grid.size
     sd_s, sd_lat, sd_eta = boot.sd[:k], boot.sd[k:2 * k], float(boot.sd[-1])
-    half = -normal_interval(0.0, 1.0, args.level)[0]
-
-    def bands(values, sds):
-        return values - half * sds, values + half * sds
-
     s_vals = survival(grid)
     lat_vals = latency.curve(grid)
     if "csv" in emit:
         _write_text(outdir, "survival.csv",
-                    write_curve_csv(survival, bands=bands(s_vals, sd_s)))
+                    write_curve_csv(survival, bands=_bands(s_vals, sd_s, args.level)))
         _write_text(outdir, "censoring_survival.csv", write_curve_csv(censoring))
         _write_text(outdir, "latency_survival.csv",
-                    write_curve_csv(latency.curve, bands=bands(lat_vals, sd_lat)))
+                    write_curve_csv(latency.curve, bands=_bands(lat_vals, sd_lat, args.level)))
         _write_text(outdir, "susceptible_in_riskset.csv", write_curve_csv(phi))
     if "svg" in emit:
         _write_text(outdir, "survival.svg", step_plot_svg(
             [("event survival", survival.x, survival.y, 1.0,
-              bands(survival.y, sd_s[1:])),
+              _bands(survival.y, sd_s[1:], args.level)),
              ("censoring survival", censoring.x, censoring.y, 1.0, None)],
             title="Survival curves", y_label="survival"))
         _write_text(outdir, "latency_survival.svg", step_plot_svg(
             [("latency survival", latency.curve.x, latency.curve.y, 1.0,
-              bands(lat_vals[1:], sd_lat[1:]))],
+              _bands(lat_vals[1:], sd_lat[1:], args.level))],
             title="Latency (susceptible) survival", y_label="survival"))
         _write_text(outdir, "susceptible_in_riskset.svg", step_plot_svg(
             [("susceptible share of risk set", phi.x, phi.y, phi.initial_value, None)],
@@ -235,8 +235,7 @@ def _two_arm_pass(args, arms, grid, b_settings=None):
 
     def banded(kind, columns):
         values, sd = boot.point[columns], boot.sd[columns]
-        half = -normal_interval(0.0, 1.0, args.level)[0]
-        return TauCurve(grid, values, kind, sd, values - half * sd, values + half * sd)
+        return TauCurve(grid, values, kind, sd, *_bands(values, sd, args.level))
 
     method = "tail" if None in (b0, b1) else "extrapolated"
     test = cure_difference_test(*arms, method=method, b0=b0, b1=b1, R=args.boot,
@@ -350,8 +349,8 @@ def write_experiment_csv(rows):
 
 def read_experiment_csv(source):
     """Parse rows written by :func:`write_experiment_csv` into dicts."""
-    header, columns = _csv_columns(source, (_EXPERIMENT_HEADER,), blank_t=math.nan)
-    return [dict(zip(header, values)) for values in zip(*columns)]
+    columns = _csv_columns(source, _EXPERIMENT_HEADER, blank_t=math.nan)
+    return [dict(zip(_EXPERIMENT_HEADER, values)) for values in zip(*columns)]
 
 
 def _experiment_table_csv(rows):

@@ -1,17 +1,38 @@
-"""Per-subject survival records, CSV ingestion, and validation."""
+"""Per-subject survival records, CSV ingestion, and validation.
+
+``_record_fault`` is the one record rule and ``_csv_columns`` the one CSV
+reader: a quoted field reads as its contents, a row of blank fields is
+skipped, and errors name the 1-based physical line of the first bad row."""
 
 import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import ParseError
 
-_REQUIRED_COLUMNS = ("time", "status")
-_OPTIONAL_COLUMNS = ("arm",)
+
+def _record_fault(times, status, arms=None):
+    """The first record whose time is not finite and non-negative, or whose
+    status or arm is not 0 or 1, as ``(index, column, message)``: ``column``
+    counts in (time, status, arm) and ``message`` has ``{}`` for the value."""
+    columns = [np.asarray(column) for column in (times, status, arms) if column is not None]
+    bad = [~(np.isfinite(columns[0]) & (columns[0] >= 0))]
+    bad += [(labels != 0) & (labels != 1) for labels in columns[1:]]
+    faults = np.flatnonzero(np.column_stack(bad))
+    if not faults.size:
+        return None
+    index, column = divmod(int(faults[0]), len(columns))
+    name = ("time", "status", "arm")[column]
+    value = columns[column][index]
+    if value != value:
+        return index, column, f"malformed number {{}} in column '{name}'"
+    if name == "time":
+        return index, column, "negative or non-finite time {}"
+    return index, column, f"{name} must be 0 or 1, got {{}}"
 
 
 @dataclass(frozen=True)
@@ -27,38 +48,30 @@ class Subject:
     arm: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"time must be finite and non-negative, got {self.time}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status}")
-        if self.arm not in (None, 0, 1):
-            raise ValueError(f"arm must be 0 or 1 when present, got {self.arm}")
+        # A one-record sample raises ValueError if the record breaks the rule.
+        Sample([self.time], [self.status], None if self.arm is None else [self.arm])
 
 
 class Sample:
     """An ordered collection of subjects backed by immutable numpy arrays."""
 
     def __init__(self, times, status, arms=None):
-        times = np.asarray(times, dtype=float).copy()
-        status = np.asarray(status, dtype=np.int64).copy()
-        if times.ndim != 1 or status.shape != times.shape:
+        times = np.array(times, dtype=float)
+        if times.ndim != 1 or np.shape(status) != times.shape:
             raise ValueError("times and status must be 1-d arrays of equal length")
-        if times.size and not (np.isfinite(times).all() and (times >= 0).all()):
-            raise ValueError("times must be finite and non-negative")
-        if times.size and not np.isin(status, (0, 1)).all():
-            raise ValueError("status values must be 0 or 1")
-        if arms is not None:
-            arms = np.asarray(arms, dtype=np.int64).copy()
-            if arms.shape != times.shape:
-                raise ValueError("arms must match times in length")
-            if arms.size and not np.isin(arms, (0, 1)).all():
-                raise ValueError("arm labels must be 0 or 1")
-            arms.setflags(write=False)
-        times.setflags(write=False)
-        status.setflags(write=False)
+        if arms is not None and np.shape(arms) != times.shape:
+            raise ValueError("arms must match times in length")
+        fault = _record_fault(times, status, arms)
+        if fault:
+            index, column, message = fault
+            value = (times, status, arms)[column][index]
+            raise ValueError(f"record {index}: " + message.format(value))
         self.times = times
-        self.status = status
-        self.arms = arms
+        self.status = np.array(status, dtype=np.int64)
+        self.arms = None if arms is None else np.array(arms, dtype=np.int64)
+        for array in (self.times, self.status, self.arms):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def n(self):
@@ -113,62 +126,13 @@ class Sample:
         return f"<Sample n={self.n}, events={self.n_events}{arms}>"
 
 
-def _parse_number(text, line_no, column):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"malformed number {text!r} in column '{column}'", line_no) from None
-    if math.isnan(value):
-        raise ParseError(f"malformed number {text!r} in column '{column}'", line_no)
-    return value
-
-
-def _parse_binary(text, line_no, column):
-    value = _parse_number(text, line_no, column)
-    if value not in (0.0, 1.0):
-        raise ParseError(f"{column} must be 0 or 1, got {text!r}", line_no)
-    return int(value)
-
-
 def parse_csv(source):
     """Parse ``time,status[,arm]`` CSV text (string or file-like) into a Sample.
 
-    The header is matched case-insensitively and columns may appear in any
-    order.  Errors carry the 1-based line number (the header is line 1).
+    The header is matched case-insensitively, columns may appear in any order
+    and each row must hold a record; errors carry the 1-based line number.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header line", 1) from None
-    names = [h.strip().lower() for h in header]
-    for required in _REQUIRED_COLUMNS:
-        if required not in names:
-            raise ParseError(f"missing required column '{required}'", 1)
-    for name in names:
-        if name not in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS:
-            raise ParseError(f"unknown column '{name}'", 1)
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate column in header", 1)
-    col = {name: names.index(name) for name in names}
-    has_arm = "arm" in col
-
-    times, status, arms = [], [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not field.strip() for field in row):
-            continue
-        if len(row) != len(names):
-            raise ParseError(f"expected {len(names)} fields, got {len(row)}", line_no)
-        time = _parse_number(row[col["time"]].strip(), line_no, "time")
-        if not math.isfinite(time) or time < 0:
-            raise ParseError(f"negative or non-finite time {row[col['time']].strip()!r}", line_no)
-        times.append(time)
-        status.append(_parse_binary(row[col["status"]].strip(), line_no, "status"))
-        if has_arm:
-            arms.append(_parse_binary(row[col["arm"]].strip(), line_no, "arm"))
-    return Sample(times, status, arms if has_arm else None)
+    return Sample(*_csv_columns(source, ("time", "status"), ("arm",), _record_fault))
 
 
 def _csv_text(header, rows):
@@ -207,37 +171,75 @@ def _csv_text(header, rows):
     return ",".join(map(field, header)) + "\n" + body
 
 
-def _csv_columns(source, headers, blank_t=None):
-    """Float columns of CSV text (a string or file-like) written by ``_csv_text``.
+def _csv_rows(text):
+    """``(line, fields)`` of the header and of each later row that is not all
+    blank, ``line`` being the physical line the row starts on."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    end = 0
+    try:
+        for row in rows:
+            line, end = end + 1, rows.line_num
+            if line == 1 or "".join(row).strip():
+                yield line, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), end + 1) from None
 
-    The header, lower-cased, must be one of ``headers`` (tuples of column
-    names).  Returns ``(header, columns)`` with one list of floats per
-    column.  Blank lines are skipped; with ``blank_t`` given, an empty first
-    field reads as that value.  Errors carry the 1-based line number.
+
+def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None):
+    """Float columns of CSV text (a string or file-like), in the order of
+    ``required`` and then ``optional``.
+
+    Fields split as in :mod:`csv`, so a quoted field reads as its contents.
+    The header names, in any case and order, are all of ``required`` and all
+    or none of ``optional``.  A row of blank fields is skipped; any other row
+    holds one number per column, an empty field of the first column reading
+    as ``blank_t`` if given, and the columns obey ``record_fault`` if given.
+    Errors name the 1-based physical line of the first bad row, counting the
+    header and skipped lines; in that row a wrong width comes first, then
+    the ``record_fault`` finding, then the first field that is not a number.
     """
     text = source if isinstance(source, str) else source.read()
-    lines = text.splitlines()
-    if not lines:
+    rows = _csv_rows(text)
+    _, header = next(rows, (1, None))
+    if header is None:
         raise ParseError("empty input: missing header line", 1)
-    header = tuple(name.strip().lower() for name in lines[0].strip().split(","))
-    if header not in headers:
-        expected = " or ".join(",".join(names) for names in headers)
-        raise ParseError(f"header must be {expected}, got {lines[0]!r}", 1)
-    columns = [[] for _ in header]
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [field.strip() for field in line.split(",")]
-        if len(fields) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line_no)
-        if blank_t is not None and fields[0] == "":
-            fields[0] = blank_t
-        try:
-            for column, value in zip(columns, fields):
-                column.append(float(value))
-        except ValueError:
-            raise ParseError(f"malformed number in {line!r}", line_no) from None
-    return header, columns
+    names = tuple(name.strip().lower() for name in header)
+    for name in required:
+        if name not in names:
+            raise ParseError(f"missing required column '{name}'", 1)
+    for name in names:
+        if name not in required + optional:
+            raise ParseError(f"unknown column '{name}'", 1)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate column in header", 1)
+    if len(names) not in (len(required), len(required + optional)):
+        raise ParseError(f"columns {','.join(optional)} come together or not at all", 1)
+    order = [names.index(name) for name in required + optional if name in names]
+    columns, fault = [[] for _ in names], None
+    for line, row in rows:
+        if len(row) != len(names):
+            fault = ParseError(f"expected {len(names)} fields, got {len(row)}", line)
+            break
+        if blank_t is not None and not row[order[0]].strip():
+            row[order[0]] = blank_t
+        for name, column, field in zip(names, columns, row):
+            try:
+                column.append(float(field))
+            except ValueError:
+                column.append(math.nan)
+                fault = fault or ParseError(
+                    f"malformed number {field.strip()!r} in column '{name}'", line)
+        if fault:
+            break
+    columns = [columns[i] for i in order]
+    bad = record_fault and record_fault(*columns)
+    if bad:
+        index, column, message = bad
+        line, row = next(islice(_csv_rows(text), index + 1, None))
+        raise ParseError(message.format(repr(row[order[column]].strip())), line)
+    if fault:
+        raise fault
+    return columns
 
 
 def write_csv(sample):
@@ -274,9 +276,7 @@ def validate(sample):
     if sample.n == 0:
         fatal.append("no subjects")
         return ValidationReport(tuple(fatal), tuple(warnings))
-    if not np.isfinite(sample.times).all() or (sample.times < 0).any():
-        fatal.append("negative or non-finite times")
-    elif (sample.times == 0).any():
+    if (sample.times == 0).any():
         fatal.append("observation at time 0: follow-up times must be positive")
     if sample.n_events == 0:
         fatal.append("no events: cure-rate and latency estimators are undefined")

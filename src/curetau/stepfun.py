@@ -112,7 +112,7 @@ def write_curve_csv(curve, bands=None):
 
 def read_curve_csv(source):
     """Parse ``t,value[,lo,hi]`` rows back into a StepFunction (bands ignored)."""
-    _, (ts, vs, *_) = _csv_columns(source, (("t", "value"), ("t", "value", "lo", "hi")))
+    ts, vs, *_ = _csv_columns(source, ("t", "value"), ("lo", "hi"))
     if not ts or ts[0] != 0.0:
         raise ParseError("curve must start with its t=0 value", 2)
     return StepFunction(ts[1:], vs[1:], initial_value=vs[0])

@@ -395,9 +395,8 @@ def write_tau_csv(curve):
 
 def read_tau_csv(source, kind="overall"):
     """Parse rows written by :func:`write_tau_csv` back into a TauCurve."""
-    header, columns = _csv_columns(
-        source, (("t", "value"), ("t", "value", "sd", "lo", "hi")))
-    curve = TauCurve(grid=np.asarray(columns[0]), values=np.asarray(columns[1]), kind=kind)
-    if len(header) == 5:
-        curve = curve.with_bands(columns[2], columns[3], columns[4])
+    grid, values, *bands = _csv_columns(source, ("t", "value"), ("sd", "lo", "hi"))
+    curve = TauCurve(np.asarray(grid), np.asarray(values), kind)
+    if bands:
+        curve = curve.with_bands(*bands)
     return curve

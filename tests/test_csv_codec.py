@@ -1,9 +1,13 @@
-"""The artifact CSV readers: error paths and round trips.
+"""The CSV readers (the sample and the artifact readers): error paths and
+round trips.
 
 Every reader raises ``ParseError`` naming the 1-based physical line (the
 header is line 1, blank lines count) for a bad header, a wrong field count
-and a malformed number.  A blank ``t`` field is an error everywhere except in
-the experiment reader, where it marks the cure-rate row.
+and a malformed number.  Every reader splits fields as the ``csv`` module
+does, so CRLF line ends and quoted fields read like plain ones, takes the
+header's columns in any order and case, and skips a row whose fields are all
+blank.  A blank ``t`` field is an error everywhere except in the experiment
+reader, where it marks the cure-rate row.
 """
 
 import math
@@ -22,10 +26,22 @@ EXPERIMENT_HEADER = "t,truth,a,b,c,d,e"
 EXPERIMENT_ROW = "0.5,0.7,0.01,0.02,0.03,0.95,0.08"
 
 READERS = {
+    "sample": (ct.parse_csv, "time,status,arm", "0.5,1,0", "1.5,0,1"),
     "curve": (read_curve_csv, "t,value", "0.0,1.0", "0.5,0.8"),
     "tau": (read_tau_csv, "t,value", "0.25,0.1", "0.5,0.2"),
     "experiment": (read_experiment_csv, EXPERIMENT_HEADER, EXPERIMENT_ROW, EXPERIMENT_ROW),
 }
+
+
+def plain(result):
+    """A reader's result as plain values, so that two reads compare with ``==``."""
+    if isinstance(result, ct.Sample):
+        return result.times.tolist(), result.status.tolist(), result.arms.tolist()
+    if isinstance(result, ct.StepFunction):
+        return result.x.tolist(), result.y.tolist(), result.initial_value
+    if isinstance(result, ct.TauCurve):
+        return result.grid.tolist(), result.values.tolist()
+    return result
 
 
 def line_of(reader, text):
@@ -56,7 +72,56 @@ def test_malformed_number_names_its_line(name):
     assert line_of(reader, f"{header}\n{first}\n\n{broken}\n") == 4
 
 
-@pytest.mark.parametrize("name", ["curve", "tau"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_crlf_line_ends_read_like_lf(name):
+    reader, header, first, second = READERS[name]
+    text = f"{header}\n{first}\n{second}\n"
+    assert plain(reader(text.replace("\n", "\r\n"))) == plain(reader(text))
+    broken = second.rsplit(",", 1)[0] + ",abc"
+    assert line_of(reader, f"{header}\r\n{first}\r\n\r\n{broken}\r\n") == 4
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_quoted_fields_read_as_their_contents(name):
+    reader, header, first, second = READERS[name]
+    quoted = ",".join(f'" {field}"' for field in second.split(","))
+    assert plain(reader(f"{header}\n{first}\n{quoted}\n")) == plain(
+        reader(f"{header}\n{first}\n{second}\n"))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_rows_of_blank_fields_are_skipped(name):
+    reader, header, first, second = READERS[name]
+    blank = ",".join(" " for _ in header.split(","))
+    text = f"{header}\n{first}\n{second}\n"
+    assert plain(reader(f"{header}\n{first}\n{blank}\n,\n{second}\n{blank}\n")) == plain(
+        reader(text))
+    assert line_of(reader, f"{header}\n{blank}\n{first}\n,,\n{second},1\n") == 5
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_columns_may_come_in_any_order_and_case(name):
+    reader, header, first, second = READERS[name]
+    flipped = [",".join(reversed(line.split(","))) for line in (header.upper(), first, second)]
+    assert plain(reader("\n".join(flipped))) == plain(reader(f"{header}\n{first}\n{second}"))
+
+
+@pytest.mark.parametrize("reader, header", [(read_curve_csv, "t,value,lo"),
+                                            (read_tau_csv, "t,value,sd")])
+def test_band_columns_come_together(reader, header):
+    assert line_of(reader, f"{header}\n0.0,1.0,0.5\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_an_unclosed_quote_names_its_line(name):
+    reader, header, first, second = READERS[name]
+    # The quote swallows every later line into one field, past the csv
+    # module's field size limit.
+    text = f'{header}\n{first}\n"{second}\n' + f"{second}\n" * 20_000
+    assert line_of(reader, text) == 3
+
+
+@pytest.mark.parametrize("name", ["sample", "curve", "tau"])
 def test_blank_t_field_is_an_error(name):
     reader, header, first, second = READERS[name]
     blank = "," + second.split(",", 1)[1]

@@ -146,7 +146,8 @@ PARSE_ERRORS = {
     "bad-arm-before-malformed-time": ("time,status,arm\n1,1,3\nx,1,0\n", 2,
                                       "arm must be 0 or 1, got '3'"),
     "time-checked-first": ("status,arm,time\nx,5,-1\n", 2, "negative or non-finite time '-1'"),
-    "status-before-arm": ("arm,status,time\nx,y,1\n", 2, "malformed number 'y' in column 'status'"),
+    "status-before-arm": ("arm,status,time\nx,y,1\n", 2,
+                          "malformed number 'y' in column 'status'"),
 }
 
 
@@ -162,3 +163,19 @@ def test_parse_reads_crlf_and_quoted_fields():
     expected = ct.Sample([1.5, 2.0], [1, 0], [0, 1])
     assert ct.parse_csv("time,status,arm\r\n1.5,1,0\r\n2,0,1\r\n") == expected
     assert ct.parse_csv('"time",status,arm\n"1.5",1,0\n2," 0 ","1"\n') == expected
+
+
+@pytest.mark.parametrize("args, message", [
+    (([1, -2, 3], [1, 0, 7]), "record 1: negative or non-finite time -2.0"),
+    (([1, np.nan], [1, 0]), "record 1: malformed number nan in column 'time'"),
+    (([1, 2], [1, 0.5]), "record 1: status must be 0 or 1, got 0.5"),
+    (([1, 2], [1, 0], [0, 2]), "record 1: arm must be 0 or 1, got 2"),
+])
+def test_sample_names_its_first_bad_record(args, message):
+    with pytest.raises(ValueError) as info:
+        ct.Sample(*args)
+    assert str(info.value) == message
+
+
+def test_subjects_of_a_one_arm_sample():
+    assert ct.Sample([1.5, 2.0], [1, 0]).subjects == (ct.Subject(1.5, 1), ct.Subject(2.0, 0))
