@@ -11,7 +11,10 @@ the one-arm statistic of the Monte Carlo run (event and latency survival at
 fixed times, then the cure rate) at the b that ``select_b`` picks; both with
 R = 200 replicates.  At n = 20 000 each case also records the tracemalloc
 peak of one call, in MB, as ``extra_info["peak_mb"]``, so that any temporary
-that grows with R x n shows.
+that grows with R x n shows.  One more ``select_b`` case has the shape of
+``fit --eta-method extrapolate`` and ``btune`` on 5 000-subject arms at
+``--boot 100``: arm 0 of the ``two-arm-demo`` preset, R = 100, where a chunk
+holds 3 replicates; ``extra_info["live"]`` counts its usable grid points.
 """
 
 import functools
@@ -60,6 +63,19 @@ def test_select_b(benchmark, n):
 
     record_peak(benchmark, n, select)
     assert benchmark(select)[0] in ct.DEFAULT_B_GRID
+
+
+def test_select_b_large_arm(benchmark):
+    design, _ = ct.preset("two-arm-demo")
+    arm = design.arm0
+    sample = ct.draw_sample(ct.Scenario(arm.latency, arm.eta, arm.c_max, 5_000), 1)
+
+    def select():
+        return ct.select_b(sample, replicates=100, seed=1)
+
+    b, diagnostics = benchmark(select)
+    benchmark.extra_info["live"] = sum(not point.skipped for point in diagnostics)
+    assert b in ct.DEFAULT_B_GRID
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -63,10 +63,12 @@ def _write_text(directory, name, text):
 
 def _read_sample(path):
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh)
     except OSError as exc:
         raise _ValidationFailure(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _ValidationFailure(f"cannot read {path}: {exc}") from exc
 
 
 def _gate_on_validation(sample):

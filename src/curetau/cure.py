@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindowError, NoEventsError, SelectionFailedError
-from .km import _count_chunks, _km_rows, _sort_sample, km_fit
+from .km import _count_chunks, _count_rows, _km_rows, _sort_sample, km_fit
 
 DEFAULT_B_GRID = tuple(np.round(np.arange(0.10, 0.91, 0.05), 2))
 
@@ -80,6 +80,15 @@ def _extrapolate(s_tail, s_outer, s_inner):
     return ratio, raw, flat, ratio == 1.0
 
 
+def _window_fault(flat, unit, b, t_k):
+    """Why the window at scale factor ``b`` is degenerate, or None."""
+    if flat:
+        return f"flat tail window: curve equal at {b * t_k!r} and {t_k!r}"
+    if unit:
+        return "window ratio equals one; correction undefined"
+    return None
+
+
 def _clamp_unit(raw):
     return np.minimum(np.maximum(raw, 0.0), 1.0)
 
@@ -99,12 +108,9 @@ def eta_extrapolated(event_curve, b, t_k):
     s_inner = event_curve(b * b * t_k)
     s_tail = event_curve(t_k)
     ratio, raw, flat, unit = _extrapolate(s_tail, s_outer, s_inner)
-    if flat:
-        raise DegenerateWindowError(
-            f"flat tail window: curve equal at {b * t_k!r} and {t_k!r}"
-        )
-    if unit:
-        raise DegenerateWindowError("window ratio equals one; correction undefined")
+    fault = _window_fault(flat, unit, b, t_k)
+    if fault:
+        raise DegenerateWindowError(fault)
     return CureRateEstimate(
         value=float(_clamp_unit(raw)),
         method="extrapolated",
@@ -128,16 +134,23 @@ def _cure_rate_rows(km, b=None):
     The tail value, or with ``b`` the extrapolated value, computed as
     ``eta_tail`` and ``eta_extrapolated`` compute it on the resample.  NaN
     marks the rows on which that scalar path raises: no events or a
-    degenerate window.
+    degenerate window.  ``b`` is None, one scale factor (a value per row)
+    or a 1-d sequence of them, read in one pass: a (rows x len(b)) array
+    whose column j is bit for bit the value for ``b[j]`` alone, since every
+    column takes the same IEEE operations ``b * t_k`` and ``(b * b) * t_k``.
     """
     rows = np.arange(km.surv.shape[0])
     tail = km.surv[rows, km.last_event]
     if b is None:
         return np.where(km.has_events, tail, np.nan)
-    _check_b(b)
-    t_k = km.distinct[km.last_event]
-    _, raw, flat, unit = _extrapolate(tail, km.at(b * t_k), km.at(b * b * t_k))
-    return np.where(km.has_events & ~flat & ~unit, _clamp_unit(raw), np.nan)
+    for factor in b if np.ndim(b) else (b,):
+        _check_b(factor)
+    factors = np.atleast_1d(np.asarray(b, dtype=float))
+    t_k = km.distinct[km.last_event][:, None]
+    _, raw, flat, unit = _extrapolate(
+        tail[:, None], km.at(factors * t_k), km.at((factors * factors) * t_k))
+    values = np.where(km.has_events[:, None] & ~flat & ~unit, _clamp_unit(raw), np.nan)
+    return values if np.ndim(b) else values[:, 0]
 
 
 @dataclass(frozen=True)
@@ -162,40 +175,55 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     comparison uses common random numbers and is invariant to grid order).
     Ties break toward the larger ``b``.  Returns ``(b_star, diagnostics)``.
 
+    The whole grid is read in one pass: every original-sample estimate from
+    the sample's row of ones (``km._count_rows``), and each chunk of
+    replicates with one ``_cure_rate_rows`` call over the live grid points.
     Replicate ``r`` is the resample drawn from ``stream(seed, r)``, held as
     its row of cell counts (``km._count_chunks``); rows are evaluated at most
     ``km.COUNT_CHUNK_ELEMENTS // n`` at a time (81 at n = 200), so memory
-    stays at a few (rows x n) arrays.  Each replicate's estimate is
-    bit-identical to ``eta_extrapolated`` on ``km_fit`` of the resample, and
-    it is missing exactly where that raises or the resample has no events.
+    stays at a few (rows x n) arrays.  Every estimate, the original and each
+    replicate's, is bit-identical to ``eta_extrapolated`` on ``km_fit`` of
+    its sample, a skipped point has the reason that call gives, and a
+    replicate is missing exactly where that call raises or the resample has
+    no events.  The errors are those of that scalar path too.
     """
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     grid = sorted(float(b) for b in grid)
-    curve = km_fit(sample, "event")
-    t_k = _last_event_time(curve)
+    if sample.n == 0:
+        raise ValueError("sample is empty")
+    ones = _count_rows(sample)
+    if not ones.has_events[0]:
+        raise NoEventsError("no events: the adjusted risk table is undefined")
+    # km_fit's error: its event curve cannot jump at time 0.  So t_k > 0 below.
+    if ones.distinct[ones.first_event[0]] <= 0.0:
+        raise ValueError("jump locations must be finite and positive")
+    for b in grid:
+        _check_b(b)
+    t_k = float(ones.distinct[ones.last_event[0]])
+    factors = np.array(grid)
+    ratio, raw, flat, unit = (column[0] for column in _extrapolate(
+        ones.surv[0, ones.last_event[0]], ones.at(factors[None] * t_k),
+        ones.at((factors * factors)[None] * t_k)))
 
     originals = {}
     reasons = {}
-    for b in grid:
-        try:
-            estimate = eta_extrapolated(curve, b, t_k)
-        except DegenerateWindowError as exc:
-            reasons[b] = str(exc)
-            continue
+    for j, b in enumerate(grid):
+        reason = _window_fault(flat[j], unit[j], b, t_k)
         # The correction extrapolates a geometric decay of tail-window mass,
         # which only exists when the window ratio exceeds 1; and a saturated
         # estimate matches its own bootstrap average trivially while making
         # the mixture degenerate downstream.  Skip both regimes.
-        if estimate.b_gamma_check <= 1.0:
-            reasons[b] = "window ratio at or below 1: tail mass is not decaying"
-            continue
-        if not 0.0 < estimate.raw_value < 1.0:
-            reasons[b] = "corrected cure rate saturates outside (0, 1)"
-            continue
-        originals[b] = estimate.value
+        if reason is None and ratio[j] <= 1.0:
+            reason = "window ratio at or below 1: tail mass is not decaying"
+        if reason is None and not 0.0 < raw[j] < 1.0:
+            reason = "corrected cure rate saturates outside (0, 1)"
+        if reason is None:
+            originals[b] = float(_clamp_unit(raw[j]))
+        else:
+            reasons[b] = reason
     live = [b for b in grid if b in originals]
     if not live:
         raise SelectionFailedError("every grid point is degenerate on this sample")
@@ -203,9 +231,8 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     summary = _sort_sample(sample)
     boot_values = np.empty((replicates, len(live)))
     for start, (cells,) in _count_chunks((summary,), seed, replicates):
-        km = _km_rows(summary, cells)
-        for j, b in enumerate(live):
-            boot_values[start:start + cells.shape[0], j] = _cure_rate_rows(km, b)
+        boot_values[start:start + cells.shape[0]] = _cure_rate_rows(
+            _km_rows(summary, cells), live)
 
     diagnostics = []
     best = None

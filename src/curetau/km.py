@@ -160,8 +160,9 @@ def _count_chunks(summaries, seed, R):
     No Generator is built per replicate.  ``integers`` reads the raw PCG64
     outputs of ``seeding._pcg64_states`` as 32-bit words, low half first,
     carried from arm 0 into arm 1 (an arm of one subject reads none), and
-    word u draws subject ``(u * n) >> 32`` (Lemire).  It would reject u where
-    ``u * n mod 2**32 < (2**32 - n) % n``: such a row (about 1 in 370 at
+    word u draws subject ``(u * n) >> 32`` (Lemire), the high half of one
+    uint64 product.  It would reject u where the low half, ``u * n mod
+    2**32``, is below ``(2**32 - n) % n``: such a row (about 1 in 370 at
     n = 5 000) is drawn again from ``stream(seed, r)``.
     """
     sizes = [summary.cell.size for summary in summaries]
@@ -169,12 +170,14 @@ def _count_chunks(summaries, seed, R):
     outputs = (sum(n for n in sizes if n > 1) + 1) // 2
     states = _pcg64_states(seed, R)
     bitgen = np.random.PCG64(0)
+    pcg = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for start in range(0, R, step):
         rows = min(R, start + step) - start
         raw = np.empty((rows, outputs), np.uint64)
         for row, (state, inc) in enumerate(states[start:start + rows]):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
+            pcg["state"], pcg["inc"] = state, inc
+            bitgen.state = setting
             raw[row] = bitgen.random_raw(outputs)
         uniform = raw.astype("<u8", copy=False).view("<u4")
         cells, offset, rejected = [], 0, np.zeros(rows, bool)
@@ -183,10 +186,11 @@ def _count_chunks(summaries, seed, R):
             if n == 1:
                 cells.append(np.repeat(summary.ones(), rows, axis=0))
                 continue
-            drawn = uniform[:, offset:offset + n]
+            product = np.multiply(uniform[:, offset:offset + n], n, dtype=np.uint64)
             offset += n
-            rejected |= np.multiply(drawn, n, dtype=np.uint32).min(axis=1) < (2 ** 32 - n) % n
-            bins = summary.cell[np.multiply(drawn, n, dtype=np.int64) >> 32]
+            rejected |= product.astype(np.uint32).min(axis=1) < (2 ** 32 - n) % n
+            product >>= 32
+            bins = summary.cell[product.view(np.int64)]
             bins += np.arange(0, rows * width, width)[:, None]
             cells.append(np.bincount(bins.ravel(), minlength=rows * width).reshape(rows, width))
         for row in np.flatnonzero(rejected):
@@ -222,10 +226,11 @@ class _KMRows:
     at_risk: np.ndarray
 
     def at(self, t):
-        """Each row's curve at its own time ``t[r]`` (right-continuous)."""
+        """Each row's curve at its own times (right-continuous): ``t`` is
+        (rows,) or (rows, m), and row ``r`` is read at ``t[r]``."""
         idx = np.searchsorted(self.distinct, t, side="right") - 1
-        values = self.surv[np.arange(self.surv.shape[0]), np.maximum(idx, 0)]
-        return np.where(idx < 0, 1.0, values)
+        rows = np.arange(self.surv.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
+        return np.where(idx < 0, 1.0, self.surv[rows, np.maximum(idx, 0)])
 
     def censoring_curve(self):
         """Each row's censoring KM curve at the distinct times.  Times without

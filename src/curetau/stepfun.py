@@ -1,8 +1,10 @@
 """Right-continuous step functions with left-limit evaluation."""
 
+from itertools import islice
+
 import numpy as np
 
-from .data import _csv_columns, _csv_text
+from .data import _csv_columns, _csv_rows, _csv_text
 from .errors import DomainError, ParseError
 
 
@@ -112,7 +114,10 @@ def write_curve_csv(curve, bands=None):
 
 def read_curve_csv(source):
     """Parse ``t,value[,lo,hi]`` rows back into a StepFunction (bands ignored)."""
-    ts, vs, *_ = _csv_columns(source, ("t", "value"), ("lo", "hi"))
+    text = source if isinstance(source, str) else source.read()
+    ts, vs, *_ = _csv_columns(text, ("t", "value"), ("lo", "hi"))
     if not ts or ts[0] != 0.0:
-        raise ParseError("curve must start with its t=0 value", 2)
+        # The physical line of the first data row, or line 2 without one.
+        line, _ = next(islice(_csv_rows(text), 1, None), (2, None))
+        raise ParseError("curve must start with its t=0 value", line)
     return StepFunction(ts[1:], vs[1:], initial_value=vs[0])

@@ -27,8 +27,9 @@ from hypothesis import strategies as st
 import curetau as ct
 import tau_oracle
 from curetau.cure import DEFAULT_B_GRID
-from curetau.errors import DegenerateWindowError, SelectionFailedError, UnstableStatisticError
-from curetau.cure import _cure_rate
+from curetau.errors import (DegenerateWindowError, NoEventsError, SelectionFailedError,
+                            UnstableStatisticError)
+from curetau.cure import _cure_rate, _cure_rate_rows
 from curetau.inference import _one_arm_statistic, _two_arm_statistic
 from curetau import km
 from curetau.km import COUNT_CHUNK_ELEMENTS, _count_chunks, _sort_sample
@@ -288,6 +289,45 @@ def test_select_b_matches_loop(sample, replicates, seed, grid):
     else:
         assert batched[0] == looped[0]
         assert same(batched[1], looped[1])
+
+
+@settings(max_examples=100)
+@given(sample=any_sample, seed=st.integers(0, 1000), R=st.integers(1, 100),
+       grid=st.sampled_from([DEFAULT_B_GRID, (0.3, 0.6, 0.9)]))
+def test_cure_rates_for_a_grid_are_its_columns(sample, seed, R, grid):
+    summary = _sort_sample(sample)
+    cells = next(_count_chunks((summary,), seed, R))[1][0]
+    # And one row with every drawn subject censored: it has no events.
+    censored = np.zeros_like(cells[:1])
+    censored[0, 0::2] = cells[0, 0::2] + cells[0, 1::2]
+    km_rows = km._km_rows(summary, np.concatenate((summary.ones(), cells, censored)))
+    columns = _cure_rate_rows(km_rows, grid)
+    assert columns.shape == (cells.shape[0] + 2, len(grid))
+    assert np.isnan(columns[-1]).all()
+    for j, b in enumerate(grid):
+        assert columns[:, j].tobytes() == _cure_rate_rows(km_rows, b).tobytes()
+
+
+@pytest.mark.parametrize("sample, grid, error, message", [
+    # The event curve of a sample with an event at time 0 would jump there.
+    (ct.Sample([0.0, 0.0, 1.0, 2.0], [1, 1, 0, 0]), DEFAULT_B_GRID, ValueError,
+     "jump locations must be finite and positive"),
+    (ct.Sample([0.0, 1.0, 2.0], [1, 1, 0]), (0.0, 0.5), ValueError,
+     "jump locations must be finite and positive"),
+    (ct.Sample([1.0, 2.0, 3.0], [0, 0, 0]), (0.0, 0.5), NoEventsError,
+     "no events: the adjusted risk table is undefined"),
+    # The first bad b in sorted order.
+    (ct.Sample([1.0, 2.0, 3.0], [1, 1, 0]), (0.5, 0.0), ValueError,
+     "b must lie in (0, 1), got 0.0"),
+    (ct.Sample([1.0, 2.0, 3.0], [1, 1, 0]), (1.0, 0.5, 0.9), ValueError,
+     "b must lie in (0, 1), got 1.0"),
+    (ct.Sample([1.0, 2.0, 3.0], [1, 1, 0]), (1.0, 0.2, 0.0), ValueError,
+     "b must lie in (0, 1), got 0.0"),
+])
+def test_select_b_raises_the_scalar_paths_errors(sample, grid, error, message):
+    with pytest.raises(error) as info:
+        ct.select_b(sample, grid, replicates=20, seed=1)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @settings(max_examples=80)

@@ -58,6 +58,18 @@ def test_fit_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "compare", "btune"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"time,status,arm\n1,1,0\n2\xe9,0,1\n3,1,1\n")
+    rc = main([command, "--input", str(path), "--boot", "20",
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 23: "
+        "invalid continuation byte\n")
+
+
 def test_fit_no_events_exits_2(tmp_path, capsys):
     path = tmp_path / "allcensored.csv"
     path.write_text("time,status\n1,0\n2,0\n")

@@ -128,6 +128,15 @@ def test_blank_t_field_is_an_error(name):
     assert line_of(reader, f"{header}\n{first}\n{blank}\n") == 3
 
 
+@pytest.mark.parametrize("text, line", [("t,value\n0.5,0.8\n", 2), ("t,value\n\n0.5,0.8\n", 3),
+                                        ("t,value\n, \n\n0.5,0.8\n0.0,1.0\n", 4),
+                                        ("t,value\n", 2), ("t,value\n\n\n", 2)])
+def test_a_curve_without_its_t0_row_names_its_first_data_row(text, line):
+    with pytest.raises(ParseError, match="curve must start with its t=0 value"):
+        read_curve_csv(text)
+    assert line_of(read_curve_csv, text) == line
+
+
 def test_blank_t_field_is_the_experiment_cure_rate_row():
     blank = "," + EXPERIMENT_ROW.split(",", 1)[1]
     rows = read_experiment_csv(f"{EXPERIMENT_HEADER}\n{EXPERIMENT_ROW}\n{blank}\n")

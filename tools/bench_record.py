@@ -4,6 +4,10 @@ Run from a checkout, naming the commit to compare the checked-out one with:
 
     python3 tools/bench_record.py BASE
 
+or print the comparison of the two files already on record, running nothing:
+
+    python3 tools/bench_record.py --summarize BASE
+
 Both commits are exported with ``git archive`` into a temporary directory and
 run from there, so only committed code is measured.  Every workload that
 ``BENCHMARK.json`` lists runs once per seed 1-10, for its ``run_seconds``, as
@@ -16,12 +20,20 @@ before/after record: the commit, the machine, the Python, numpy and scipy
 versions, and for each run the result line perfbench prints last and the
 median time of its reference block.  The exit code is 1 when a run fails or
 reports an incorrect output.
+
+Then, for each workload and end-to-end metric, it prints both commits'
+medians and quartiles over the seeds, the pairs (same workload and seed) the
+checked-out commit won, ties counting for neither, and whether the rule for
+claiming a gain holds: at least nine tenths of the pairs won, and the medians
+apart by more than the base commit's quartile distance.  Each workload's line
+ends with the operations failed out of those attempted on each side.
 """
 
 import argparse
 import json
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -69,17 +81,61 @@ def run_once(tree, workload, seed, seconds):
     return run, env and json.loads(env[len("environment: "):])
 
 
+def quartiles(values):
+    """Median and the lower and upper quartiles (linear interpolation)."""
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return median, low, high
+
+
+def summarize(benchmark, base, change):
+    """Print the claim-rule table of two commits' records (see the module doc)."""
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
+        results = [{run["seed"]: run.get("result", {}) for run in record["runs"]
+                    if run["workload"] == workload} for record in (base, change)]
+        seeds = sorted(results[0].keys() & results[1].keys())
+        print(f"{workload}: {len(seeds)} pairs; failed "
+              + " -> ".join(f"{sum(r.get('failed', 0) for r in side.values())} of "
+                            f"{sum(r.get('attempted', 0) for r in side.values())}"
+                            for side in results))
+        for metric in benchmark["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values = [[side[seed].get("metrics", {}).get(name, {}).get("value")
+                       for seed in seeds] for side in results]
+            if not seeds or None in values[0] + values[1]:
+                print(f"  {name}: missing")
+                continue
+            (b_mid, b_low, b_high), (c_mid, c_low, c_high) = map(quartiles, values)
+            won = sum(sign * (c - b) > 0 for b, c in zip(*values))
+            gap, spread = sign * (c_mid - b_mid), b_high - b_low
+            met = won >= 0.9 * len(seeds) and gap > spread
+            print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
+                  f"{b_mid:.4g} [{b_low:.4g}, {b_high:.4g}] -> "
+                  f"{c_mid:.4g} [{c_low:.4g}, {c_high:.4g}], won {won} of {len(seeds)}, "
+                  f"median gap {gap:+.4g} against base quartile distance {spread:.4g}; "
+                  f"claim rule {'met' if met else 'not met'}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", help="the commit to compare HEAD with")
+    given = parser.add_mutually_exclusive_group(required=True)
+    given.add_argument("base", nargs="?", help="the commit to compare HEAD with")
+    given.add_argument("--summarize", metavar="BASE",
+                       help="print the table from BENCH_BASE.json and BENCH_HEAD.json only")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
     shas = [git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
-            for rev in (args.base, "HEAD")]
+            for rev in (args.summarize or args.base, "HEAD")]
     if shas[0] == shas[1]:
         parser.error("BASE is the checked-out commit")
+    if args.summarize:
+        paths = [ROOT / f"BENCH_{sha}.json" for sha in shas]
+        for path in paths:
+            if not path.exists():
+                parser.error(f"no {path.name}")
+        summarize(benchmark, *(json.loads(path.read_text()) for path in paths))
+        return 0
     machine = {"cpu": cpu_model(), "platform": platform.platform()}
     records = {sha: {"git_sha": sha, "machine": machine, "seconds": seconds, "runs": []}
                for sha in shas}
@@ -103,6 +159,7 @@ def main(argv=None):
         path = ROOT / f"BENCH_{sha}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
+    summarize(benchmark, *records.values())
     return 1 if failed else 0
 
 
