@@ -12,6 +12,11 @@ rows through the kernel that ``compare`` bootstraps (both processes on that
 grid, cure rates re-estimated per row; 81, 8 and 1 rows).  At n = 20 000
 each case also records the tracemalloc peak of one call, in MB, as
 ``extra_info["peak_mb"]``, so that any quadratic temporary shows.
+
+A last case times the tau bootstrap of ``compare`` itself: the
+``two-arm-demo`` design at n = 5 000 per arm, R = 100 replicates on the
+default grid with both processes, and records its peak the same way; the
+(100 x width) replicate matrix it returns is most of that peak.
 """
 
 import functools
@@ -39,9 +44,7 @@ def arms(n):
     return s0, s1, etas
 
 
-def record_peak(benchmark, n, call):
-    if n != SIZES[-1]:
-        return
+def record_peak(benchmark, call):
     tracemalloc.start()
     try:
         call()
@@ -59,7 +62,8 @@ def test_tau_a_curve(benchmark, n):
     def curve():
         return ct.tau_a_curve(s0, s1, *etas)
 
-    record_peak(benchmark, n, curve)
+    if n == SIZES[-1]:
+        record_peak(benchmark, curve)
     assert benchmark(curve).grid.size > 0
 
 
@@ -72,5 +76,20 @@ def test_kernel_chunk(benchmark, n):
     def chunk():
         return statistic.evaluate(*cells)
 
-    record_peak(benchmark, n, chunk)
+    if n == SIZES[-1]:
+        record_peak(benchmark, chunk)
     assert benchmark(chunk).shape[0] == cells[0].shape[0]
+
+
+def test_compare_bootstrap(benchmark):
+    design, _ = ct.preset("two-arm-demo")
+    arm0, arm1 = (ct.Scenario(arm.latency, arm.eta, arm.c_max, 5_000)
+                  for arm in (design.arm0, design.arm1))
+    s0, s1 = ct.draw_two_arm_sample(ct.TwoArmScenario(arm0, arm1), 1).split_arms()
+    statistic = _two_arm_statistic(s0, s1, ct.tau_curve(s0, s1).grid, overall=True)
+
+    def bootstrap():
+        return ct.bootstrap_stats((s0, s1), statistic, R=100, seed=1)
+
+    record_peak(benchmark, bootstrap)
+    assert benchmark(bootstrap).replicate_values.shape[0] == 100

@@ -18,6 +18,7 @@ curves use the tail cure rate.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -472,7 +473,6 @@ def build_parser():
     fit.add_argument("--eta-method", choices=("tail", "extrapolate"), default="tail")
     fit.add_argument("--b", default="auto", help="'auto' or a value in (0, 1)")
     fit.add_argument("--emit", default="csv,report", help="comma list of csv,svg,report")
-    fit.set_defaults(func=_run_fit)
 
     compare = sub.add_parser("compare", help="compare two arms")
     _add_common(compare)
@@ -481,7 +481,6 @@ def build_parser():
     compare.add_argument("--b0", default=None, help="arm-0 override")
     compare.add_argument("--b1", default=None, help="arm-1 override")
     compare.add_argument("--emit", default="csv,report")
-    compare.set_defaults(func=_run_compare)
 
     simulate = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     _add_common(simulate, with_input=False)
@@ -498,17 +497,19 @@ def build_parser():
                           help="parallel runs (at most one worker per CPU)")
     simulate.add_argument("--emit-raw", action="store_true",
                           help="also write per-run estimates")
-    simulate.set_defaults(func=_run_simulate)
 
     btune = sub.add_parser("btune", help="tune the extrapolation scale factor")
     _add_common(btune, min_boot=1)
     btune.add_argument("--grid", default=None, help="comma list of b values")
-    btune.set_defaults(func=_run_btune)
     return parser
 
 
+# Parsing does not change the parser, so one process builds it once.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # Flag values outside the bounds the library applies, rejected before any work.
     for problem, bad in (("seed must be non-negative", args.seed < 0),
                          (f"--boot must be at least {args.min_boot}", args.boot < args.min_boot),
@@ -518,8 +519,11 @@ def main(argv=None):
         if bad:
             print(f"error: {problem}", file=sys.stderr)
             return EXIT_VALIDATION
+    # Looked up per call, so a replaced ``_run_*`` is the one that runs.
+    run = {"fit": _run_fit, "compare": _run_compare, "simulate": _run_simulate,
+           "btune": _run_btune}[args.subcommand]
     try:
-        return args.func(args)
+        return run(args)
     except (_ValidationFailure, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

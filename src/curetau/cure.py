@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindowError, NoEventsError, SelectionFailedError
-from .km import _count_chunks, _count_rows, _km_rows, _sort_sample, km_fit
+from .km import (_check_no_jump_at_zero, _count_chunks, _count_rows, _km_rows, _sort_sample,
+                 km_fit)
 
 DEFAULT_B_GRID = tuple(np.round(np.arange(0.10, 0.91, 0.05), 2))
 
@@ -197,9 +198,8 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     ones = _count_rows(sample)
     if not ones.has_events[0]:
         raise NoEventsError("no events: the adjusted risk table is undefined")
-    # km_fit's error: its event curve cannot jump at time 0.  So t_k > 0 below.
-    if ones.distinct[ones.first_event[0]] <= 0.0:
-        raise ValueError("jump locations must be finite and positive")
+    # km_fit's error.  So t_k > 0 below.
+    _check_no_jump_at_zero(ones.distinct, ones.events[0], "event")
     for b in grid:
         _check_b(b)
     t_k = float(ones.distinct[ones.last_event[0]])

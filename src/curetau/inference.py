@@ -16,7 +16,7 @@ from scipy import special
 
 from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import _count_chunks, _km_rows, _sort_sample, km_fit
+from .km import COUNT_CHUNK_ELEMENTS, _count_chunks, _km_rows, _sort_sample, km_fit
 from .seeding import seed_tuple, stream
 from .susceptible import _latency_rows
 from .tau import _tau_rows
@@ -135,14 +135,15 @@ def _resample(samples, rng):
 def _looped_replicates(samples, statistic, R, seed):
     point = np.asarray(statistic(*samples), dtype=float)
     values = np.full((R, point.size), np.nan)
+    missing = np.empty(R, bool)
     for r in range(R):
         rng = stream(seed, r)
         try:
-            replicate = statistic(*_resample(samples, rng))
+            values[r, :] = np.asarray(statistic(*_resample(samples, rng)), dtype=float)
         except EstimationError:
-            continue
-        values[r, :] = np.asarray(replicate, dtype=float)
-    return point, values
+            pass
+        missing[r] = not np.isfinite(values[r]).all()
+    return point, values, missing
 
 
 def _counted_replicates(statistic, R, seed):
@@ -151,10 +152,33 @@ def _counted_replicates(statistic, R, seed):
     if not np.all(np.isfinite(point)):
         raise EstimationError("statistic undefined on the original sample")
     values = np.empty((R, point.size))
+    missing = np.empty(R, bool)
     for start, cells in _count_chunks(statistic.summaries, seed, R):
         block = np.asarray(statistic.evaluate(*cells), dtype=float)
-        values[start:start + block.shape[0]] = block.reshape(block.shape[0], -1)
-    return point, values
+        rows = slice(start, start + block.shape[0])
+        values[rows] = block.reshape(block.shape[0], -1)
+        missing[rows] = ~np.isfinite(values[rows]).all(axis=1)
+    return point, values, missing
+
+
+def _column_sd(values, missing):
+    """``np.std(values[~missing], axis=0, ddof=1)`` bit for bit, read in
+    blocks of ``max(2, COUNT_CHUNK_ELEMENTS // R)`` columns: views of
+    ``values`` when no row is missing, else copies of its defined rows.
+
+    numpy sums a block of two or more columns row by row, as it sums the
+    whole matrix, but a lone column pairwise; so a one-column remainder joins
+    the block before it, and only a one-column matrix is read as one column.
+    """
+    R, width = values.shape
+    rows = np.flatnonzero(~missing) if missing.any() else slice(None)
+    edges = list(range(0, width, max(2, COUNT_CHUNK_ELEMENTS // R))) + [width]
+    if len(edges) > 2 and width - edges[-2] == 1:
+        del edges[-2]
+    sd = np.empty(width)
+    for low, high in zip(edges, edges[1:]):
+        sd[low:high] = np.std(values[rows, low:high], axis=0, ddof=1)
+    return sd
 
 
 def bootstrap_stats(samples, statistic, R, seed=0):
@@ -168,7 +192,10 @@ def bootstrap_stats(samples, statistic, R, seed=0):
     ``n_missing``, and it is excluded from the standard deviation; more than
     50% missing raises ``UnstableStatisticError``.  Replicate ``r`` draws from
     the RNG stream ``(seed..., r)``, so results are independent of
-    evaluation order.
+    evaluation order.  The SD is read from the (R x width) replicate matrix
+    in place, a block of columns at a time, and equals ``np.std`` of its
+    defined rows bit for bit; beyond that matrix, memory stays at a few
+    chunk-sized arrays.
 
     ``statistic`` may instead be a ``CountStatistic`` built on ``samples``
     (``ValueError`` if their sizes differ).  Replicate ``r`` is then that
@@ -194,16 +221,15 @@ def bootstrap_stats(samples, statistic, R, seed=0):
     if isinstance(statistic, CountStatistic) and [sample.n for sample in samples] != [
             summary.cell.size for summary in statistic.summaries]:
         raise ValueError("a CountStatistic bootstraps the samples it was built on")
-    point, values = (_counted_replicates(statistic, R, seed) if isinstance(
+    point, values, missing = (_counted_replicates(statistic, R, seed) if isinstance(
         statistic, CountStatistic) else _looped_replicates(samples, statistic, R, seed))
-    missing = ~np.isfinite(values).all(axis=1)
     values[missing] = np.nan
     n_missing = int(missing.sum())
     if n_missing > R / 2 or R - n_missing < 2:
         raise UnstableStatisticError(
             f"statistic undefined on {n_missing} of {R} bootstrap replicates"
         )
-    sd = np.std(values[~missing], axis=0, ddof=1)
+    sd = _column_sd(values, missing)
     if point.ndim == 0:
         return BootstrapResult(values[:, 0], float(point), float(sd[0]),
                                seed, R, n_missing)

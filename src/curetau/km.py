@@ -60,6 +60,15 @@ def _count_rows(sample):
     return _km_rows(summary, summary.ones())
 
 
+def _check_no_jump_at_zero(distinct, jumps, target):
+    """A survival curve starts at 1 at time 0, so it cannot jump there:
+    ``ValueError`` when ``jumps`` (one row of event or censoring counts at
+    the sample's ``distinct`` times) holds one at time 0."""
+    if distinct[0] == 0.0 and jumps[0] > 0:
+        kind = "an event" if target == "event" else "a censoring"
+        raise ValueError(f"{kind} at time 0: the {target} curve cannot jump at time 0")
+
+
 def km_fit(sample, target="event"):
     """Product-limit survival curve for the event or the censoring distribution.
 
@@ -76,6 +85,7 @@ def km_fit(sample, target="event"):
         jumps, curve = rows.events, rows.surv
     else:
         jumps, curve = rows.censored, rows.censoring_curve()
+    _check_no_jump_at_zero(rows.distinct, jumps[0], target)
     mask = jumps[0] > 0
     return StepFunction(rows.distinct[mask], curve[0, mask], initial_value=1.0)
 

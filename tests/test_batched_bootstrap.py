@@ -309,11 +309,11 @@ def test_cure_rates_for_a_grid_are_its_columns(sample, seed, R, grid):
 
 
 @pytest.mark.parametrize("sample, grid, error, message", [
-    # The event curve of a sample with an event at time 0 would jump there.
+    # km_fit's error: the event curve would jump at time 0.
     (ct.Sample([0.0, 0.0, 1.0, 2.0], [1, 1, 0, 0]), DEFAULT_B_GRID, ValueError,
-     "jump locations must be finite and positive"),
+     "an event at time 0: the event curve cannot jump at time 0"),
     (ct.Sample([0.0, 1.0, 2.0], [1, 1, 0]), (0.0, 0.5), ValueError,
-     "jump locations must be finite and positive"),
+     "an event at time 0: the event curve cannot jump at time 0"),
     (ct.Sample([1.0, 2.0, 3.0], [0, 0, 0]), (0.0, 0.5), NoEventsError,
      "no events: the adjusted risk table is undefined"),
     # The first bad b in sorted order.

@@ -381,6 +381,36 @@ def test_out_of_range_flags_exit_2_before_any_work(tmp_path, two_arm_file, capsy
     assert not out.exists()
 
 
+def test_repeated_calls_print_the_same_help_version_and_usage_errors(d1_file, capsys):
+    # The parser is built once per process; parsing must leave it as built.
+    argvs = [["--help"], ["--version"], ["fit", "--help"], ["simulate", "--help"], [],
+             ["fit"], ["fit", "--input", str(d1_file), "--eta-method", "median"],
+             ["nope"], ["fit", "--input", str(d1_file), "--boot", "1"],
+             ["simulate", "--scenario", "table1-eta02", "--jobs", "0"]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    first = [call(argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
+    assert first[0][1] == cli.build_parser().format_help()
+    assert first[1][1] == f"{ct.__version__}\n"
+    assert first[8][2] == "error: --boot must be at least 2\n"
+    assert "invalid choice: 'median'" in first[6][2]
+    for _ in range(2):
+        assert [call(argv) for argv in argvs] == first
+
+
+def test_a_replaced_command_runs_after_the_parser_is_built(d1_file, monkeypatch):
+    assert main(["btune", "--input", str(d1_file), "--boot", "0"]) == 2
+    monkeypatch.setattr(cli, "_run_btune", lambda args: 7)
+    assert main(["btune", "--input", str(d1_file)]) == 7
+
+
 class _Recorded(Exception):
     pass
 

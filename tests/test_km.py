@@ -65,6 +65,22 @@ def test_risk_table_requires_events():
         ct.risk_table(ct.Sample([1, 2], [0, 0]))
 
 
+@pytest.mark.parametrize("status, target, message", [
+    (1, "event", "an event at time 0: the event curve cannot jump at time 0"),
+    (0, "censoring", "a censoring at time 0: the censoring curve cannot jump at time 0"),
+    (1, "censoring", None),
+    (0, "event", None),
+])
+def test_a_curve_that_would_jump_at_time_0_names_it(status, target, message):
+    sample = ct.Sample([0.0, 0.0, 1.0, 2.0], [status, status, 1, 0])
+    if message is None:
+        assert ct.km_fit(sample, target).x[0] > 0
+        return
+    with pytest.raises(ValueError) as info:
+        ct.km_fit(sample, target)
+    assert str(info.value) == message
+
+
 @settings(max_examples=300)
 @given(sample=tied_samples(), drawn=st.lists(st.floats(1e-3, 8.0), max_size=4))
 def test_censoring_weight_bounded_below_by_risk_share(sample, drawn):
