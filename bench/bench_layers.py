@@ -11,10 +11,11 @@ extrapolated cure rate on the fitted event curve (b = 0.8 at the largest
 event time), and ``self_consistency_residual`` of the sample's own latency
 curve.  At n = 20 000 each case also records the tracemalloc peak of one
 call, in MB, as ``extra_info["peak_mb"]``, so that any quadratic temporary
-shows.  ``true_tau_quadrature`` is timed once, on the ``table3-eta02`` arms
-at t = 0.5, for each kind of process.  ``parse_csv`` reads the ``write_csv``
-text of a ``table3-eta02`` draw of n = 200, 2 000 and 20 000 subjects, half
-in each arm.
+shows.  ``true_tau_quadrature`` is timed at t = 0.5 for each kind of
+process, on the ``table3-eta02`` arms (Beta(1, 4) against Beta(1, 2)) and on
+the ``table4-eta02`` ones (against Beta(0.5, 1.5), whose density is singular
+at 0).  ``parse_csv`` reads the ``write_csv`` text of a ``table3-eta02`` draw
+of n = 200, 2 000 and 20 000 subjects, half in each arm.
 """
 
 import dataclasses
@@ -94,8 +95,9 @@ def test_parse_csv(benchmark, n):
 
 
 @pytest.mark.parametrize("kind", ["susceptible", "overall"])
-def test_true_tau_quadrature(benchmark, kind):
-    design, _ = ct.preset("table3-eta02")
+@pytest.mark.parametrize("scenario", ["table3-eta02", "table4-eta02"])
+def test_true_tau_quadrature(benchmark, scenario, kind):
+    design, _ = ct.preset(scenario)
     arm0, arm1 = design.arm0, design.arm1
 
     def truth():

@@ -2,12 +2,16 @@
 
 Used both to generate susceptible event times and to compute population
 truths by quadrature.  All sampling goes through the inverse CDF so draws are
-fully determined by the supplied uniforms.
+fully determined by the supplied uniforms.  A truth reads a latency through
+``sf``, ``cdf``, ``ppf`` and ``support_end`` only: it integrates one arm's
+survival over the other arm's quantiles.
 
 The Beta methods and the Weibull density evaluate the ``scipy.special`` and
 numpy forms that ``stats.beta`` and ``stats.weibull_min`` call, with the same
 support rule, so they equal ``scipy.stats`` bit for bit without importing it
-(an import that costs a CLI call about a second).
+(an import that costs a CLI call about a second).  Where
+``scipy.special._ufuncs`` lacks the two Beta forms, they are taken from
+``stats.beta``, with the same values bit for bit.
 """
 
 import math

@@ -69,6 +69,14 @@ def _check_no_jump_at_zero(distinct, jumps, target):
         raise ValueError(f"{kind} at time 0: the {target} curve cannot jump at time 0")
 
 
+def _check_no_observation_at_zero(*samples):
+    """Estimators of both curves reject time 0: ``km_fit``'s event message if
+    a sample has an event there, else its censoring message."""
+    for target, status in (("event", 1), ("censoring", 0)):
+        for summary in map(_sort_sample, samples):
+            _check_no_jump_at_zero(summary.distinct, summary.ones()[0, status::2], target)
+
+
 def km_fit(sample, target="event"):
     """Product-limit survival curve for the event or the censoring distribution.
 
@@ -131,9 +139,10 @@ class RiskTable:
 
 
 def risk_table(sample):
-    """Build the adjusted risk table; requires at least one event."""
+    """Build the adjusted risk table; needs an event and no observation at time 0."""
     if sample.n == 0:
         raise ValueError("sample is empty")
+    _check_no_observation_at_zero(sample)
     if sample.n_events == 0:
         raise NoEventsError("no events: the adjusted risk table is undefined")
     rows = _count_rows(sample)

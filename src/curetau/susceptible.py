@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .km import _count_rows, _left_limits, _sort_sample, km_fit, risk_table
+from .km import (_check_no_observation_at_zero, _count_rows, _left_limits, _sort_sample, km_fit,
+                 risk_table)
 from .stepfun import StepFunction
 
 
@@ -103,9 +104,10 @@ def susceptible_curve(sample, eta):
 
 def _sample_rows(sample):
     """The sample's count rows and its censoring curve, for the phi and H1a
-    estimators; raises on an empty sample."""
+    estimators; raises on an empty sample or an observation at time 0."""
     if sample.n == 0:
         raise ValueError("sample is empty")
+    _check_no_observation_at_zero(sample)
     rows = _count_rows(sample)
     return rows, rows.censoring_curve()[0]
 
@@ -156,13 +158,6 @@ class SelfConsistencyReport:
     max_residual: float
     phi_curve: StepFunction
     h1a_curve: StepFunction
-
-
-def _phi_right_limits(sample, eta, censored_times):
-    """phi evaluated just after each censored time."""
-    rows, censoring = _sample_rows(sample)
-    at = np.searchsorted(rows.distinct, censored_times)
-    return _phi_after(rows, censoring, sample.n, eta, at)
 
 
 def _phi_after(rows, censoring, n, eta, at):

@@ -14,10 +14,10 @@ pair masses come from those counts alone and go into the grid with one
 ``np.bincount`` per arm.  ``tau_curve`` and ``tau_a_curve`` evaluate the row
 of ones; the bootstrap (``inference._two_arm_statistic``) the drawn rows.
 
-The population truth ``true_tau_quadrature`` integrates the latency
-distributions with a numpy form of QUADPACK's QAGS rule (``_quad``:
-21-point Gauss-Kronrod, bisection and Wynn's epsilon extrapolation; Piessens
-et al. 1983, Wynn 1956) to an absolute and relative tolerance of 1e-9.
+The population truth ``true_tau_quadrature`` is one bounded integral on arm
+1's probability scale, which ``_quad`` takes by adaptive 21-point
+Gauss-Kronrod bisection (QUADPACK's rule; Piessens et al. 1983) to an
+absolute and relative tolerance of 1e-9.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ import numpy as np
 from .cure import _cure_rate_rows
 from .data import _csv_columns, _csv_text
 from .errors import EstimationError, ToleranceError
-from .km import _km_rows, _left_limits, _sort_sample
+from .km import _check_no_observation_at_zero, _km_rows, _left_limits, _sort_sample
 from .susceptible import _latency_rows
 
 
@@ -132,6 +132,7 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
     """
     if sample0.n == 0 or sample1.n == 0:
         raise ValueError("both samples must be non-empty")
+    _check_no_observation_at_zero(sample0, sample1)
     if etas is not None and max(eta.value for eta in etas) >= 1.0:
         raise EstimationError("degenerate mixture: cure rate at or above 1")
     etas = (None, None) if etas is None else tuple(etas)
@@ -248,123 +249,79 @@ _GAUSS_WEIGHTS[1::2] = np.concatenate((_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[
 
 _QUAD_TOL = 1e-9
 _QUAD_MAX_INTERVALS = 1000
-# Wynn's table keeps the latest partial totals only (QUADPACK keeps 50), and
-# a limit is trusted once this many successive ones agree.
-_EPSILON_TERMS = 50
-_EPSILON_AGREEING = 4
-
-
-def _kronrod(fn, lo, hi):
-    """Each interval's 21-point Kronrod value and its gap to the 10-point
-    Gauss value, from one call of ``fn`` on every interval's nodes."""
-    half = 0.5 * (hi - lo)
-    values = fn((lo + half)[:, None] + half[:, None] * _KRONROD_NODES)
-    if not np.all(np.isfinite(values)):
-        raise ToleranceError("quadrature integrand is not finite at a node")
-    kronrod = half * (values @ _KRONROD_WEIGHTS)
-    return kronrod, np.abs(kronrod - half * (values @ _GAUSS_WEIGHTS))
-
-
-def _epsilon_limit(totals):
-    """Wynn's epsilon algorithm on a sequence of partial totals: the entry of
-    the highest even column that its latest terms build (Wynn 1956)."""
-    previous, column = np.zeros(len(totals) + 1), np.asarray(totals)
-    limit = column[-1]
-    for order in range(1, len(totals)):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            column, previous = previous[1:-1] + 1.0 / np.diff(column), column
-        if not np.all(np.isfinite(column)):
-            break  # two equal entries, or an overflow: the table ends here
-        if order % 2 == 0:
-            limit = column[-1]
-    return limit
 
 
 def _quad(fn, upper):
     """The integral of ``fn`` over ``[0, upper]`` to within
     ``1e-9 * max(1, |value|)``, or ``ToleranceError``.
 
-    The rule is QUADPACK's QAGS (Piessens et al. 1983): 21-point
-    Gauss-Kronrod on each interval, with the gap to the embedded 10-point
-    Gauss value as its error, bisection, and Wynn's epsilon extrapolation.
-    ``fn`` must take an array of points.  Each sweep evaluates it once, on
-    the nodes of every newly made interval, and then bisects every interval
-    whose error is above its share of the tolerance (its share of the
-    length), and always the worst one.  While a sweep bisects only the
-    shortest intervals, as near an endpoint singularity, the sweep's total
-    joins Wynn's table.  A singularity at the upper end cannot be bisected
-    far in double precision, and the table's limit reaches it.  The value is
-    the total once the errors sum within tolerance, or the table's limit
-    once its last successive limits agree within tolerance together with
-    the error of the intervals left whole.  No value is returned otherwise:
-    a non-finite integrand, an interval too short to bisect, or more than
-    ``_QUAD_MAX_INTERVALS`` intervals raise ``ToleranceError``.
+    The rule is QUADPACK's adaptive 21-point Gauss-Kronrod (Piessens et al.
+    1983), with the gap to the embedded 10-point Gauss value as each
+    interval's error.  ``fn`` must take an array of points.  Each sweep
+    bisects, and calls ``fn`` once on the nodes of every new half: first the
+    whole range, since one interval's gap can vanish by coincidence (on one
+    Beta/Weibull truth it read 2.2e-10 against an error of 1.5e-9); then
+    every interval whose error is above its share of the tolerance (its
+    share of the length), and always the worst one.  The value is the total
+    once the errors sum within tolerance.  A non-finite integrand, an
+    interval too short to bisect, or more than ``_QUAD_MAX_INTERVALS``
+    intervals raise ``ToleranceError``.
     """
     if upper <= 0:
         return 0.0
-    lo, hi = np.array([0.0]), np.array([float(upper)])
-    values, errors = _kronrod(fn, lo, hi)
-    totals, limits = [], []
+    lo, hi, split = np.array([0.0]), np.array([float(upper)]), np.array([True])
+    values = errors = np.zeros(1)
     while True:
+        left, right = lo[split], hi[split]
+        middle = 0.5 * (left + right)
+        new_lo, new_hi = np.concatenate((left, middle)), np.concatenate((middle, right))
+        half = 0.5 * (new_hi - new_lo)
+        nodes = fn((new_lo + half)[:, None] + half[:, None] * _KRONROD_NODES)
+        if not np.all(np.isfinite(nodes)):
+            raise ToleranceError("quadrature integrand is not finite at a node")
+        kronrod = half * (nodes @ _KRONROD_WEIGHTS)
+        lo, hi = np.concatenate((lo[~split], new_lo)), np.concatenate((hi[~split], new_hi))
+        values = np.concatenate((values[~split], kronrod))
+        errors = np.concatenate((errors[~split], np.abs(kronrod - half * (nodes @ _GAUSS_WEIGHTS))))
         total = float(values.sum())
         bound = _QUAD_TOL * max(1.0, abs(total))
         if errors.sum() <= bound:
             return total
-        width = hi - lo
-        split = errors * upper > bound * width
+        split = errors * upper > bound * (hi - lo)
         split[np.argmax(errors)] = True
-        if width[split].max() <= 2.0 * width.min():
-            totals = (totals + [total])[-_EPSILON_TERMS:]
-            if len(totals) >= 3:  # the first table with an extrapolated column
-                limits.append(_epsilon_limit(totals))
-            agreeing = limits[-_EPSILON_AGREEING:]
-            if (len(agreeing) == _EPSILON_AGREEING
-                    and max(agreeing) - min(agreeing) + errors[~split].sum() <= bound):
-                return float(limits[-1])
-        else:
-            totals, limits = [], []
-        left, right = lo[split], hi[split]
-        if lo.size + left.size > _QUAD_MAX_INTERVALS or np.any(
-                right - left <= 1e4 * np.finfo(float).eps * np.maximum(abs(left), abs(right))):
+        if lo.size + split.sum() > _QUAD_MAX_INTERVALS or np.any(
+                (hi - lo)[split] <= 1e4 * np.finfo(float).eps * np.maximum(abs(lo), abs(hi))[split]):
             raise ToleranceError(
                 f"quadrature error estimate {errors.sum():g} above the tolerance {bound:g}")
-        middle = 0.5 * (left + right)
-        halves = (np.concatenate((left, middle)), np.concatenate((middle, right)))
-        new_values, new_errors = _kronrod(fn, *halves)
-        lo, hi = np.concatenate((lo[~split], halves[0])), np.concatenate((hi[~split], halves[1]))
-        values = np.concatenate((values[~split], new_values))
-        errors = np.concatenate((errors[~split], new_errors))
 
 
 def true_tau_quadrature(dist0, dist1, eta0, eta1, t, kind="susceptible"):
-    """Population tau value at time ``t`` by adaptive quadrature.
+    """Population tau value at time ``t``, from one bounded integral.
 
-    ``kind="susceptible"`` integrates the latency distributions directly;
-    ``kind="overall"`` integrates the cure mixtures, where each arm's
-    survival is ``(1-eta)*Sa + eta`` and its event density carries the
-    factor ``1-eta``.  Each of the two integrals is met within
-    ``1e-9 * max(1, |value|)`` by ``_quad``, which raises ``ToleranceError``
-    where it cannot be.
+    Each arm's survival is ``S~ = (1-eta)*S + eta``; ``kind="susceptible"``
+    sets ``eta0 = eta1 = 0``.  A pair's first event comes by ``t`` and is
+    arm 0's (``A``) or arm 1's (``B``) with total probability
+    ``1 - S~0(t)*S~1(t)``, so tau(t) = A - B = ``1 - S~0(t)*S~1(t) - 2B``.
+    On arm 1's probability scale ``B`` is ``(1-eta1)`` times the integral
+    of ``S~0(ppf1(p))`` over ``[0, F1(t)]``, an integrand in [0, 1] whatever
+    the densities do at their ends.  It is ``eta0`` past arm 0's support
+    end, so ``_quad`` stops at ``cut = F1(min(t, end0))`` (within
+    ``1e-9 * max(1, |value|)``, else ``ToleranceError``; the truth within
+    twice that) and ``eta0*(F1(t) - cut)`` is added.  A latency needs
+    ``sf``, ``cdf``, ``ppf`` and ``support_end``.
     """
     if kind not in ("overall", "susceptible"):
         raise ValueError(f"kind must be 'overall' or 'susceptible', got {kind!r}")
     if t <= 0:
         return 0.0
     if kind == "susceptible":
-        first = _quad(lambda u: dist1.sf(u) * dist0.pdf(u), min(t, dist0.support_end))
-        second = _quad(lambda u: dist0.sf(u) * dist1.pdf(u), min(t, dist1.support_end))
-        return first - second
-    keep0 = 1.0 - eta0
-    keep1 = 1.0 - eta1
-    first = _quad(
-        lambda u: (keep1 * dist1.sf(u) + eta1) * keep0 * dist0.pdf(u),
-        min(t, dist0.support_end),
-    )
-    second = _quad(
-        lambda u: (keep0 * dist0.sf(u) + eta0) * keep1 * dist1.pdf(u),
-        min(t, dist1.support_end),
-    )
-    return first - second
+        eta0 = eta1 = 0.0
+    cut = float(dist1.cdf(min(t, dist0.support_end)))
+    arm1_first = (1.0 - eta1) * (
+        _quad(lambda p: (1.0 - eta0) * dist0.sf(dist1.ppf(p)) + eta0, cut)
+        + eta0 * (float(dist1.cdf(t)) - cut))
+    survivors = ((1.0 - eta0) * dist0.sf(t) + eta0) * ((1.0 - eta1) * dist1.sf(t) + eta1)
+    return float(1.0 - survivors - 2.0 * arm1_first)
 
 
 def decomposition_residual(dist0, dist1, eta0, eta1, t):

@@ -81,6 +81,46 @@ def test_a_curve_that_would_jump_at_time_0_names_it(status, target, message):
     assert str(info.value) == message
 
 
+EVENT_AT_0 = "an event at time 0: the event curve cannot jump at time 0"
+CENSORING_AT_0 = "a censoring at time 0: the censoring curve cannot jump at time 0"
+CLEAN = ct.Sample([1, 2, 3], [1, 0, 1])
+ETA = ct.CureRateEstimate(value=0.2, method="tail", raw_value=0.2)
+BOTH_CURVE_ESTIMATORS = {
+    "risk_table": ct.risk_table,
+    "phi_hat": lambda sample: ct.phi_hat(sample, ETA),
+    "h1a_hat": lambda sample: ct.h1a_hat(sample, ETA),
+    "self_consistency_residual":
+        lambda sample: ct.self_consistency_residual(lambda t: np.ones(np.shape(t)), sample, ETA),
+    "tau_curve arm 0": lambda sample: ct.tau_curve(sample, CLEAN),
+    "tau_curve arm 1": lambda sample: ct.tau_curve(CLEAN, sample),
+    "tau_a_curve arm 0": lambda sample: ct.tau_a_curve(sample, CLEAN, ETA, ETA),
+    "tau_a_curve arm 1": lambda sample: ct.tau_a_curve(CLEAN, sample, ETA, ETA),
+}
+
+
+@pytest.mark.parametrize("entry", list(BOTH_CURVE_ESTIMATORS))
+@pytest.mark.parametrize("sample, message", [
+    (ct.Sample([0, 1, 2, 3], [1, 1, 0, 1]), EVENT_AT_0),
+    (ct.Sample([0, 1, 2, 3], [0, 1, 0, 1]), CENSORING_AT_0),
+    (ct.Sample([0, 0, 1, 2], [0, 1, 0, 1]), EVENT_AT_0),  # the event message first
+])
+def test_estimators_of_both_curves_name_an_observation_at_time_0(entry, sample, message):
+    """Unlike ``km_fit``, which reads one curve, these reject any observation
+    at time 0 with ``km_fit``'s messages."""
+    with pytest.raises(ValueError) as info:
+        BOTH_CURVE_ESTIMATORS[entry](sample)
+    assert str(info.value) == message
+    BOTH_CURVE_ESTIMATORS[entry](CLEAN)
+
+
+def test_two_arms_name_an_event_at_time_0_before_a_censoring():
+    censoring = ct.Sample([0, 1, 2], [0, 1, 1])
+    event = ct.Sample([0, 1, 2], [1, 1, 0])
+    for arms in ((censoring, event), (event, censoring)):
+        with pytest.raises(ValueError, match="^an event at time 0"):
+            ct.tau_curve(*arms)
+
+
 @settings(max_examples=300)
 @given(sample=tied_samples(), drawn=st.lists(st.floats(1e-3, 8.0), max_size=4))
 def test_censoring_weight_bounded_below_by_risk_share(sample, drawn):

@@ -45,3 +45,58 @@ print(json.dumps({"before": before, "value": value,
     assert seen["after"] == []
     assert seen["value"] == ct.true_tau_quadrature(ct.BetaLatency(1, 4), ct.BetaLatency(1, 2),
                                                    0.2, 0.2, 0.5)
+
+
+BETA_PROBE = """
+import builtins, json, sys
+import numpy as np
+
+hidden = {"_beta_pdf", "_beta_ppf"}
+real_import = builtins.__import__
+
+
+def hiding_import(name, globals=None, locals=None, fromlist=(), level=0):
+    if name == "scipy.special._ufuncs" and hidden & set(fromlist or ()):
+        raise ImportError(f"cannot import name {sorted(hidden)[0]!r} from {name!r}")
+    return real_import(name, globals, locals, fromlist, level)
+
+
+if sys.argv[1] == "fallback":
+    builtins.__import__ = hiding_import
+import curetau as ct
+from curetau import distributions
+builtins.__import__ = real_import
+
+points = np.concatenate(([-0.5, 0.0, 1e-12], np.linspace(0.0, 1.0, 201),
+                         [1.0 - 2.0 ** -53, 1.0, 1.5]))
+values = {}
+for alpha, beta in ((1, 4), (0.5, 1.5), (0.3, 0.3), (3, 0.6), (6, 2.5)):
+    dist = ct.BetaLatency(alpha, beta)
+    for method in ("sf", "cdf", "pdf", "ppf"):
+        values[f"{method}{alpha},{beta}"] = np.asarray(getattr(dist, method)(points)).tolist()
+design, _ = ct.preset("table4-eta02")
+arm0, arm1 = design.arm0, design.arm1
+for kind in ("susceptible", "overall"):
+    values[kind] = [ct.true_tau_quadrature(arm0.latency, arm1.latency, arm0.eta, arm1.eta,
+                                           t / 10, kind=kind) for t in range(1, 11)]
+print(json.dumps({"fallback": hasattr(distributions, "stats"),
+                  "values": {key: [float(v).hex() for v in value]
+                             for key, value in values.items()}}))
+"""
+
+
+def test_beta_fallback_through_scipy_stats_is_bit_identical():
+    """Where ``scipy.special._ufuncs`` lacks ``_beta_pdf``/``_beta_ppf``,
+    ``BetaLatency`` reaches the same forms through ``scipy.stats.beta``: an
+    import hook hides the two names in a child process, and the four methods
+    and the table4 truths, which call ``ppf``, equal the default path bit for
+    bit."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    seen = {}
+    for path in ("default", "fallback"):
+        done = subprocess.run([sys.executable, "-c", BETA_PROBE, path], env=env,
+                              capture_output=True, text=True, check=True)
+        seen[path] = json.loads(done.stdout)
+    assert not seen["default"]["fallback"]
+    assert seen["fallback"]["fallback"]
+    assert seen["fallback"]["values"] == seen["default"]["values"]

@@ -5,8 +5,16 @@ from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.errors import EstimationError
-from curetau.susceptible import _phi_right_limits
+from curetau.susceptible import _phi_after, _sample_rows
 from conftest import cross_tie_free_samples, sample_corpus, tied_samples
+
+
+def phi_right_limits(sample, eta, censored_times):
+    """phi evaluated just after each censored time, by the estimator's own
+    ``_phi_after``."""
+    rows, censoring = _sample_rows(sample)
+    at = np.searchsorted(rows.distinct, censored_times)
+    return _phi_after(rows, censoring, sample.n, eta, at)
 
 
 def quadratic_redistributed(candidate, sample, eta):
@@ -17,7 +25,7 @@ def quadratic_redistributed(candidate, sample, eta):
     censored_times = sample.times[sample.status == 0]
     if not censored_times.size:
         return np.zeros_like(times)
-    phi_plus = _phi_right_limits(sample, eta, censored_times)
+    phi_plus = phi_right_limits(sample, eta, censored_times)
     cand_c = np.asarray(candidate(censored_times), dtype=float)
     include = censored_times[:, None] <= times[None, :]
     live = include & (cand_t > 0.0)[None, :]
@@ -224,7 +232,7 @@ class TestCorpusProperties:
 
 
 def phi_right_limits_oracle(sample, eta, censored_times):
-    """``_phi_right_limits`` from the refitted censoring curve and a count of
+    """``phi_right_limits`` from the refitted censoring curve and a count of
     the subjects observed after each time."""
     beyond = sample.n - np.searchsorted(np.sort(sample.times), censored_times, side="right")
     numerator = eta.value * ct.km_fit(sample, "censoring")(censored_times)
@@ -262,7 +270,7 @@ def test_censoring_products_match_refitted_censoring_curve(sample, eta):
     assert np.array_equal(h1a.x, distinct)
     assert np.array_equal(h1a.y, beyond / sample.n - eta * censoring(distinct))
     censored_times = sample.times[sample.status == 0]
-    got = outcome(lambda: _phi_right_limits(sample, estimate, censored_times))
+    got = outcome(lambda: phi_right_limits(sample, estimate, censored_times))
     expected = outcome(lambda: phi_right_limits_oracle(sample, estimate, censored_times))
     if isinstance(expected, tuple):
         assert got == expected

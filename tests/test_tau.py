@@ -378,16 +378,60 @@ def test_quadrature_matches_scipy_quad():
     assert checked >= 180
 
 
-def test_quadrature_extrapolates_past_early_agreement():
-    """Beta(0.72, 0.70) is singular at both ends with nearly equal powers, so
-    two or three successive epsilon limits first agree about 1e-8 away from
-    the integral."""
+def test_quadrature_with_both_ends_singular():
+    """Beta(0.72, 0.70) has a density singular at both ends with nearly equal
+    powers.  On arm 1's probability scale its survival stays bounded but
+    has an infinite slope at both ends of the range, so bisection must
+    reach deep at each end."""
     dist0 = ct.BetaLatency(0.7193085603846026, 0.700859645344543)
     dist1 = ct.BetaLatency(5.25246947777972, 3.9141988822804263)
     etas = (0.2979430162793118, 0.09812604971788816)
     value = ct.true_tau_quadrature(dist0, dist1, *etas, 1.0, kind="overall")
     assert value == pytest.approx(quad_truth(dist0, dist1, *etas, 1.0, "overall"),
                                   abs=QUAD_ORACLE_TOLERANCE)
+
+
+def test_quadrature_mixed_supports_against_30_digits():
+    """A truncated Weibull on [0, 3] against a Beta on [0, 1], read at t = 3,
+    past the Beta's support end, in both orientations: frozen from a
+    30-digit mpmath quadrature of the two pair integrals."""
+    weibull, beta = ct.TruncatedWeibullLatency(3, 2, 3), ct.BetaLatency(3, 0.6)
+    exact = -0.5378531354040383
+    value = ct.true_tau_quadrature(weibull, beta, 0.2, 0.2, 3.0, kind="overall")
+    assert value == pytest.approx(exact, abs=QUAD_ORACLE_TOLERANCE)
+    value = ct.true_tau_quadrature(beta, weibull, 0.2, 0.2, 3.0, kind="overall")
+    assert value == pytest.approx(-exact, abs=QUAD_ORACLE_TOLERANCE)
+
+
+def mixed_latency_pairs(rng, count):
+    """Beta/Beta, truncated Weibull/Weibull and Beta/Weibull pairs in turn;
+    each Weibull has its own support end, so most pairs have mixed supports."""
+    def beta():
+        return ct.BetaLatency(*rng.uniform(0.3, 6.0, 2))
+
+    def weibull():
+        return ct.TruncatedWeibullLatency(rng.uniform(0.4, 3.0), rng.uniform(0.5, 10.0),
+                                          rng.uniform(1.0, 10.0))
+
+    makers = ((beta, beta), (weibull, weibull), (beta, weibull))
+    for i in range(count):
+        yield tuple(make() for make in makers[i % 3])
+
+
+def test_quadrature_negates_under_arm_swap():
+    """Each orientation integrates on its own arm 1's probability scale, so
+    the swapped truth is another integral: it is the negated truth within
+    the quadrature tolerance, at times inside and past either support."""
+    rng = np.random.default_rng(17)
+    for dist0, dist1 in mixed_latency_pairs(rng, 30):
+        eta0, eta1 = rng.uniform(0.0, 0.6, 2)
+        end = max(dist0.support_end, dist1.support_end)
+        for t in (0.1 * end, 0.4 * end, 0.7 * end, end):
+            for kind in ("susceptible", "overall"):
+                value = ct.true_tau_quadrature(dist0, dist1, eta0, eta1, t, kind=kind)
+                swapped = ct.true_tau_quadrature(dist1, dist0, eta1, eta0, t, kind=kind)
+                assert value == pytest.approx(-swapped, abs=QUAD_ORACLE_TOLERANCE), \
+                    (dist0, dist1, eta0, eta1, t, kind)
 
 
 def test_quadrature_raises_instead_of_diverging():
