@@ -66,8 +66,17 @@ class BetaLatency:
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
+        x = np.clip(t, 0.0, 1.0)
+        # At a subnormal x with alpha < 1 the ufunc raises OverflowError for
+        # the whole call; there the density is taken in log form instead.
+        subnormal = (x > 0.0) & (x < np.finfo(float).tiny)
+        a, b = self.alpha, self.beta
         with np.errstate(over="ignore"):
-            dens = _beta_pdf(np.clip(t, 0.0, 1.0), self.alpha, self.beta)
+            dens = _beta_pdf(np.where(subnormal, 0.5, x), a, b)
+            if subnormal.any():
+                log = (special.xlogy(a - 1.0, x) + special.xlog1py(b - 1.0, -x)
+                       - special.betaln(a, b))
+                dens = np.where(subnormal, np.exp(log), dens)
         return np.where((t < 0.0) | (t > 1.0), 0.0, dens)[()]
 
     def ppf(self, q):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoEventsError
-from .seeding import _pcg64_states, stream
+from .seeding import _pcg64_states, _seated_pcg64, stream
 from .stepfun import StepFunction
 
 #: Element budget of one chunk of bootstrap count rows: each arm's
@@ -176,27 +176,31 @@ def _count_chunks(summaries, seed, R):
     ``COUNT_CHUNK_ELEMENTS // max(n)`` rows (at least one).  Yields
     ``(start, cells)``, with one (rows x 2K) int64 array per arm.
 
-    No Generator is built per replicate.  ``integers`` reads the raw PCG64
-    outputs of ``seeding._pcg64_states`` as 32-bit words, low half first,
-    carried from arm 0 into arm 1 (an arm of one subject reads none), and
-    word u draws subject ``(u * n) >> 32`` (Lemire), the high half of one
-    uint64 product.  It would reject u where the low half, ``u * n mod
-    2**32``, is below ``(2**32 - n) % n``: such a row (about 1 in 370 at
-    n = 5 000) is drawn again from ``stream(seed, r)``.
+    No Generator is built per replicate.  One PCG64 serves every row: each
+    row's four state words from ``seeding._pcg64_states`` are written
+    straight into numpy's ``pcg64_random_t`` through a view of it
+    (``seeding._seated_pcg64``), with no ``state`` setter and no Python
+    integer per row.  Once per process a probe checks, on a fixed seed,
+    that such a write seats the generator as the setter does; on a build
+    that lays the 128-bit words out otherwise, each row is seated through
+    the setter instead, from the same words.  ``integers`` reads the raw
+    outputs as 32-bit words, low half first, carried from arm 0 into arm 1
+    (an arm of one subject reads none), and word u draws subject
+    ``(u * n) >> 32`` (Lemire), the high half of one uint64 product.  It
+    would reject u where the low half, ``u * n mod 2**32``, is below
+    ``(2**32 - n) % n``: such a row (about 1 in 370 at n = 5 000) is drawn
+    again from ``stream(seed, r)``.
     """
     sizes = [summary.cell.size for summary in summaries]
     step = max(1, COUNT_CHUNK_ELEMENTS // max(sizes))
     outputs = (sum(n for n in sizes if n > 1) + 1) // 2
     states = _pcg64_states(seed, R)
-    bitgen = np.random.PCG64(0)
-    pcg = {"state": 0, "inc": 0}
-    setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    bitgen, seat = _seated_pcg64()
     for start in range(0, R, step):
         rows = min(R, start + step) - start
         raw = np.empty((rows, outputs), np.uint64)
-        for row, (state, inc) in enumerate(states[start:start + rows]):
-            pcg["state"], pcg["inc"] = state, inc
-            bitgen.state = setting
+        for row, words in enumerate(states[start:start + rows]):
+            seat(words)
             raw[row] = bitgen.random_raw(outputs)
         uniform = raw.astype("<u8", copy=False).view("<u4")
         cells, offset, rejected = [], 0, np.zeros(rows, bool)

@@ -52,6 +52,30 @@ def test_beta_latency_equals_scipy_beta(alpha, beta):
         assert np.array_equal(value, expected, equal_nan=True)
 
 
+def test_beta_density_at_subnormal_times_is_taken_in_log_form():
+    """``_beta_pdf`` (and ``stats.beta.pdf``) raise OverflowError at a
+    subnormal t when alpha < 1; ``BetaLatency.pdf`` takes those points in log
+    form and leaves every other point of the same array bit-identical to
+    ``stats.beta``, t = 0 (inf) included."""
+    mpmath = pytest.importorskip("mpmath")
+    tiny = np.finfo(float).tiny
+    points = np.array([-1.0, 0.0, 5e-324, 1e-310, tiny / 2, tiny, 1e-300, 0.5, 1.0, 1.5])
+    subnormal = (points > 0.0) & (points < tiny)
+    for alpha, beta in ((0.3, 0.3), (0.5, 1.5), (2.5, 0.7), (1, 1)):
+        dist, ref = ct.BetaLatency(alpha, beta), stats.beta(alpha, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = dist.pdf(points)
+        assert np.array_equal(values[~subnormal], ref.pdf(points[~subnormal]))
+        with mpmath.workdps(30):
+            for t, value in zip(points[subnormal], values[subnormal]):
+                x = mpmath.mpf(float(t))
+                exact = x ** (alpha - 1) * (1 - x) ** (beta - 1) / mpmath.beta(alpha, beta)
+                assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0), (alpha, t)
+                assert dist.pdf(float(t)) == value
+    assert ct.BetaLatency(0.3, 0.3).pdf(1e-310) == pytest.approx(1.664e216, rel=1e-3)
+
+
 def _latencies():
     """Every preset's latency distribution, then the Beta pairs above."""
     found = {}
