@@ -111,7 +111,12 @@ def _times_multiplier(lo, hi):
 
 def _state_view(bitgen):
     """``bitgen``'s ``pcg64_random_t`` as a writable array of four uint64
-    words, through the pointer its state struct starts with."""
+    words, through the pointer its state struct starts with.
+
+    This assumes numpy's ``pcg64_state`` begins with a ``pcg64_random_t *``,
+    as it has since numpy 1.17; ``_words_are_the_state`` checks only the
+    order of the words the pointer leads to, and a struct laid out otherwise
+    would be read from a wrong address before that check could fail."""
     address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
     words = (ctypes.c_uint64 * 4).from_address(address)
     words.owner = bitgen  # the view keeps the memory's owner alive
@@ -136,7 +141,8 @@ def _words_are_the_state():
     as ``__uint128_t``, low word first, on gcc/clang little-endian builds,
     and as a {high, low} struct elsewhere.  Checked once per process on a
     fixed seed: the view must read the words the setter wrote before one is
-    written through it."""
+    written through it.  Only that word order is checked: ``_state_view``
+    itself assumes where numpy keeps the ``pcg64_random_t``."""
     first, second = _pcg64_states((2 ** 64 + 3, 5), 2)
     direct, setter = np.random.PCG64(0), np.random.PCG64(0)
     _setter_seat(direct)(first)

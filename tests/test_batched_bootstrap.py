@@ -531,11 +531,22 @@ def test_count_rows_are_the_looped_draws(seating, sizes, seed, past_boundary, sl
         assert np.array_equal(drawn, looped)
 
 
+class HighWordFirst:
+    """The state words as a view of a {high, low} pcg128_t reads them:
+    ``[state_hi, state_lo, inc_hi, inc_lo]``."""
+
+    def __init__(self, words):
+        self.pairs = words.reshape(2, 2)[:, ::-1]
+
+    def __array__(self, dtype=None, copy=None):
+        return self.pairs.reshape(4)
+
+
 def test_a_view_in_another_layout_fails_the_probe(monkeypatch):
-    # The words written high word first, as into a {high, low} pcg128_t:
-    # the probe refuses the view, and the rows are seated by the setter.
+    # A view of the struct that a {high, low} pcg128_t lays out: the probe
+    # refuses it on reading, and the rows are seated by the setter.
     view = seeding._state_view
-    monkeypatch.setattr(seeding, "_state_view", lambda bitgen: view(bitgen)[::-1])
+    monkeypatch.setattr(seeding, "_state_view", lambda bitgen: HighWordFirst(view(bitgen)))
     monkeypatch.setattr(seeding, "_words_are_the_state",
                         functools.cache(seeding._words_are_the_state.__wrapped__))
     assert not seeding._words_are_the_state()

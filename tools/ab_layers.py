@@ -2,22 +2,22 @@
 
 Run from a checkout, naming the commit to compare the checked-out tree with:
 
-    python3 tools/ab_layers.py BASE [--rounds 21]
+    python3 tools/ab_layers.py BASE
 
 BASE is exported with ``git archive`` into a temporary directory and its
 ``src/curetau`` imported as the package ``curetau_base``; the checked-out
 ``src/curetau`` is imported as ``curetau``.  Each case gives both the same
-inputs and calls them in turn, round by round, the one that goes first
+inputs and calls them in turn for ``ROUNDS`` rounds, the one that goes first
 alternating from round to round, so a drift in the machine's load falls on
 both alike (timing one commit per process cannot show a 10-30 % change on a
 loaded host).
 
-The cases are ``km._count_chunks`` drawing all R = 500 replicates of one
-arm, or of two arms of the same size, at n = 200, 2 000 and 5 000 (each arm
-a ``table3-eta02`` draw), and ``seeding._pcg64_states`` at R = 500 and
-5 000.  A ``_count_chunks`` call is timed over all its chunks, after a
-check that the two commits draw the same rows.  For each case it prints both sides' median
-and quartiles in milliseconds and the rounds the checked-out tree won.
+The cases are those of ``bench/bench_draws.py``: ``km._count_chunks``
+drawing all R replicates of one arm, or of two arms of the same size, for
+each n, and ``seeding._pcg64_states`` for each count.  A ``_count_chunks``
+call is timed over all its chunks, after a check that the two commits draw
+the same rows.  For each case it prints both sides' median and quartiles in
+milliseconds and the rounds the checked-out tree won.
 """
 
 import argparse
@@ -27,12 +27,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-R = 500
+ROUNDS = 31
 
 
 def import_package(name, source):
@@ -58,30 +59,29 @@ def draw_all(package, summaries, seed, count):
 
 def cases(packages):
     """``(label, call per package)`` for every case, on shared inputs."""
-    change = packages[0]
-    design, _ = change.preset("table3-eta02")
-    arm = design.arm0
-    for n in (200, 2_000, 5_000):
-        sample = change.draw_sample(change.Scenario(arm.latency, arm.eta, arm.c_max, n), 1)
-        for arms in (1, 2):
-            summaries = [(package.km._sort_sample(package.Sample(sample.times, sample.status)),)
-                         * arms for package in packages]
-            drawn = [draw_all(package, own, 1, R) for package, own in zip(packages, summaries)]
-            if not all(map(np.array_equal, *drawn)):
-                raise SystemExit(f"the commits draw different rows at n = {n}, {arms} arm(s)")
-            yield (f"_count_chunks n={n} arms={arms} R={R}",
-                   [lambda chunks=package.km._count_chunks, own=own: sum(
-                       1 for _ in chunks(own, 1, R)) for package, own in zip(packages, summaries)])
-    for count in (R, 10 * R):
+    sys.path.insert(0, str(ROOT / "bench"))
+    import bench_draws as bench  # imports the checked-out curetau, already loaded
+
+    for n, arms, R in product(bench.SIZES, bench.ARMS, bench.REPLICATES):
+        sample = bench.arm_sample(n)
+        summaries = [(package.km._sort_sample(package.Sample(sample.times, sample.status)),)
+                     * arms for package in packages]
+        drawn = [draw_all(package, own, 1, R) for package, own in zip(packages, summaries)]
+        if not all(map(np.array_equal, *drawn)):
+            raise SystemExit(f"the commits draw different rows at n = {n}, {arms} arm(s), R = {R}")
+        yield (f"_count_chunks n={n} arms={arms} R={R}",
+               [lambda chunks=package.km._count_chunks, own=own, R=R: sum(
+                   1 for _ in chunks(own, 1, R)) for package, own in zip(packages, summaries)])
+    for count in bench.STATE_COUNTS:
         yield (f"_pcg64_states R={count}",
-               [lambda states=package.seeding._pcg64_states, count=count: states((7, 3, 2), count)
-                for package in packages])
+               [lambda states=package.seeding._pcg64_states, count=count: states(
+                   bench.STATE_SEED, count) for package in packages])
 
 
-def race(calls, rounds):
+def race(calls):
     """Per side, the seconds of each round's call, base and change in turn."""
     times = [[], []]
-    for turn in range(rounds):
+    for turn in range(ROUNDS):
         for side in (1, 0) if turn % 2 else (0, 1):
             start = time.perf_counter()
             calls[side]()
@@ -97,23 +97,20 @@ def quartiles(values):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the commit to compare the checked-out tree with")
-    parser.add_argument("--rounds", type=int, default=21, help="alternated calls per side")
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2")
     with tempfile.TemporaryDirectory() as scratch:
         export(args.base, Path(scratch))
         base = import_package("curetau_base", Path(scratch) / "src" / "curetau")
         change = import_package("curetau", ROOT / "src" / "curetau")
-        print(f"base {args.base} against the checked-out tree, {args.rounds} rounds; "
+        print(f"base {args.base} against the checked-out tree, {ROUNDS} rounds; "
               "median [quartiles] in ms")
         for label, (change_call, base_call) in cases((change, base)):
             change_call(), base_call()  # warm up
-            base_times, change_times = race((base_call, change_call), args.rounds)
+            base_times, change_times = race((base_call, change_call))
             won = sum(c < b for b, c in zip(base_times, change_times))
             sides = [" %.3f [%.3f, %.3f]" % tuple(1e3 * v for v in quartiles(times))
                      for times in (base_times, change_times)]
-            print(f"{label}:{sides[0]} ->{sides[1]}, won {won} of {args.rounds}", flush=True)
+            print(f"{label}:{sides[0]} ->{sides[1]}, won {won} of {ROUNDS}", flush=True)
     return 0
 
 
