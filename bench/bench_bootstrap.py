@@ -5,16 +5,20 @@ Run from the repository root with pytest-benchmark installed:
     PYTHONPATH=src python3 -m pytest -q bench/bench_bootstrap.py
 
 (the file name keeps it out of the library's own test collection).  The arm
-is a short-follow-up ``table2-eta02`` draw of n = 200, 2 000 and 20 000
-subjects.  One case times ``select_b`` over the default b grid, the other
-the one-arm statistic of the Monte Carlo run (event and latency survival at
-fixed times, then the cure rate) at the b that ``select_b`` picks; both with
-R = 200 replicates.  At n = 20 000 each case also records the tracemalloc
-peak of one call, in MB, as ``extra_info["peak_mb"]``, so that any temporary
-that grows with R x n shows.  One more ``select_b`` case has the shape of
-``fit --eta-method extrapolate`` and ``btune`` on 5 000-subject arms at
-``--boot 100``: arm 0 of the ``two-arm-demo`` preset, R = 100, where a chunk
-holds 3 replicates; ``extra_info["live"]`` counts its usable grid points.
+is a short-follow-up ``table2-eta02`` draw of n = 200, 2 000, 5 000 and
+20 000 subjects.  One case times ``select_b`` over the default b grid, the
+other the one-arm statistic of the Monte Carlo run (event and latency
+survival at fixed times, then the cure rate) at the b that ``select_b``
+picks; both with R = 200 replicates.  At n = 20 000 each case also records
+the tracemalloc peak of one call, in MB, as ``extra_info["peak_mb"]``, so
+that any temporary that grows with R x n shows.  Two more cases time one
+chunk of that bootstrap's count rows (81, 8, 3 and 1 rows): through
+``km._km_rows``, and through the statistic; ``tools/ab_layers.py`` times
+the same chunks of two commits call by call.  One more ``select_b`` case
+has the shape of ``fit --eta-method extrapolate`` and ``btune`` on
+5 000-subject arms at ``--boot 100``: arm 0 of the ``two-arm-demo``
+preset, R = 100, where a chunk holds 3 replicates; ``extra_info["live"]``
+counts its usable grid points.
 """
 
 import functools
@@ -25,8 +29,9 @@ import pytest
 
 import curetau as ct
 from curetau.inference import _one_arm_statistic
+from curetau.km import _km_rows
 
-SIZES = [200, 2_000, 20_000]
+SIZES = [200, 2_000, 5_000, 20_000]
 R = 200
 GRID = np.linspace(0.1, 0.7, 7)
 # Far above the few MB a chunk of rows takes at n = 20 000, far below the
@@ -89,3 +94,26 @@ def test_one_arm_bootstrap(benchmark, n):
 
     record_peak(benchmark, n, bootstrap)
     assert benchmark(bootstrap).replicate_values.shape == (R, 2 * GRID.size + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def one_arm_chunk(package, n):
+    """The one-arm statistic of ``test_one_arm_bootstrap`` as ``package`` (a
+    ``curetau``) builds it on ``arm(n)``, and its first chunk of count rows."""
+    sample = package.Sample(arm(n).times, arm(n).status)
+    b, _ = package.select_b(sample, replicates=R, seed=1)
+    statistic = package.inference._one_arm_statistic(sample, GRID, b)
+    _, (cells,) = next(package.km._count_chunks(statistic.summaries, 2, R))
+    return statistic, cells
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_km_rows_chunk(benchmark, n):
+    statistic, cells = one_arm_chunk(ct, n)
+    assert benchmark(_km_rows, statistic.summaries[0], cells).at_risk.shape[0] == cells.shape[0]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_one_arm_chunk(benchmark, n):
+    statistic, cells = one_arm_chunk(ct, n)
+    assert benchmark(statistic.evaluate, cells).shape == (cells.shape[0], 2 * GRID.size + 1)

@@ -5,13 +5,15 @@ Run from the repository root with pytest-benchmark installed:
     PYTHONPATH=src python3 -m pytest -q bench/bench_tau.py
 
 (the file name keeps it out of the library's own test collection).  The arms
-are drawn from the ``table3-eta02`` design at n = 200, 2 000 and 20 000
-subjects each.  One case times ``tau_a_curve`` on its default grid, which is
-the kernel on the row of ones; the other times one chunk of bootstrap count
-rows through the kernel that ``compare`` bootstraps (both processes on that
-grid, cure rates re-estimated per row; 81, 8 and 1 rows).  At n = 20 000
-each case also records the tracemalloc peak of one call, in MB, as
-``extra_info["peak_mb"]``, so that any quadratic temporary shows.
+are drawn from the ``table3-eta02`` design at n = 200, 2 000, 5 000 and
+20 000 subjects each.  One case times ``tau_a_curve`` on its default grid,
+which is the kernel on the row of ones; the other times one chunk of
+bootstrap count rows through the kernel that ``compare`` bootstraps (both
+processes on that grid, cure rates re-estimated per row; 81, 8, 3 and 1
+rows).  At n = 20 000 each case also records the tracemalloc peak of one
+call, in MB, as ``extra_info["peak_mb"]``, so that any quadratic temporary
+shows.  ``tools/ab_layers.py`` times the same chunks of two commits call by
+call.
 
 A last case times the tau bootstrap of ``compare`` itself: the
 ``two-arm-demo`` design at n = 5 000 per arm, R = 100 replicates on the
@@ -26,9 +28,8 @@ import pytest
 
 import curetau as ct
 from curetau.inference import _two_arm_statistic
-from curetau.km import _count_chunks
 
-SIZES = [200, 2_000, 20_000]
+SIZES = [200, 2_000, 5_000, 20_000]
 # Far above the few MB a linear pass takes at n = 20 000, far below the
 # 3 GB of one (n x n) float array.
 PEAK_MB_LIMIT = 256
@@ -67,11 +68,20 @@ def test_tau_a_curve(benchmark, n):
     assert benchmark(curve).grid.size > 0
 
 
+@functools.lru_cache(maxsize=None)
+def kernel_chunk(package, n):
+    """The two-arm statistic of ``compare`` as ``package`` (a ``curetau``)
+    builds it on ``arms(n)``, and its first chunk of count rows."""
+    s0, s1 = (package.Sample(sample.times, sample.status) for sample in arms(n)[:2])
+    statistic = package.inference._two_arm_statistic(
+        s0, s1, package.tau_curve(s0, s1).grid, overall=True)
+    _, cells = next(package.km._count_chunks(statistic.summaries, 1, 100))
+    return statistic, cells
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_kernel_chunk(benchmark, n):
-    s0, s1, _ = arms(n)
-    statistic = _two_arm_statistic(s0, s1, ct.tau_curve(s0, s1).grid, overall=True)
-    _, cells = next(_count_chunks(statistic.summaries, 1, 100))
+    statistic, cells = kernel_chunk(ct, n)
 
     def chunk():
         return statistic.evaluate(*cells)

@@ -93,6 +93,8 @@ def _parse_grid(text):
         values = [float(token) for token in text.split(",") if token.strip()]
     except ValueError:
         raise _ValidationFailure(f"malformed grid {text!r}") from None
+    if any(math.isnan(value) for value in values):
+        raise _ValidationFailure(f"grid must not hold NaN, got {text!r}")
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise _ValidationFailure("grid must be strictly increasing")
     return values

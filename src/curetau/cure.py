@@ -140,14 +140,13 @@ def _cure_rate_rows(km, b=None):
     whose column j is bit for bit the value for ``b[j]`` alone, since every
     column takes the same IEEE operations ``b * t_k`` and ``(b * b) * t_k``.
     """
-    rows = np.arange(km.surv.shape[0])
-    tail = km.surv[rows, km.last_event]
+    tail = km.surv[np.arange(km.surv.shape[0]), km.last_event]
     if b is None:
         return np.where(km.has_events, tail, np.nan)
     for factor in b if np.ndim(b) else (b,):
         _check_b(factor)
     factors = np.atleast_1d(np.asarray(b, dtype=float))
-    t_k = km.distinct[km.last_event][:, None]
+    t_k = km.last_event_time[:, None]
     _, raw, flat, unit = _extrapolate(
         tail[:, None], km.at(factors * t_k), km.at((factors * factors) * t_k))
     values = np.where(km.has_events[:, None] & ~flat & ~unit, _clamp_unit(raw), np.nan)
@@ -202,7 +201,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     _check_no_jump_at_zero(ones.distinct, ones.events[0], "event")
     for b in grid:
         _check_b(b)
-    t_k = float(ones.distinct[ones.last_event[0]])
+    t_k = float(ones.last_event_time[0])
     factors = np.array(grid)
     ratio, raw, flat, unit = (column[0] for column in _extrapolate(
         ones.surv[0, ones.last_event[0]], ones.at(factors[None] * t_k),

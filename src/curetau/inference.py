@@ -74,7 +74,9 @@ class CountStatistic:
     the events replicate ``r`` draws at distinct time j.  It returns the
     statistic for every row: shape (rows,) or (rows, width).  A row holding a
     non-finite value is a replicate on which the statistic is undefined.  The
-    original sample is the row of ones, ``bincount(cell)``.  The one-arm
+    original sample is the row of ones, ``bincount(cell)``.  Every row is a
+    resample, with counts only in the cells the original sample occupies
+    (``km._km_rows`` relies on it).  The one-arm
     statistics and the cure-rate difference equal their callable forms on
     each resample bit for bit; the two-arm tau statistic matches
     ``tau_a_curve`` on each resample to within 1e-13, since it adds the c
@@ -92,18 +94,16 @@ def _one_arm_statistic(sample, grid, b=None):
     ``S_a`` is ``location_scale_curve`` of each replicate's event curve ``S``:
     clamped into [0, 1] only for the extrapolated cure rate, and undefined
     when the cure rate reaches 1.  Both curves are 1.0 before the
-    replicate's first event.
+    replicate's first event: ``S`` reads its padded column 0, and ``S_a`` is
+    ``(1 - eta) / (1 - eta)`` there.
     """
     summary = _sort_sample(sample)
-    at_grid = np.searchsorted(summary.distinct, grid, side="right") - 1
-    columns = np.maximum(at_grid, 0)
+    columns = summary.column(grid)
 
     def evaluate(cells):
         km = _km_rows(summary, cells)
         eta, latency = _latency_rows(km, _cure_rate_rows(km, b), b is not None, columns)
-        before = at_grid < km.first_event[:, None]
-        survival = np.where(before, 1.0, km.surv[:, columns])
-        return np.column_stack((survival, np.where(before, 1.0, latency), eta))
+        return np.column_stack((km.surv.take(columns, axis=1), latency, eta))
 
     return CountStatistic(evaluate, (summary,))
 

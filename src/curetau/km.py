@@ -11,7 +11,8 @@ Every estimator reads a sample only through its event and censoring counts
 at each distinct time, and ``_km_rows`` turns rows of those counts into each
 row's at-risk counts and event curve.  A bootstrap replicate is one such row
 (``_count_chunks`` draws them); the sample itself is the row of ones, the
-counts of its own subjects.
+counts of its own subjects.  A curve can only jump where the sample itself
+has a jump of its kind, so each is kept at those columns alone.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,10 @@ from .stepfun import StepFunction
 #: Element budget of one chunk of bootstrap count rows: each arm's
 #: (rows x n) int64 count array holds about this many entries, so a chunk is
 #: 81 replicates at n = 200 and 3 at n = 5 000.  It bounds the memory of the
-#: count-weight kernels at a few such arrays whatever the number of replicates.
+#: count-weight kernels at a few such arrays whatever the number of replicates:
+#: the (rows x 2K) cell counts and the K-wide at-risk counts, weighted counts
+#: and their suffix sums, while each curve is (rows x |E| + 1) for the E
+#: distinct times with events or (rows x |C| + 1) for the C with censorings.
 COUNT_CHUNK_ELEMENTS = 2 ** 14
 
 
@@ -34,14 +38,34 @@ class _SortedSample(NamedTuple):
     """A sample's distinct times, and each subject's cell ``2 * j + status``
     with ``j`` the index of its time among them.  A row of counts over the
     2K cells holds the censorings (even cells) and the events (odd cells) at
-    each distinct time."""
+    each distinct time.
+
+    ``event_columns`` (E) and ``censored_columns`` (C) index the distinct
+    times at which the sample has an event and a censoring (both at a tied
+    time), and ``event_cells`` (2E + 1) and ``censored_cells`` (2C) their
+    cells.  A resample of the sample draws its subjects, so its counts lie
+    in these cells alone.  ``surv_at_censored`` is the column of a padded
+    event curve at each censored column (``column`` at those times)."""
 
     distinct: np.ndarray
     cell: np.ndarray
+    event_columns: np.ndarray
+    censored_columns: np.ndarray
+    event_cells: np.ndarray
+    censored_cells: np.ndarray
+    surv_at_censored: np.ndarray
 
     def ones(self):
         """The sample's own cell counts, as one row: its row of ones."""
         return np.bincount(self.cell, minlength=2 * self.distinct.size)[None]
+
+    def column(self, t, target="event", side="right"):
+        """The column of a padded ``target`` curve (``_KMRows.surv`` or
+        ``_KMRows.censoring_curve()``) that holds its value at each time in
+        ``t``, or with ``side="left"`` its value just before: the number of
+        the curve's jump times at most (below) ``t``."""
+        columns = self.event_columns if target == "event" else self.censored_columns
+        return np.searchsorted(self.distinct[columns], t, side=side)
 
 
 def _sort_sample(sample):
@@ -49,7 +73,11 @@ def _sort_sample(sample):
     the sample, whose arrays are read-only."""
     if "_sorted" not in vars(sample):
         distinct, index = np.unique(sample.times, return_inverse=True)
-        sample._sorted = _SortedSample(distinct, 2 * index + sample.status)
+        cell = 2 * index + sample.status
+        occupied = np.bincount(cell, minlength=2 * distinct.size) > 0
+        censored, events = np.flatnonzero(occupied[0::2]), np.flatnonzero(occupied[1::2])
+        sample._sorted = _SortedSample(distinct, cell, events, censored, 2 * events + 1,
+                                       2 * censored, np.cumsum(occupied[1::2])[censored])
     return sample._sorted
 
 
@@ -90,24 +118,30 @@ def km_fit(sample, target="event"):
         raise ValueError("sample is empty")
     rows = _count_rows(sample)
     if target == "event":
-        jumps, curve = rows.events, rows.surv
+        jumps, columns, curve = rows.events, rows.summary.event_columns, rows.surv
     else:
-        jumps, curve = rows.censored, rows.censoring_curve()
+        jumps, columns, curve = (rows.censored, rows.summary.censored_columns,
+                                 rows.censoring_curve())
     _check_no_jump_at_zero(rows.distinct, jumps[0], target)
-    mask = jumps[0] > 0
-    return StepFunction(rows.distinct[mask], curve[0, mask], initial_value=1.0)
+    return StepFunction(rows.distinct[columns], curve[0, 1:], initial_value=1.0)
 
 
-def _hazard(jumps, at_risk):
-    """``jumps / at_risk`` where there are jumps, exactly 0.0 elsewhere
-    (where nobody is at risk there are no jumps, so a divisor of 1 is exact)."""
-    return jumps / np.maximum(at_risk, 1)
+def _suffix_sums(counts):
+    """Each row's sums from each column to its last, then a column of 0:
+    (rows x m + 1), added from the last column back (a reversed cumsum)."""
+    sums = np.zeros((counts.shape[0], counts.shape[1] + 1), counts.dtype)
+    np.cumsum(counts[:, ::-1], axis=1, out=sums[:, -2::-1])
+    return sums
 
 
-def _left_limits(curve):
-    """A curve's values just before each distinct time: its exclusive prefix
-    (along the last axis)."""
-    return np.concatenate((np.ones_like(curve[..., :1]), curve[..., :-1]), axis=-1)
+def _padded_curve(jumps, at_risk):
+    """The product-limit curve of (rows x m) jump and at-risk counts, after a
+    leading column of 1.0: (rows x m + 1).  Where nobody is at risk there
+    are no jumps, so a divisor of 1 gives the exact factor 1.0."""
+    curve = np.empty((jumps.shape[0], jumps.shape[1] + 1))
+    curve[:, 0] = 1.0
+    np.cumprod(1.0 - jumps / np.maximum(at_risk, 1), axis=1, out=curve[:, 1:])
+    return curve
 
 
 @dataclass(frozen=True)
@@ -146,15 +180,16 @@ def risk_table(sample):
     if sample.n_events == 0:
         raise NoEventsError("no events: the adjusted risk table is undefined")
     rows = _count_rows(sample)
-    mask = rows.events[0] > 0
-    d = rows.events[0, mask]
-    y = rows.at_risk[0, mask]
+    summary = rows.summary
+    times = rows.distinct[summary.event_columns]
+    d = rows.events[0, summary.event_columns]
+    y = rows.at_risk[0, summary.event_columns]
     # Positive: each censoring factor 1 - c_j/Y_j >= Y_(j+1)/Y_j, so G(t-) >= Y(t)/n.
-    g_left = _left_limits(rows.censoring_curve())[0, mask]
+    g_left = rows.censoring_curve()[0, summary.column(times, "censoring", "left")]
     d_tilde = d / g_left
     y_tilde = np.cumsum(d_tilde[::-1])[::-1]
     return RiskTable(
-        times=rows.distinct[mask],
+        times=times,
         d=d,
         y=y,
         g_left=g_left,
@@ -228,58 +263,90 @@ def _count_chunks(summaries, seed, R):
 class _KMRows:
     """Event-survival curves of count-weighted replicates, one per row.
 
-    ``surv[r, j]`` is replicate ``r``'s curve at the original sample's
-    distinct time ``distinct[j]``.  Times a replicate does not jump at
-    contribute a factor of exactly 1.0, so every value is bit-identical to
-    the product over the replicate's own event times.  ``first_event``/
-    ``last_event`` index the replicate's smallest and largest event time
-    (meaningless where ``has_events`` is False).  ``events``, ``censored``
-    and ``at_risk`` are the replicate's event, censoring and at-risk counts
-    at each distinct time.  The row of ones is the original sample, and
-    ``km_fit`` and ``risk_table`` read it (``_count_rows``).
+    ``surv`` is (rows x |E| + 1): column 0 holds 1.0, the curve before the
+    first event time, and ``surv[r, p]`` is replicate ``r``'s curve from the
+    original sample's p-th event time (``summary.event_columns[p - 1]``)
+    until the next.  A replicate's event times are among those, and one it
+    does not jump at contributes a factor of exactly 1.0, so every value is
+    bit-identical to the product over the replicate's own event times (and
+    to a cumprod over all K distinct times).  ``summary.column`` gives the
+    column that holds a time's value.  ``last_event`` is the column of each
+    replicate's largest event time, 0 where ``has_events`` is False.
+    ``cells`` are the replicate's cell counts, and ``events`` and
+    ``censored`` its event and censoring counts at each distinct time.
+    ``at_risk`` is (rows x K + 1): its count at risk at each distinct time,
+    then 0, so that column j + 1 is the count still at risk just after time
+    j.  The row of ones is the original sample, and ``km_fit`` and
+    ``risk_table`` read it (``_count_rows``).
     """
 
-    distinct: np.ndarray
+    summary: _SortedSample
+    cells: np.ndarray
     surv: np.ndarray
-    first_event: np.ndarray
     last_event: np.ndarray
     has_events: np.ndarray
-    events: np.ndarray
-    censored: np.ndarray
     at_risk: np.ndarray
+
+    @property
+    def distinct(self):
+        return self.summary.distinct
+
+    @property
+    def events(self):
+        return self.cells[:, 1::2]
+
+    @property
+    def censored(self):
+        return self.cells[:, 0::2]
+
+    @property
+    def last_event_time(self):
+        """Each row's largest event time, 0.0 where it has none."""
+        times = np.concatenate(([0.0], self.distinct[self.summary.event_columns]))
+        return times[self.last_event]
 
     def at(self, t):
         """Each row's curve at its own times (right-continuous): ``t`` is
         (rows,) or (rows, m), and row ``r`` is read at ``t[r]``."""
-        idx = np.searchsorted(self.distinct, t, side="right") - 1
-        rows = np.arange(self.surv.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
-        return np.where(idx < 0, 1.0, self.surv[rows, np.maximum(idx, 0)])
+        columns = self.summary.column(t)
+        rows = np.arange(self.surv.shape[0]).reshape((-1,) + (1,) * (columns.ndim - 1))
+        return self.surv[rows, columns]
 
     def censoring_curve(self):
-        """Each row's censoring KM curve at the distinct times.  Times without
-        censorings contribute a factor of exactly 1.0, as in ``surv``."""
-        return np.cumprod(1.0 - _hazard(self.censored, self.at_risk), axis=1)
+        """Each row's censoring KM curve, padded as ``surv`` is: (rows x
+        |C| + 1), over the censored columns (``summary.column(t,
+        "censoring")``)."""
+        return _padded_curve(self.cells.take(self.summary.censored_cells, axis=1),
+                             self.at_risk.take(self.summary.censored_columns, axis=1))
 
 
 def _km_rows(summary, cells):
     """The event curves and counts of the replicates in ``cells``.
 
     ``cells`` is a (rows x 2K) array of cell counts in the layout of
-    ``summary``, the original sample's ``_SortedSample``; the event and
-    censoring counts are views of it.
+    ``summary``, the original sample's ``_SortedSample``.  The at-risk
+    counts cover all K distinct times, and each curve is the product over
+    the columns where the original sample has a jump of its kind
+    (``_KMRows``).  So each row must be a resample of that sample, as
+    ``_count_chunks`` draws them and the row of ones is: it holds events in
+    ``summary.event_cells`` alone and censorings in
+    ``summary.censored_cells`` alone.  A row with counts in other cells
+    still gets its at-risk counts right, and its event curve as long as its
+    events keep to those cells, but not its censoring curve.
     """
-    censored, events = cells[:, 0::2], cells[:, 1::2]
-    totals = censored + events
-    at_risk = np.cumsum(totals[:, ::-1], axis=1)[:, ::-1]
-    surv = np.cumprod(1.0 - _hazard(events, at_risk), axis=1)
-    jumps = events > 0
+    at_risk = _suffix_sums(cells[:, 0::2] + cells[:, 1::2])
+    jumps = cells.take(summary.event_cells, axis=1)
+    surv = _padded_curve(jumps, at_risk.take(summary.event_columns, axis=1))
+    # The column of each row's last event: the last True, the leading one if none.
+    jumped = np.empty(surv.shape, bool)
+    jumped[:, 0] = True
+    np.greater(jumps, 0, out=jumped[:, 1:])
+    last_event = jumped.shape[1] - 1 - np.argmax(jumped[:, ::-1], axis=1)
     return _KMRows(
-        distinct=summary.distinct,
+        summary=summary,
+        cells=cells,
         surv=surv,
-        first_event=np.argmax(jumps, axis=1),
-        last_event=jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1),
-        has_events=jumps.any(axis=1),
-        events=events,
-        censored=censored,
+        last_event=last_event,
+        has_events=last_event > 0,
         at_risk=at_risk,
     )

@@ -231,6 +231,8 @@ def run_experiment(scenario, runs=200, R=500, seed=0, times=None,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if eta_method not in ("tail", "extrapolate"):
         raise ValueError(f"eta_method must be 'tail' or 'extrapolate', got {eta_method!r}")
+    if times is not None and np.isnan(np.asarray(times, dtype=float)).any():
+        raise ValueError("times must not hold NaN")
 
     two_arm = isinstance(scenario, TwoArmScenario)
     if two_arm:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .km import (_check_no_observation_at_zero, _count_rows, _left_limits, _sort_sample, km_fit,
-                 risk_table)
+from .km import _check_no_observation_at_zero, _count_rows, _sort_sample, km_fit, risk_table
 from .stepfun import StepFunction
 
 
@@ -49,13 +48,14 @@ def location_scale_curve(event_curve, eta_value, clamp=False):
 
 def _latency_rows(km, eta, clamp, columns):
     """``location_scale_curve`` of each row of a ``_KMRows`` by that row's
-    cure rate in ``eta``, at the distinct-time indices ``columns``.
+    cure rate in ``eta``, at the columns ``columns`` of its padded event
+    curve (``_SortedSample.column``).
 
     Returns the cure rates, NaN where at or above 1, and the curves, clamped
     into [0, 1] with ``clamp``.
     """
     eta = np.where(eta >= 1.0, np.nan, eta)
-    latency = (km.surv[:, columns] - eta[:, None]) / (1.0 - eta[:, None])
+    latency = (km.surv.take(columns, axis=1) - eta[:, None]) / (1.0 - eta[:, None])
     return eta, np.clip(latency, 0.0, 1.0) if clamp else latency
 
 
@@ -103,25 +103,26 @@ def susceptible_curve(sample, eta):
 
 
 def _sample_rows(sample):
-    """The sample's count rows and its censoring curve, for the phi and H1a
-    estimators; raises on an empty sample or an observation at time 0."""
+    """The sample's count rows and its censoring curve at each distinct
+    time, for the phi and H1a estimators; raises on an empty sample or an
+    observation at time 0."""
     if sample.n == 0:
         raise ValueError("sample is empty")
     _check_no_observation_at_zero(sample)
     rows = _count_rows(sample)
-    return rows, rows.censoring_curve()[0]
+    return rows, rows.censoring_curve()[0, rows.summary.column(rows.distinct, "censoring")]
 
 
 def _phi_curve(rows, censoring, n, eta):
-    g_left = _left_limits(censoring)
-    values = 1.0 - eta.value * g_left / (rows.at_risk[0] / n)
+    g_left = np.concatenate(([1.0], censoring[:-1]))
+    values = 1.0 - eta.value * g_left / (rows.at_risk[0, :-1] / n)
     return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value,
                         domain_end=float(rows.distinct[-1]))
 
 
 def _beyond(rows):
     """Number still at risk just after each distinct time."""
-    return (rows.at_risk - rows.events - rows.censored)[0]
+    return rows.at_risk[0, 1:]
 
 
 def _h1a_curve(rows, censoring, n, eta):

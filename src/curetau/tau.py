@@ -13,6 +13,11 @@ multinomial view of the bootstrap; Efron & Tibshirani 1993, ch. 6).  A row's
 pair masses come from those counts alone and go into the grid with one
 ``np.bincount`` per arm.  ``tau_curve`` and ``tau_a_curve`` evaluate the row
 of ones; the bootstrap (``inference._two_arm_statistic``) the drawn rows.
+A row draws its subjects from the sample, so its curves are computed where
+the sample has jumps alone (``km._km_rows``): the event curve and the
+events' divisors at the event times, and the censoring curve, latency and
+censoring weights at the censoring times, each read through columns fixed
+once per pair of samples.
 
 The population truth ``true_tau_quadrature`` is one bounded integral on arm
 1's probability scale, which ``_quad`` takes by adaptive 21-point
@@ -27,7 +32,7 @@ import numpy as np
 from .cure import _cure_rate_rows
 from .data import _csv_columns, _csv_text
 from .errors import EstimationError, ToleranceError
-from .km import _check_no_observation_at_zero, _km_rows, _left_limits, _sort_sample
+from .km import _check_no_observation_at_zero, _km_rows, _sort_sample, _suffix_sums
 from .susceptible import _latency_rows
 
 
@@ -94,21 +99,25 @@ def _orientation(sample0, sample1, eta0=None, eta1=None):
 
 
 def _arm_rows(summary, cells, eta, refit):
-    """One arm's rows: the event and censoring counts at the distinct times
-    and the censoring curve's left limits there; then, given the arm's
-    cure-rate estimate ``eta`` (else None for both), each row's cure rate and
-    its weighted counts ``d_j + c_j * f_j``, with ``f_j`` the censoring weight
-    factor at distinct time j."""
+    """One arm's rows: their at-risk counts (``_KMRows.at_risk``) and padded
+    censoring curves; then, given the arm's cure-rate estimate ``eta`` (else
+    None for both), each row's cure rate and its weighted counts
+    ``d_j + c_j * f_j`` at each distinct time j, with ``f_j`` the censoring
+    weight factor there.  The latency and the factor are computed at the
+    censored columns alone, and ``c_j * f_j`` is added to ``d_j`` there."""
     km = _km_rows(summary, cells)
-    g_left = _left_limits(km.censoring_curve())
+    censoring = km.censoring_curve()
     if eta is None:
-        return km.events, km.censored, g_left, None, None
+        return km.at_risk, censoring, None, None
     rates = _cure_rate_rows(km, eta.b) if refit else np.full(cells.shape[0], eta.value)
-    rates, latency = _latency_rows(km, rates, eta.method == "extrapolated", slice(None))
+    rates, latency = _latency_rows(km, rates, eta.method == "extrapolated",
+                                   summary.surv_at_censored)
     # Where no one is censored the factor may be 0/0: it weighs exactly 0.
     factor = censoring_weight_factor(latency, rates[:, None])
-    return (km.events, km.censored, g_left, rates,
-            km.events + np.where(km.censored > 0, km.censored * factor, 0.0))
+    censored = cells.take(summary.censored_cells, axis=1)
+    weighted = km.events.astype(float)
+    weighted[:, summary.censored_columns] += np.where(censored > 0, censored * factor, 0.0)
+    return km.at_risk, censoring, rates, weighted
 
 
 def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False):
@@ -128,7 +137,8 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
     The subjects at one distinct time enter as one term weighed by their
     count.  The arms are oriented once, from the original samples and
     ``etas``, so swapping them negates every row exactly, and
-    interchangeable arms with equal rows give exactly 0.
+    interchangeable arms with equal rows give exactly 0.  Every column the
+    kernel reads is fixed by the original samples and found once here.
     """
     if sample0.n == 0 or sample1.n == 0:
         raise ValueError("both samples must be non-empty")
@@ -140,27 +150,30 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
     samples = (sample0, sample1) if orientation <= 0 else (sample1, sample0)
     etas = etas if orientation <= 0 else etas[::-1]
     summaries = [_sort_sample(sample) for sample in samples]
-    # Fixed by the original data: the distinct times at which each arm has
-    # events, and where they fall among the other arm's (an event past its
-    # last time pairs with no one, and reads its last left limit).
+    # Fixed by the original data, per arm: the times of its events, and the
+    # padded censoring-curve columns of its own and the other arm's left
+    # limits there (an event past the other arm's last time pairs with no
+    # one, and reads its last left limit); the other arm's first column
+    # observed strictly later; and its event times with someone observed
+    # later in the other arm.
     places = []
     for own, other in (summaries, summaries[::-1]):
-        jump = np.flatnonzero(own.ones()[0, 1::2])
-        times = own.distinct[jump]
+        times = own.distinct[own.event_columns]
         before = np.searchsorted(other.distinct, times, side="left")
         beyond = np.searchsorted(other.distinct, times, side="right")
-        places.append((jump, np.minimum(before, other.distinct.size - 1), beyond,
-                       times[beyond < other.distinct.size]))
+        places.append((times, own.column(times, "censoring", "left"),
+                       other.column(other.distinct[np.minimum(before, other.distinct.size - 1)],
+                                    "censoring", "left"),
+                       beyond, times[beyond < other.distinct.size]))
     if grid is None:
-        grid = np.unique(np.concatenate([place[3] for place in places]))
+        grid = np.unique(np.concatenate([place[4] for place in places]))
     grid = _checked_grid(grid)
-    buckets = [np.searchsorted(grid, own.distinct[place[0]], side="left")
-               for own, place in zip(summaries, places)]
+    buckets = [np.searchsorted(grid, place[0], side="left") for place in places]
     width = grid.size + 1
 
     def evaluate(cells0, cells1):
         cells = (cells0, cells1) if orientation <= 0 else (cells1, cells0)
-        events, censored, g_left, rates, weighted = zip(*(
+        at_risk, censoring, rates, weighted = zip(*(
             _arm_rows(summary, arm, eta, refit)
             for summary, arm, eta in zip(summaries, cells, etas)))
         rows = cells0.shape[0]
@@ -168,31 +181,36 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
         # divided by both censoring curves' left limits there.  Per arm, for
         # both processes: the event counts, divisors and grid bins.
         at_jumps = []
-        for own, (jump, before, _, _) in enumerate(places):
-            g_prod = g_left[own][:, jump] * g_left[1 - own][:, before]
-            at_jumps.append((events[own][:, jump], np.where(g_prod > 0, g_prod, 1.0),
+        for own, (_, left, other_left, _, _) in enumerate(places):
+            g_prod = (censoring[own].take(left, axis=1)
+                      * censoring[1 - own].take(other_left, axis=1))
+            at_jumps.append((cells[own].take(summaries[own].event_cells, axis=1),
+                             np.where(g_prod > 0, g_prod, 1.0),
                              (np.arange(rows)[:, None] * width + buckets[own]).ravel()))
 
-        def into_grid(own, by_time):
-            # The opposite arm's suffix sums, 0 past its last time.
-            opposite = by_time[1 - own]
-            later = np.zeros((rows, opposite.shape[1] + 1), opposite.dtype)
-            np.cumsum(opposite[:, ::-1], axis=1, out=later[:, 1:])
+        def into_grid(own, later):
+            # ``later(arm)`` is an arm's suffix sums, 0 past its last time.
             counts, divisor, bins = at_jumps[own]
-            masses = counts * later[:, ::-1][:, places[own][2]] / divisor
+            masses = counts * later(1 - own).take(places[own][3], axis=1) / divisor
             return np.bincount(bins, masses.ravel(), rows * width).reshape(rows, width)
-
-        def process(by_time):
-            return np.cumsum((into_grid(0, by_time) - into_grid(1, by_time))[:, :-1], axis=1)
 
         pairs = sample0.n * sample1.n
         parts = []
         if overall or etas[0] is None:
-            parts.append(process([e + c for e, c in zip(events, censored)]) / pairs)
+            # The suffix sums of the subjects observed: the at-risk counts.
+            parts.append((lambda arm: at_risk[arm], pairs))
         if etas[0] is not None:
-            parts.append(process(weighted) / (pairs * (1.0 - rates[0]) * (1.0 - rates[1]))[:, None])
-        values = np.hstack(parts)
-        return values if orientation <= 0 else -values
+            parts.append((lambda arm: _suffix_sums(weighted[arm]),
+                          (pairs * (1.0 - rates[0]) * (1.0 - rates[1]))[:, None]))
+        # Each process in place, into its columns of one array.
+        values = np.empty((rows, len(parts) * grid.size))
+        for part, (later, scale) in enumerate(parts):
+            moves = into_grid(0, later)
+            moves -= into_grid(1, later)
+            process = values[:, part * grid.size:(part + 1) * grid.size]
+            np.cumsum(moves[:, :-1], axis=1, out=process)
+            process /= scale
+        return values if orientation <= 0 else np.negative(values, out=values)
 
     return grid, evaluate
 

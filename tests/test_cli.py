@@ -291,6 +291,27 @@ def test_simulate_unknown_scenario_exits_2(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["table1-eta02", "table3-eta02"])
+def test_simulate_grid_with_nan_exits_2(tmp_path, capsys, scenario):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", scenario, "--grid", "0.2,nan",
+               "--output-dir", str(out)])
+    assert rc == 2
+    assert "error: grid must not hold NaN, got '0.2,nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["table1-eta02", "table3-eta02"])
+def test_simulate_grid_with_inf_runs(tmp_path, scenario):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", scenario, "--runs", "2", "--boot", "2",
+               "--grid", "0.2,inf", "--output-dir", str(out)])
+    assert rc == 0
+    times = [line.split(",")[0] for line in
+             (out / "experiment.csv").read_text().splitlines()[1:]]
+    assert times[:2] == ["0.2", "inf"]
+
+
 def test_simulate_requires_exactly_one_source(tmp_path, capsys):
     rc = main(["simulate", "--output-dir", str(tmp_path)])
     assert rc == 2

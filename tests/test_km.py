@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curetau as ct
+from curetau.cure import _cure_rate_rows
 from curetau.errors import NoEventsError
+from curetau.km import _count_chunks, _km_rows, _sort_sample
 from conftest import sample_corpus, tied_samples
 
 
@@ -130,6 +132,74 @@ def test_censoring_weight_bounded_below_by_risk_share(sample, drawn):
     g_left = ct.km_fit(sample, "censoring")(t, side="left")
     at_risk = sample.n - np.searchsorted(np.sort(sample.times), t, side="left")
     assert np.all(g_left >= (at_risk / sample.n) * (1 - 1e-12))
+
+
+@st.composite
+def resampled_rows(draw):
+    """A ``tied_samples()`` sample, or its times all censored or all events,
+    with rows of its resamples' cell counts: its row of ones, a chunk drawn
+    by ``_count_chunks``, rows of chosen subjects, and the rows that draw
+    only its last subject and only its censored ones (no events, or an
+    all-censored tail)."""
+    sample = draw(tied_samples())
+    status = draw(st.sampled_from([None, 0, 1]))
+    if status is not None:
+        sample = ct.Sample(sample.times, np.full(sample.n, status))
+    summary = _sort_sample(sample)
+    chosen = [draw(st.lists(st.integers(0, sample.n - 1), min_size=sample.n,
+                            max_size=sample.n)) for _ in range(draw(st.integers(0, 3)))]
+    censored = np.flatnonzero(sample.status == 0)
+    chosen += [np.full(sample.n, np.argmax(sample.times))]
+    chosen += [censored[np.arange(sample.n) % censored.size]] if censored.size else []
+    width = 2 * summary.distinct.size
+    drawn = next(_count_chunks((summary,), draw(st.integers(0, 1000)),
+                               draw(st.integers(1, 50))))[1][0]
+    return summary, np.concatenate([summary.ones(), drawn] + [
+        np.bincount(summary.cell[index], minlength=width)[None] for index in chosen])
+
+
+def full_width_curves(cells):
+    """The at-risk counts and the event and censoring curves at every
+    distinct time: each a cumprod over all K columns, factors of 1.0 where
+    nothing happens."""
+    censored, events = cells[:, 0::2], cells[:, 1::2]
+    at_risk = np.cumsum((censored + events)[:, ::-1], axis=1)[:, ::-1]
+    return (at_risk, np.cumprod(1.0 - events / np.maximum(at_risk, 1), axis=1),
+            np.cumprod(1.0 - censored / np.maximum(at_risk, 1), axis=1))
+
+
+def same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300)
+@given(rows=resampled_rows())
+def test_occupied_column_curves_equal_the_full_width_products(rows):
+    summary, cells = rows
+    km = _km_rows(summary, cells)
+    at_risk, surv, censoring = full_width_curves(cells)
+    distinct = summary.distinct
+    assert same(km.at_risk, np.hstack((at_risk, np.zeros_like(at_risk[:, :1]))))
+    # The padded lookups, at the distinct times and around them.
+    assert same(km.surv.take(summary.column(distinct), axis=1), surv)
+    t = np.concatenate((distinct, distinct - 0.5, distinct + 0.5, [0.0, np.inf]))
+    before = np.searchsorted(distinct, t, side="right") - 1
+    reference = np.where(before < 0, 1.0, surv[:, np.maximum(before, 0)])
+    assert same(km.at(np.broadcast_to(t, (cells.shape[0], t.size))), reference)
+    assert same(summary.surv_at_censored,
+                summary.column(distinct[summary.censored_columns]))
+    # The tail: the curve at each row's last event time.
+    jumps = cells[:, 1::2] > 0
+    last = jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1)
+    assert same(km.has_events, jumps.any(axis=1))
+    assert same(_cure_rate_rows(km), np.where(
+        km.has_events, surv[np.arange(cells.shape[0]), last], np.nan))
+    assert same(km.last_event_time[km.has_events], distinct[last][km.has_events])
+    # The censoring curve and its left limits.
+    curve = km.censoring_curve()
+    assert same(curve.take(summary.column(distinct, "censoring"), axis=1), censoring)
+    left = np.hstack((np.ones_like(censoring[:, :1]), censoring[:, :-1]))
+    assert same(curve.take(summary.column(distinct, "censoring", "left"), axis=1), left)
 
 
 def test_tied_event_times_supported():

@@ -230,6 +230,14 @@ def test_run_experiment_smoke_single_time():
     assert rows[1].truth == 0.2
 
 
+@pytest.mark.parametrize("two_arm", [False, True])
+def test_run_experiment_refuses_nan_times(two_arm):
+    scenario = (ct.preset("table3-eta02")[0] if two_arm
+                else ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 40))
+    with pytest.raises(ValueError, match="times must not hold NaN"):
+        ct.run_experiment(scenario, runs=2, R=2, seed=0, times=[0.2, math.nan])
+
+
 def test_run_experiment_levels_map_to_times():
     scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 40)
     rows = ct.run_experiment(scenario, runs=2, R=2, seed=0, levels=(0.75, 0.25))

@@ -136,7 +136,7 @@ def test_subject_weights_finite(sample, estimate):
     # A censored subject is at risk at its own time, so S(x) > 0 there and
     # the susceptibility factor never divides 0 by 0.
     summary = _sort_sample(sample)
-    weights = _arm_rows(summary, summary.ones(), estimate, False)[4]
+    weights = _arm_rows(summary, summary.ones(), estimate, False)[3]
     assert np.all(np.isfinite(weights))
 
 

@@ -1,4 +1,5 @@
-"""Time the bootstrap draw layers of two commits in one process, call by call.
+"""Time the bootstrap draw and kernel layers of two commits in one process,
+call by call.
 
 Run from a checkout, naming the commit to compare the checked-out tree with:
 
@@ -12,12 +13,17 @@ alternating from round to round, so a drift in the machine's load falls on
 both alike (timing one commit per process cannot show a 10-30 % change on a
 loaded host).
 
-The cases are those of ``bench/bench_draws.py``: ``km._count_chunks``
+The draw cases are those of ``bench/bench_draws.py``: ``km._count_chunks``
 drawing all R replicates of one arm, or of two arms of the same size, for
 each n, and ``seeding._pcg64_states`` for each count.  A ``_count_chunks``
 call is timed over all its chunks, after a check that the two commits draw
-the same rows.  For each case it prints both sides' median and quartiles in
-milliseconds and the rounds the checked-out tree won.
+the same rows.  The kernel cases take one chunk of count rows at each n of
+``bench/bench_bootstrap.py`` through ``km._km_rows`` and the one-arm
+statistic, and at each n of ``bench/bench_tau.py`` through the two-arm tau
+kernel, after a check that the two commits give the same values bit for
+bit: the statistics' rows, and ``_km_rows``' at-risk counts and event
+curves at every distinct time.  For each case it prints both sides' median
+and quartiles in milliseconds and the rounds the checked-out tree won.
 """
 
 import argparse
@@ -57,10 +63,26 @@ def draw_all(package, summaries, seed, count):
     return [np.concatenate(arm) for arm in zip(*chunks)]
 
 
+def same(*arrays):
+    """Whether the arrays hold the same values bit for bit."""
+    return all(a.shape == arrays[0].shape and a.tobytes() == arrays[0].tobytes()
+               for a in arrays)
+
+
+def km_values(package, summary, cells):
+    """``_km_rows``' at-risk counts and event curves at every distinct time."""
+    km = package.km._km_rows(summary, cells)
+    shape = (cells.shape[0], summary.distinct.size)
+    return km.at_risk[:, :shape[1]], km.at(np.broadcast_to(summary.distinct, shape))
+
+
 def cases(packages):
     """``(label, call per package)`` for every case, on shared inputs."""
     sys.path.insert(0, str(ROOT / "bench"))
-    import bench_draws as bench  # imports the checked-out curetau, already loaded
+    # These import the checked-out curetau, already loaded.
+    import bench_bootstrap
+    import bench_draws as bench
+    import bench_tau
 
     for n, arms, R in product(bench.SIZES, bench.ARMS, bench.REPLICATES):
         sample = bench.arm_sample(n)
@@ -76,6 +98,26 @@ def cases(packages):
         yield (f"_pcg64_states R={count}",
                [lambda states=package.seeding._pcg64_states, count=count: states(
                    bench.STATE_SEED, count) for package in packages])
+    for n in bench_bootstrap.SIZES:
+        built = [bench_bootstrap.one_arm_chunk(package, n) for package in packages]
+        rows = built[0][1].shape[0]
+        if not (all(map(same, *(km_values(package, statistic.summaries[0], cells)
+                                for package, (statistic, cells) in zip(packages, built))))
+                and same(*(statistic.evaluate(cells) for statistic, cells in built))):
+            raise SystemExit(f"the commits' one-arm chunks differ at n = {n}")
+        yield (f"_km_rows n={n} rows={rows}",
+               [lambda rows=package.km._km_rows, summary=statistic.summaries[0], cells=cells:
+                rows(summary, cells) for package, (statistic, cells) in zip(packages, built)])
+        yield (f"one-arm chunk n={n} rows={rows}",
+               [lambda statistic=statistic, cells=cells: statistic.evaluate(cells)
+                for statistic, cells in built])
+    for n in bench_tau.SIZES:
+        built = [bench_tau.kernel_chunk(package, n) for package in packages]
+        if not same(*(statistic.evaluate(*cells) for statistic, cells in built)):
+            raise SystemExit(f"the commits' tau kernel chunks differ at n = {n}")
+        yield (f"tau kernel chunk n={n} rows={built[0][1][0].shape[0]}",
+               [lambda statistic=statistic, cells=cells: statistic.evaluate(*cells)
+                for statistic, cells in built])
 
 
 def race(calls):
