@@ -13,8 +13,10 @@ picks; both with R = 200 replicates.  At n = 20 000 each case also records
 the tracemalloc peak of one call, in MB, as ``extra_info["peak_mb"]``, so
 that any temporary that grows with R x n shows.  Two more cases time one
 chunk of that bootstrap's count rows (81, 8, 3 and 1 rows): through
-``km._km_rows``, and through the statistic; ``tools/ab_layers.py`` times
-the same chunks of two commits call by call.  One more ``select_b`` case
+``km._km_rows``, and through the statistic; another times that whole
+bootstrap at n = 200 with R = 500, the shape of one ``mc-extrap`` run, the
+point included.  ``tools/ab_layers.py`` times the same chunks and the
+whole bootstrap of two commits call by call.  One more ``select_b`` case
 has the shape of ``fit --eta-method extrapolate`` and ``btune`` on
 5 000-subject arms at ``--boot 100``: arm 0 of the ``two-arm-demo``
 preset, R = 100, where a chunk holds 3 replicates; ``extra_info["live"]``
@@ -28,11 +30,11 @@ import numpy as np
 import pytest
 
 import curetau as ct
-from curetau.inference import _one_arm_statistic
 from curetau.km import _km_rows
 
 SIZES = [200, 2_000, 5_000, 20_000]
 R = 200
+MC_N, MC_R = 200, 500
 GRID = np.linspace(0.1, 0.7, 7)
 # Far above the few MB a chunk of rows takes at n = 20 000, far below the
 # 32 MB of one (R x n) int64 array of subject counts.
@@ -83,11 +85,18 @@ def test_select_b_large_arm(benchmark):
     assert b in ct.DEFAULT_B_GRID
 
 
+@functools.lru_cache(maxsize=None)
+def one_arm_statistic(package, n):
+    """``arm(n)`` as a ``package`` (a ``curetau``) sample, and the one-arm
+    statistic that ``package`` builds on it at the b ``select_b`` picks."""
+    sample = package.Sample(arm(n).times, arm(n).status)
+    b, _ = package.select_b(sample, replicates=R, seed=1)
+    return sample, package.inference._one_arm_statistic(sample, GRID, b)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_one_arm_bootstrap(benchmark, n):
-    sample = arm(n)
-    b, _ = ct.select_b(sample, replicates=R, seed=1)
-    statistic = _one_arm_statistic(sample, GRID, b)
+    sample, statistic = one_arm_statistic(ct, n)
 
     def bootstrap():
         return ct.bootstrap_stats(sample, statistic, R=R, seed=2)
@@ -98,11 +107,9 @@ def test_one_arm_bootstrap(benchmark, n):
 
 @functools.lru_cache(maxsize=None)
 def one_arm_chunk(package, n):
-    """The one-arm statistic of ``test_one_arm_bootstrap`` as ``package`` (a
-    ``curetau``) builds it on ``arm(n)``, and its first chunk of count rows."""
-    sample = package.Sample(arm(n).times, arm(n).status)
-    b, _ = package.select_b(sample, replicates=R, seed=1)
-    statistic = package.inference._one_arm_statistic(sample, GRID, b)
+    """``one_arm_statistic(package, n)``'s statistic and its first chunk of
+    count rows."""
+    _, statistic = one_arm_statistic(package, n)
     _, (cells,) = next(package.km._count_chunks(statistic.summaries, 2, R))
     return statistic, cells
 
@@ -117,3 +124,15 @@ def test_km_rows_chunk(benchmark, n):
 def test_one_arm_chunk(benchmark, n):
     statistic, cells = one_arm_chunk(ct, n)
     assert benchmark(statistic.evaluate, cells).shape == (cells.shape[0], 2 * GRID.size + 1)
+
+
+def mc_bootstrap(package):
+    """The sample and statistic of ``test_mc_extrap_bootstrap`` as
+    ``package`` builds them."""
+    return one_arm_statistic(package, MC_N)
+
+
+def test_mc_extrap_bootstrap(benchmark):
+    sample, statistic = mc_bootstrap(ct)
+    result = benchmark(ct.bootstrap_stats, sample, statistic, R=MC_R, seed=2)
+    assert result.replicate_values.shape == (MC_R, 2 * GRID.size + 1)

@@ -15,8 +15,12 @@ call, in MB, as ``extra_info["peak_mb"]``, so that any quadratic temporary
 shows.  ``tools/ab_layers.py`` times the same chunks of two commits call by
 call.
 
-A last case times the tau bootstrap of ``compare`` itself: the
-``two-arm-demo`` design at n = 5 000 per arm, R = 100 replicates on the
+One more case times the whole bootstrap of one ``mc-tau`` run
+(``simulate --scenario table3-eta02``): the susceptible process alone at
+``simlab.DEFAULT_TAU_GRID``, tail cure rates re-estimated per row, on
+``arms(200)`` with R = 500, the point included; ``tools/ab_layers.py``
+times it too.  A last case times the tau bootstrap of ``compare`` itself:
+the ``two-arm-demo`` design at n = 5 000 per arm, R = 100 replicates on the
 default grid with both processes, and records its peak the same way; the
 (100 x width) replicate matrix it returns is most of that peak.
 """
@@ -24,12 +28,14 @@ default grid with both processes, and records its peak the same way; the
 import functools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import curetau as ct
 from curetau.inference import _two_arm_statistic
 
 SIZES = [200, 2_000, 5_000, 20_000]
+MC_N, MC_R = 200, 500
 # Far above the few MB a linear pass takes at n = 20 000, far below the
 # 3 GB of one (n x n) float array.
 PEAK_MB_LIMIT = 256
@@ -89,6 +95,21 @@ def test_kernel_chunk(benchmark, n):
     if n == SIZES[-1]:
         record_peak(benchmark, chunk)
     assert benchmark(chunk).shape[0] == cells[0].shape[0]
+
+
+@functools.lru_cache(maxsize=None)
+def mc_bootstrap(package):
+    """The samples and two-arm statistic of one ``mc-tau`` run's bootstrap
+    as ``package`` (a ``curetau``) builds them on ``arms(MC_N)``."""
+    samples = tuple(package.Sample(sample.times, sample.status) for sample in arms(MC_N)[:2])
+    grid = np.asarray(package.simlab.DEFAULT_TAU_GRID)
+    return samples, package.inference._two_arm_statistic(*samples, grid)
+
+
+def test_mc_tau_bootstrap(benchmark):
+    samples, statistic = mc_bootstrap(ct)
+    result = benchmark(ct.bootstrap_stats, samples, statistic, R=MC_R, seed=1)
+    assert result.replicate_values.shape == (MC_R, len(ct.simlab.DEFAULT_TAU_GRID))
 
 
 def test_compare_bootstrap(benchmark):

@@ -139,8 +139,9 @@ def _cure_rate_rows(km, b=None):
     or a 1-d sequence of them, read in one pass: a (rows x len(b)) array
     whose column j is bit for bit the value for ``b[j]`` alone, since every
     column takes the same IEEE operations ``b * t_k`` and ``(b * b) * t_k``.
+    The tail value is the event curve's last column (``_KMRows``).
     """
-    tail = km.surv[np.arange(km.surv.shape[0]), km.last_event]
+    tail = km.surv[:, -1]
     if b is None:
         return np.where(km.has_events, tail, np.nan)
     for factor in b if np.ndim(b) else (b,):
@@ -149,7 +150,8 @@ def _cure_rate_rows(km, b=None):
     t_k = km.last_event_time[:, None]
     _, raw, flat, unit = _extrapolate(
         tail[:, None], km.at(factors * t_k), km.at((factors * factors) * t_k))
-    values = np.where(km.has_events[:, None] & ~flat & ~unit, _clamp_unit(raw), np.nan)
+    # has_events, read off the columns already found.
+    values = np.where((km.last_event > 0)[:, None] & ~flat & ~unit, _clamp_unit(raw), np.nan)
     return values if np.ndim(b) else values[:, 0]
 
 
@@ -204,7 +206,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     t_k = float(ones.last_event_time[0])
     factors = np.array(grid)
     ratio, raw, flat, unit = (column[0] for column in _extrapolate(
-        ones.surv[0, ones.last_event[0]], ones.at(factors[None] * t_k),
+        ones.surv[0, -1], ones.at(factors[None] * t_k),
         ones.at((factors * factors)[None] * t_k)))
 
     originals = {}

@@ -134,6 +134,8 @@ def _resample(samples, rng):
 
 def _looped_replicates(samples, statistic, R, seed):
     point = np.asarray(statistic(*samples), dtype=float)
+    if not np.all(np.isfinite(point)):
+        raise EstimationError("statistic undefined on the original sample")
     values = np.full((R, point.size), np.nan)
     missing = np.empty(R, bool)
     for r in range(R):
@@ -147,14 +149,22 @@ def _looped_replicates(samples, statistic, R, seed):
 
 
 def _counted_replicates(statistic, R, seed):
-    ones = [summary.ones() for summary in statistic.summaries]
-    point = np.asarray(statistic.evaluate(*ones), dtype=float)[0]
-    if not np.all(np.isfinite(point)):
-        raise EstimationError("statistic undefined on the original sample")
-    values = np.empty((R, point.size))
-    missing = np.empty(R, bool)
+    """The point estimate, replicate matrix and missing rows of a
+    ``CountStatistic``, a chunk of count rows at a time.  The row of ones
+    rides in the first chunk as its row 0, so the point costs no call of
+    its own; each row is evaluated on its own counts alone, so the point is
+    the one-row evaluation bit for bit, and a scalar statistic's point
+    stays 0-d."""
     for start, cells in _count_chunks(statistic.summaries, seed, R):
+        if start == 0:
+            cells = [np.concatenate((summary.ones(), arm))
+                     for summary, arm in zip(statistic.summaries, cells)]
         block = np.asarray(statistic.evaluate(*cells), dtype=float)
+        if start == 0:
+            point, block = block[0].copy(), block[1:]
+            if not np.all(np.isfinite(point)):
+                raise EstimationError("statistic undefined on the original sample")
+            values, missing = np.empty((R, point.size)), np.empty(R, bool)
         rows = slice(start, start + block.shape[0])
         values[rows] = block.reshape(block.shape[0], -1)
         missing[rows] = ~np.isfinite(values[rows]).all(axis=1)
@@ -209,8 +219,10 @@ def bootstrap_stats(samples, statistic, R, seed=0):
     c subjects at one time as one term, as the two-arm tau statistic does,
     agrees to within rounding (1e-13 in absolute value).  The point
     estimate is the row of ones, the original samples: for the two-arm tau
-    statistic, ``tau_a_curve`` itself.  An undefined point estimate raises
-    ``EstimationError``.
+    statistic, ``tau_a_curve`` itself.  It is evaluated as row 0 of the
+    first chunk, with no call of its own, and equals a one-row evaluation
+    bit for bit.  An undefined point estimate raises ``EstimationError`` in
+    both forms.
     """
     if R < 2:
         raise ValueError("R must be at least 2")

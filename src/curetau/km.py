@@ -15,6 +15,7 @@ counts of its own subjects.  A curve can only jump where the sample itself
 has a jump of its kind, so each is kept at those columns alone.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,7 +130,8 @@ def km_fit(sample, target="event"):
 def _suffix_sums(counts):
     """Each row's sums from each column to its last, then a column of 0:
     (rows x m + 1), added from the last column back (a reversed cumsum)."""
-    sums = np.zeros((counts.shape[0], counts.shape[1] + 1), counts.dtype)
+    sums = np.empty((counts.shape[0], counts.shape[1] + 1), counts.dtype)
+    sums[:, -1] = 0
     np.cumsum(counts[:, ::-1], axis=1, out=sums[:, -2::-1])
     return sums
 
@@ -137,10 +139,13 @@ def _suffix_sums(counts):
 def _padded_curve(jumps, at_risk):
     """The product-limit curve of (rows x m) jump and at-risk counts, after a
     leading column of 1.0: (rows x m + 1).  Where nobody is at risk there
-    are no jumps, so a divisor of 1 gives the exact factor 1.0."""
+    are no jumps, so a divisor of 1 gives the exact factor 1.0.  ``at_risk``
+    is a fresh take, which it overwrites; each factor is computed in place."""
     curve = np.empty((jumps.shape[0], jumps.shape[1] + 1))
     curve[:, 0] = 1.0
-    np.cumprod(1.0 - jumps / np.maximum(at_risk, 1), axis=1, out=curve[:, 1:])
+    factors = np.divide(jumps, np.maximum(at_risk, 1, out=at_risk))
+    np.subtract(1.0, factors, out=factors)
+    np.cumprod(factors, axis=1, out=curve[:, 1:])
     return curve
 
 
@@ -182,7 +187,7 @@ def risk_table(sample):
     rows = _count_rows(sample)
     summary = rows.summary
     times = rows.distinct[summary.event_columns]
-    d = rows.events[0, summary.event_columns]
+    d = rows.jumps[0]
     y = rows.at_risk[0, summary.event_columns]
     # Positive: each censoring factor 1 - c_j/Y_j >= Y_(j+1)/Y_j, so G(t-) >= Y(t)/n.
     g_left = rows.censoring_curve()[0, summary.column(times, "censoring", "left")]
@@ -269,22 +274,27 @@ class _KMRows:
     until the next.  A replicate's event times are among those, and one it
     does not jump at contributes a factor of exactly 1.0, so every value is
     bit-identical to the product over the replicate's own event times (and
-    to a cumprod over all K distinct times).  ``summary.column`` gives the
-    column that holds a time's value.  ``last_event`` is the column of each
-    replicate's largest event time, 0 where ``has_events`` is False.
-    ``cells`` are the replicate's cell counts, and ``events`` and
-    ``censored`` its event and censoring counts at each distinct time.
-    ``at_risk`` is (rows x K + 1): its count at risk at each distinct time,
-    then 0, so that column j + 1 is the count still at risk just after time
-    j.  The row of ones is the original sample, and ``km_fit`` and
-    ``risk_table`` read it (``_count_rows``).
+    to a cumprod over all K distinct times).  So the last column,
+    ``surv[:, -1]``, is each replicate's curve at its largest event time.
+    ``summary.column`` gives the column that holds a time's value.
+    ``cells`` are the replicate's cell counts, ``events`` and ``censored``
+    its event and censoring counts at each distinct time, and ``jumps`` and
+    ``censored_counts`` those at the event and censored columns alone (E
+    and C).  ``has_events`` marks the rows with an event, and ``last_event``
+    is the column of each row's largest event time, 0 where it has none.
+    ``censored_counts``, ``has_events`` and ``last_event`` are found on
+    first read and kept, so each is computed once and only where it is
+    read: the tail cure rate needs no ``last_event``, and the extrapolated
+    one no ``has_events``.  ``at_risk`` is (rows x K + 1): its count at
+    risk at each distinct time, then 0, so that column j + 1 is the count
+    still at risk just after time j.  The row of ones is the original
+    sample, and ``km_fit`` and ``risk_table`` read it (``_count_rows``).
     """
 
     summary: _SortedSample
     cells: np.ndarray
+    jumps: np.ndarray
     surv: np.ndarray
-    last_event: np.ndarray
-    has_events: np.ndarray
     at_risk: np.ndarray
 
     @property
@@ -298,6 +308,22 @@ class _KMRows:
     @property
     def censored(self):
         return self.cells[:, 0::2]
+
+    @functools.cached_property
+    def censored_counts(self):
+        return self.cells.take(self.summary.censored_cells, axis=1)
+
+    @functools.cached_property
+    def has_events(self):
+        return self.jumps.any(axis=1)
+
+    @functools.cached_property
+    def last_event(self):
+        # The last column that jumps, or the leading one if none does.
+        jumped = np.empty(self.surv.shape, bool)
+        jumped[:, 0] = True
+        np.greater(self.jumps, 0, out=jumped[:, 1:])
+        return jumped.shape[1] - 1 - np.argmax(jumped[:, ::-1], axis=1)
 
     @property
     def last_event_time(self):
@@ -316,7 +342,7 @@ class _KMRows:
         """Each row's censoring KM curve, padded as ``surv`` is: (rows x
         |C| + 1), over the censored columns (``summary.column(t,
         "censoring")``)."""
-        return _padded_curve(self.cells.take(self.summary.censored_cells, axis=1),
+        return _padded_curve(self.censored_counts,
                              self.at_risk.take(self.summary.censored_columns, axis=1))
 
 
@@ -336,17 +362,10 @@ def _km_rows(summary, cells):
     """
     at_risk = _suffix_sums(cells[:, 0::2] + cells[:, 1::2])
     jumps = cells.take(summary.event_cells, axis=1)
-    surv = _padded_curve(jumps, at_risk.take(summary.event_columns, axis=1))
-    # The column of each row's last event: the last True, the leading one if none.
-    jumped = np.empty(surv.shape, bool)
-    jumped[:, 0] = True
-    np.greater(jumps, 0, out=jumped[:, 1:])
-    last_event = jumped.shape[1] - 1 - np.argmax(jumped[:, ::-1], axis=1)
     return _KMRows(
         summary=summary,
         cells=cells,
-        surv=surv,
-        last_event=last_event,
-        has_events=last_event > 0,
+        jumps=jumps,
+        surv=_padded_curve(jumps, at_risk.take(summary.event_columns, axis=1)),
         at_risk=at_risk,
     )

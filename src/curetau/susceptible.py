@@ -55,8 +55,10 @@ def _latency_rows(km, eta, clamp, columns):
     into [0, 1] with ``clamp``.
     """
     eta = np.where(eta >= 1.0, np.nan, eta)
-    latency = (km.surv.take(columns, axis=1) - eta[:, None]) / (1.0 - eta[:, None])
-    return eta, np.clip(latency, 0.0, 1.0) if clamp else latency
+    latency = km.surv.take(columns, axis=1)
+    latency -= eta[:, None]
+    latency /= 1.0 - eta[:, None]
+    return eta, np.clip(latency, 0.0, 1.0, out=latency) if clamp else latency
 
 
 def ipcw_latency_curve(table):

@@ -12,12 +12,15 @@ replicate is one row, and the sample itself is the row of ones (the
 multinomial view of the bootstrap; Efron & Tibshirani 1993, ch. 6).  A row's
 pair masses come from those counts alone and go into the grid with one
 ``np.bincount`` per arm.  ``tau_curve`` and ``tau_a_curve`` evaluate the row
-of ones; the bootstrap (``inference._two_arm_statistic``) the drawn rows.
-A row draws its subjects from the sample, so its curves are computed where
-the sample has jumps alone (``km._km_rows``): the event curve and the
-events' divisors at the event times, and the censoring curve, latency and
-censoring weights at the censoring times, each read through columns fixed
-once per pair of samples.
+of ones; the bootstrap (``inference._two_arm_statistic``) the drawn rows,
+with the row of ones as row 0 of its first chunk.  A row draws its
+subjects from the sample, so its curves are computed where the sample has
+jumps alone (``km._km_rows``): the event curve and the events' divisors at
+the event times, and the censoring curve, latency and censoring weights at
+the censoring times, each read through columns fixed once per pair of
+samples.  Each chunk takes an arm's event and censored counts once
+(``_KMRows.jumps`` and ``censored_counts``), reads the tail cure rate from
+the event curve's last column, and computes its temporaries in place.
 
 The population truth ``true_tau_quadrature`` is one bounded integral on arm
 1's probability scale, which ``_quad`` takes by adaptive 21-point
@@ -99,25 +102,29 @@ def _orientation(sample0, sample1, eta0=None, eta1=None):
 
 
 def _arm_rows(summary, cells, eta, refit):
-    """One arm's rows: their at-risk counts (``_KMRows.at_risk``) and padded
-    censoring curves; then, given the arm's cure-rate estimate ``eta`` (else
-    None for both), each row's cure rate and its weighted counts
-    ``d_j + c_j * f_j`` at each distinct time j, with ``f_j`` the censoring
-    weight factor there.  The latency and the factor are computed at the
-    censored columns alone, and ``c_j * f_j`` is added to ``d_j`` there."""
+    """One arm's rows: their ``_KMRows`` and padded censoring curves; then,
+    given the arm's cure-rate estimate ``eta`` (else None for both), each
+    row's cure rate and its weighted counts ``d_j + c_j * f_j`` at each
+    distinct time j, with ``f_j`` the censoring weight factor there.  The
+    latency and the factor are computed at the censored columns alone, and
+    the censored counts there are taken once, for the censoring curve and
+    the weights."""
     km = _km_rows(summary, cells)
     censoring = km.censoring_curve()
     if eta is None:
-        return km.at_risk, censoring, None, None
+        return km, censoring, None, None
     rates = _cure_rate_rows(km, eta.b) if refit else np.full(cells.shape[0], eta.value)
     rates, latency = _latency_rows(km, rates, eta.method == "extrapolated",
                                    summary.surv_at_censored)
     # Where no one is censored the factor may be 0/0: it weighs exactly 0.
     factor = censoring_weight_factor(latency, rates[:, None])
-    censored = cells.take(summary.censored_cells, axis=1)
-    weighted = km.events.astype(float)
-    weighted[:, summary.censored_columns] += np.where(censored > 0, censored * factor, 0.0)
-    return km.at_risk, censoring, rates, weighted
+    censored = km.censored_counts
+    # The cells with c * f in place of each censored count; every other
+    # even cell of a resample is 0, so adding the even cells to the odd ones
+    # adds d + c * f, in that order, at each time.
+    weighted = cells.astype(float)
+    weighted[:, summary.censored_cells] = np.where(censored > 0, censored * factor, 0.0)
+    return km, censoring, rates, weighted[:, 1::2] + weighted[:, 0::2]
 
 
 def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False):
@@ -173,32 +180,36 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
 
     def evaluate(cells0, cells1):
         cells = (cells0, cells1) if orientation <= 0 else (cells1, cells0)
-        at_risk, censoring, rates, weighted = zip(*(
+        kms, censoring, rates, weighted = zip(*(
             _arm_rows(summary, arm, eta, refit)
             for summary, arm, eta in zip(summaries, cells, etas)))
         rows = cells0.shape[0]
         # Each event pairs with every opposite subject observed later, and is
-        # divided by both censoring curves' left limits there.  Per arm, for
-        # both processes: the event counts, divisors and grid bins.
+        # divided by both censoring curves' left limits there (a product of
+        # curves is >= 0, and 1 stands in for 0).  Per arm, for both
+        # processes: the event counts, divisors and grid bins.
         at_jumps = []
         for own, (_, left, other_left, _, _) in enumerate(places):
-            g_prod = (censoring[own].take(left, axis=1)
-                      * censoring[1 - own].take(other_left, axis=1))
-            at_jumps.append((cells[own].take(summaries[own].event_cells, axis=1),
-                             np.where(g_prod > 0, g_prod, 1.0),
+            divisor = (censoring[own].take(left, axis=1)
+                       * censoring[1 - own].take(other_left, axis=1))
+            np.copyto(divisor, 1.0, where=divisor == 0)
+            at_jumps.append((kms[own].jumps, divisor,
                              (np.arange(rows)[:, None] * width + buckets[own]).ravel()))
 
         def into_grid(own, later):
-            # ``later(arm)`` is an arm's suffix sums, 0 past its last time.
+            # ``later(arm)`` is an arm's suffix sums, 0 past its last time:
+            # int64 at-risk counts or float weighted sums.
             counts, divisor, bins = at_jumps[own]
-            masses = counts * later(1 - own).take(places[own][3], axis=1) / divisor
+            masses = np.multiply(counts, later(1 - own).take(places[own][3], axis=1),
+                                 dtype=float)
+            masses /= divisor
             return np.bincount(bins, masses.ravel(), rows * width).reshape(rows, width)
 
         pairs = sample0.n * sample1.n
         parts = []
         if overall or etas[0] is None:
             # The suffix sums of the subjects observed: the at-risk counts.
-            parts.append((lambda arm: at_risk[arm], pairs))
+            parts.append((lambda arm: kms[arm].at_risk, pairs))
         if etas[0] is not None:
             parts.append((lambda arm: _suffix_sums(weighted[arm]),
                           (pairs * (1.0 - rates[0]) * (1.0 - rates[1]))[:, None]))

@@ -31,7 +31,7 @@ from curetau.cure import DEFAULT_B_GRID
 from curetau.errors import (DegenerateWindowError, NoEventsError, SelectionFailedError,
                             UnstableStatisticError)
 from curetau.cure import _cure_rate, _cure_rate_rows
-from curetau.inference import _one_arm_statistic, _two_arm_statistic
+from curetau.inference import CountStatistic, _one_arm_statistic, _two_arm_statistic
 from curetau import km
 from curetau import seeding
 from curetau.km import COUNT_CHUNK_ELEMENTS, _count_chunks, _sort_sample
@@ -459,6 +459,55 @@ def test_large_arms_with_a_partial_last_chunk():
     tau = assert_tau_matches_loop(arm0, arm1, ct.tau_curve(arm0, arm1).grid, None, None,
                                   True, R, 9)
     assert isinstance(tau, ct.BootstrapResult)
+
+
+def first_chunk_cases():
+    """One-arm, two-arm tau (with and without the overall process) and
+    cure-difference statistics on two drawn arms of 200, or with a
+    one-subject arm 0."""
+    table3, _ = ct.preset("table3-eta02")
+    drawn = ct.draw_two_arm_sample(table3, 4).split_arms()
+    for arms in (drawn, (ct.Sample([0.4], [1]), drawn[1])):
+        summaries = tuple(map(_sort_sample, arms))
+
+        def difference(cells0, cells1, summaries=summaries):
+            return (_cure_rate_rows(km._km_rows(summaries[1], cells1))
+                    - _cure_rate_rows(km._km_rows(summaries[0], cells0)))
+
+        yield arms[:1], _one_arm_statistic(arms[0], TAU_GRID)
+        yield arms, _two_arm_statistic(*arms, TAU_GRID)
+        yield arms, _two_arm_statistic(*arms, TAU_GRID, overall=True)
+        yield arms, CountStatistic(difference, summaries)
+
+
+# A chunk holds this many replicates of an arm of 200.
+CHUNK = COUNT_CHUNK_ELEMENTS // 200
+
+
+@pytest.mark.parametrize("R", [2, CHUNK, CHUNK + 1])
+def test_the_point_is_the_row_of_ones_in_the_first_chunk(R):
+    for samples, statistic in first_chunk_cases():
+        result = ct.bootstrap_stats(samples, statistic, R=R, seed=5)
+        point = np.asarray(statistic.evaluate(
+            *(summary.ones() for summary in statistic.summaries)), dtype=float)[0]
+        assert same(result.point, point)
+        assert isinstance(result.point, float if point.ndim == 0 else np.ndarray)
+        # Every replicate is still the row its chunk draws.
+        rows = np.concatenate([
+            np.asarray(statistic.evaluate(*cells), dtype=float).reshape(len(cells[0]), -1)
+            for _, cells in _count_chunks(statistic.summaries, seed_tuple(5), R)])
+        rows[~np.isfinite(rows).all(axis=1)] = np.nan
+        assert same(result.replicate_values, rows if point.ndim else rows[:, 0])
+        if len(samples) == 2 and statistic.evaluate.__name__ == "difference":
+            test = ct.cure_difference_test(*samples, R=R, seed=5)
+            assert same((test.difference, test.sd), (result.point, result.sd))
+
+
+def test_an_undefined_point_raises_from_the_first_chunk():
+    no_events = ct.Sample([1.0, 2.0, 3.0], [0, 0, 0])
+    with pytest.raises(ct.EstimationError,
+                       match="^statistic undefined on the original sample$"):
+        ct.bootstrap_stats(no_events, _one_arm_statistic(no_events, TAU_GRID), R=2)
 
 
 def looped_counts(summaries, seed, R):

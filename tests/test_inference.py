@@ -104,6 +104,16 @@ def test_bootstrap_unstable_statistic_raises(d1):
         ct.bootstrap_stats(d1, defined_only_on_the_original, R=20, seed=0)
 
 
+@pytest.mark.parametrize("undefined", [np.nan, np.inf, [1.0, np.nan]])
+def test_looped_bootstrap_with_an_undefined_point_raises(d1, undefined):
+    # As the counted form does: no point is reported as NaN with an SD of 0.
+    def stat(sample):
+        return np.array(undefined) if sample is d1 else np.ones(np.size(undefined))
+
+    with pytest.raises(EstimationError, match="^statistic undefined on the original sample$"):
+        ct.bootstrap_stats(d1, stat, R=10)
+
+
 def test_bootstrap_vector_statistic(d1):
     grid = np.array([1.0, 3.0])
 

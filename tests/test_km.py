@@ -136,12 +136,16 @@ def test_censoring_weight_bounded_below_by_risk_share(sample, drawn):
 
 @st.composite
 def resampled_rows(draw):
-    """A ``tied_samples()`` sample, or its times all censored or all events,
-    with rows of its resamples' cell counts: its row of ones, a chunk drawn
+    """A ``tied_samples()`` sample or its first subject alone, or their
+    times all censored or all events, with rows of its resamples' cell
+    counts: its row of ones, a chunk drawn
     by ``_count_chunks``, rows of chosen subjects, and the rows that draw
     only its last subject and only its censored ones (no events, or an
     all-censored tail)."""
     sample = draw(tied_samples())
+    if draw(st.booleans()):
+        # An arm of one subject, an event or a censoring.
+        sample = ct.Sample(sample.times[:1], sample.status[:1])
     status = draw(st.sampled_from([None, 0, 1]))
     if status is not None:
         sample = ct.Sample(sample.times, np.full(sample.n, status))
@@ -188,13 +192,24 @@ def test_occupied_column_curves_equal_the_full_width_products(rows):
     assert same(km.at(np.broadcast_to(t, (cells.shape[0], t.size))), reference)
     assert same(summary.surv_at_censored,
                 summary.column(distinct[summary.censored_columns]))
-    # The tail: the curve at each row's last event time.
+    # The counts at the occupied columns, taken once per chunk.
+    ones = summary.ones()[0]
+    assert same(km.jumps, cells[:, 1::2][:, ones[1::2] > 0])
+    assert same(km.censored_counts, cells[:, 0::2][:, ones[0::2] > 0])
+    # The tail: the curve at each row's last event time, which is its last
+    # column, since every factor after that time is 1.0.
     jumps = cells[:, 1::2] > 0
     last = jumps.shape[1] - 1 - np.argmax(jumps[:, ::-1], axis=1)
-    assert same(km.has_events, jumps.any(axis=1))
-    assert same(_cure_rate_rows(km), np.where(
-        km.has_events, surv[np.arange(cells.shape[0]), last], np.nan))
-    assert same(km.last_event_time[km.has_events], distinct[last][km.has_events])
+    has = jumps.any(axis=1)
+    tail = surv[np.arange(cells.shape[0]), last]
+    assert same(km.has_events, has)
+    assert same(km.surv[:, -1], surv[:, -1])
+    assert same(km.surv[has, -1], tail[has])
+    assert same(_cure_rate_rows(km), np.where(has, tail, np.nan))
+    # The padded column of the last event: the sample's event times up to
+    # it, or 0 without one.
+    assert same(km.last_event, np.where(has, np.cumsum(ones[1::2] > 0)[last], 0))
+    assert same(km.last_event_time, np.where(has, distinct[last], 0.0))
     # The censoring curve and its left limits.
     curve = km.censoring_curve()
     assert same(curve.take(summary.column(distinct, "censoring"), axis=1), censoring)

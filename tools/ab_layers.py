@@ -22,8 +22,13 @@ the same rows.  The kernel cases take one chunk of count rows at each n of
 statistic, and at each n of ``bench/bench_tau.py`` through the two-arm tau
 kernel, after a check that the two commits give the same values bit for
 bit: the statistics' rows, and ``_km_rows``' at-risk counts and event
-curves at every distinct time.  For each case it prints both sides' median
-and quartiles in milliseconds and the rounds the checked-out tree won.
+curves at every distinct time.  The whole-bootstrap cases run
+``bootstrap_stats`` on the one-arm extrapolated statistic of
+``bench/bench_bootstrap.py`` and on the ``mc-tau`` statistic of
+``bench/bench_tau.py`` (R = 500, n = 200), point included, after a check
+that the point, SD and replicate matrix are the same bit for bit.  For each
+case it prints both sides' median and quartiles in milliseconds and the
+rounds the checked-out tree won.
 """
 
 import argparse
@@ -76,6 +81,12 @@ def km_values(package, summary, cells):
     return km.at_risk[:, :shape[1]], km.at(np.broadcast_to(summary.distinct, shape))
 
 
+def bootstrap_values(package, samples, statistic, R, seed):
+    """``bootstrap_stats``' point, SD and replicate matrix."""
+    result = package.bootstrap_stats(samples, statistic, R=R, seed=seed)
+    return np.asarray(result.point), np.asarray(result.sd), result.replicate_values
+
+
 def cases(packages):
     """``(label, call per package)`` for every case, on shared inputs."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -118,6 +129,16 @@ def cases(packages):
         yield (f"tau kernel chunk n={n} rows={built[0][1][0].shape[0]}",
                [lambda statistic=statistic, cells=cells: statistic.evaluate(*cells)
                 for statistic, cells in built])
+    for label, bench, seed in (("one-arm extrapolated", bench_bootstrap, 2),
+                               ("mc-tau", bench_tau, 1)):
+        built = [bench.mc_bootstrap(package) for package in packages]
+        if not all(map(same, *(bootstrap_values(package, samples, statistic, bench.MC_R, seed)
+                               for package, (samples, statistic) in zip(packages, built)))):
+            raise SystemExit(f"the commits' {label} bootstraps differ")
+        yield (f"bootstrap_stats {label} n={bench.MC_N} R={bench.MC_R}",
+               [lambda stats=package.bootstrap_stats, samples=samples, statistic=statistic,
+                R=bench.MC_R, seed=seed: stats(samples, statistic, R=R, seed=seed)
+                for package, (samples, statistic) in zip(packages, built)])
 
 
 def race(calls):
