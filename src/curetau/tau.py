@@ -198,12 +198,12 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
 
         def into_grid(own, later):
             # ``later(arm)`` is an arm's suffix sums, 0 past its last time:
-            # int64 at-risk counts or float weighted sums.
+            # int64 at-risk counts, whose products with the counts are exact,
+            # or float weighted sums.
             counts, divisor, bins = at_jumps[own]
-            masses = np.multiply(counts, later(1 - own).take(places[own][3], axis=1),
-                                 dtype=float)
-            masses /= divisor
-            return np.bincount(bins, masses.ravel(), rows * width).reshape(rows, width)
+            masses = later(1 - own).take(places[own][3], axis=1)
+            masses *= counts
+            return np.bincount(bins, (masses / divisor).ravel(), rows * width).reshape(rows, width)
 
         pairs = sample0.n * sample1.n
         parts = []
