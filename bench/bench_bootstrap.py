@@ -34,7 +34,7 @@ from curetau.km import _km_rows
 
 SIZES = [200, 2_000, 5_000, 20_000]
 R = 200
-MC_N, MC_R = 200, 500
+MC_N, MC_R, MC_SEED = 200, 500, 2
 GRID = np.linspace(0.1, 0.7, 7)
 # Far above the few MB a chunk of rows takes at n = 20 000, far below the
 # 32 MB of one (R x n) int64 array of subject counts.
@@ -134,5 +134,5 @@ def mc_bootstrap(package):
 
 def test_mc_extrap_bootstrap(benchmark):
     sample, statistic = mc_bootstrap(ct)
-    result = benchmark(ct.bootstrap_stats, sample, statistic, R=MC_R, seed=2)
+    result = benchmark(ct.bootstrap_stats, sample, statistic, R=MC_R, seed=MC_SEED)
     assert result.replicate_values.shape == (MC_R, 2 * GRID.size + 1)

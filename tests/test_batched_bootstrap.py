@@ -498,9 +498,6 @@ def test_the_point_is_the_row_of_ones_in_the_first_chunk(R):
             for _, cells in _count_chunks(statistic.summaries, seed_tuple(5), R)])
         rows[~np.isfinite(rows).all(axis=1)] = np.nan
         assert same(result.replicate_values, rows if point.ndim else rows[:, 0])
-        if len(samples) == 2 and statistic.evaluate.__name__ == "difference":
-            test = ct.cure_difference_test(*samples, R=R, seed=5)
-            assert same((test.difference, test.sd), (result.point, result.sd))
 
 
 def test_an_undefined_point_raises_from_the_first_chunk():

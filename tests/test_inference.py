@@ -104,7 +104,8 @@ def test_bootstrap_unstable_statistic_raises(d1):
         ct.bootstrap_stats(d1, defined_only_on_the_original, R=20, seed=0)
 
 
-@pytest.mark.parametrize("undefined", [np.nan, np.inf, [1.0, np.nan]])
+@pytest.mark.parametrize("undefined", [np.nan, np.inf, [1.0, np.nan]],
+                         ids=["nan", "inf", "vector"])
 def test_looped_bootstrap_with_an_undefined_point_raises(d1, undefined):
     # As the counted form does: no point is reported as NaN with an SD of 0.
     def stat(sample):

@@ -81,9 +81,10 @@ def km_values(package, summary, cells):
     return km.at_risk[:, :shape[1]], km.at(np.broadcast_to(summary.distinct, shape))
 
 
-def bootstrap_values(package, samples, statistic, R, seed):
-    """``bootstrap_stats``' point, SD and replicate matrix."""
-    result = package.bootstrap_stats(samples, statistic, R=R, seed=seed)
+def bootstrap_values(package, samples, statistic, bench):
+    """``bootstrap_stats``' point, SD and replicate matrix, with the number
+    of replicates and the seed of ``bench`` (a bench module)."""
+    result = package.bootstrap_stats(samples, statistic, R=bench.MC_R, seed=bench.MC_SEED)
     return np.asarray(result.point), np.asarray(result.sd), result.replicate_values
 
 
@@ -129,15 +130,14 @@ def cases(packages):
         yield (f"tau kernel chunk n={n} rows={built[0][1][0].shape[0]}",
                [lambda statistic=statistic, cells=cells: statistic.evaluate(*cells)
                 for statistic, cells in built])
-    for label, bench, seed in (("one-arm extrapolated", bench_bootstrap, 2),
-                               ("mc-tau", bench_tau, 1)):
+    for label, bench in (("one-arm extrapolated", bench_bootstrap), ("mc-tau", bench_tau)):
         built = [bench.mc_bootstrap(package) for package in packages]
-        if not all(map(same, *(bootstrap_values(package, samples, statistic, bench.MC_R, seed)
+        if not all(map(same, *(bootstrap_values(package, samples, statistic, bench)
                                for package, (samples, statistic) in zip(packages, built)))):
             raise SystemExit(f"the commits' {label} bootstraps differ")
         yield (f"bootstrap_stats {label} n={bench.MC_N} R={bench.MC_R}",
-               [lambda stats=package.bootstrap_stats, samples=samples, statistic=statistic,
-                R=bench.MC_R, seed=seed: stats(samples, statistic, R=R, seed=seed)
+               [lambda package=package, samples=samples, statistic=statistic, bench=bench:
+                bootstrap_values(package, samples, statistic, bench)
                 for package, (samples, statistic) in zip(packages, built)])
 
 
