@@ -64,7 +64,8 @@ def _write_text(directory, name, text):
 
 def _read_sample(path):
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, as spreadsheets write.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_csv(fh)
     except OSError as exc:
         raise _ValidationFailure(f"cannot read {path}: {exc.strerror}") from exc
@@ -347,9 +348,9 @@ def _t_field(row):
 
 def write_experiment_csv(rows):
     """Long-form rows ``t,truth,a,b,c,d,e``; the cure-rate row has empty t."""
-    return _csv_text(_EXPERIMENT_HEADER, (
+    return _csv_text(_EXPERIMENT_HEADER, zip(*(
         [_t_field(row)] + [getattr(row, name) for name in _EXPERIMENT_FIELDS]
-        for row in rows))
+        for row in rows)))
 
 
 def read_experiment_csv(source):
@@ -360,9 +361,8 @@ def read_experiment_csv(source):
 
 def _experiment_table_csv(rows):
     header = ["row"] + ["cure_rate" if math.isnan(row.t) else row.t for row in rows]
-    return _csv_text(header, (
-        [label] + [getattr(row, name) for row in rows]
-        for label, name in zip(_EXPERIMENT_HEADER[1:], _EXPERIMENT_FIELDS)))
+    return _csv_text(header, [_EXPERIMENT_HEADER[1:]] + [
+        [getattr(row, name) for name in _EXPERIMENT_FIELDS] for row in rows])
 
 
 def _run_simulate(args):
@@ -404,8 +404,8 @@ def _run_simulate(args):
     if points is not None:
         _write_text(outdir, "raw_estimates.csv", _csv_text(
             ("run", "estimand", "t", "value"),
-            ((run, row.estimand, _t_field(row), points[run, col])
-             for run in range(points.shape[0]) for col, row in enumerate(rows))))
+            zip(*((run, row.estimand, _t_field(row), points[run, col])
+                  for run in range(points.shape[0]) for col, row in enumerate(rows)))))
     _json_report(outdir, {
         "inputs": {
             "command": "simulate",
@@ -445,8 +445,8 @@ def _run_btune(args):
     outdir.mkdir(parents=True, exist_ok=True)
     _write_text(outdir, "btune.csv", _csv_text(
         ("b", "eta_estimate", "boot_mean", "criterion", "missing", "selected"),
-        ((p.b, p.eta_check, p.boot_mean, p.criterion, p.n_missing, int(p.b == b_star))
-         for p in diagnostics)))
+        zip(*((p.b, p.eta_check, p.boot_mean, p.criterion, p.n_missing, int(p.b == b_star))
+              for p in diagnostics))))
     print(f"b_star: {b_star!r}")
     return EXIT_OK
 

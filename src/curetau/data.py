@@ -1,14 +1,16 @@
 """Per-subject survival records, CSV ingestion, and validation.
 
-``_record_fault`` is the one record rule and ``_csv_columns`` the one CSV
-reader: a quoted field reads as its contents, a row of blank fields is
-skipped, and errors name the 1-based physical line of the first bad row."""
+``_record_fault`` is the one record rule, ``_csv_text`` the one CSV writer
+and ``_csv_columns`` the one CSV reader, both on whole columns: a quoted
+field reads as its contents, a row of blank fields is skipped, and errors
+name the 1-based physical line of the first bad row.  Plain lines of numbers
+are read in one pass, and any other text by the exact per-row reader alone."""
 
 import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -135,15 +137,15 @@ def parse_csv(source):
     return Sample(*_csv_columns(source, ("time", "status"), ("arm",), _record_fault))
 
 
-def _csv_text(header, rows):
-    """CSV text of a header row and data rows, one line each.
+def _csv_text(header, columns):
+    """CSV text of a header row and data columns of one length, a line a row.
 
     A str field is written as it is, an integer via ``str(int)`` and any
     other number via ``repr(float)``, so floats round-trip exactly and equal
     inputs give equal bytes.  A column of integers or of other numbers gets
     its format once, the header and any other column go value by value, and
     the body is written with one ``%``: the line format repeated once per
-    row, applied to all fields in row order.
+    row, applied to the columns interleaved into row order.
     """
 
     def field(value):
@@ -153,21 +155,21 @@ def _csv_text(header, rows):
             return str(int(value))
         return repr(float(value))
 
-    columns, formats = [], []
-    for column in zip(*rows):
+    columns = list(columns)
+    width, rows = len(columns), len(columns[0]) if columns else 0
+    fields, formats = [None] * (width * rows), []
+    for i, column in enumerate(columns):
         types = set(map(type, column))
         if all(issubclass(t, (int, np.integer)) for t in types):
             formats.append("%d")
         elif not any(issubclass(t, (str, int, np.integer)) for t in types):
             formats.append("%r")
-            column = map(float, column)
+            column = column if types <= {float} else map(float, column)
         else:
             formats.append("%s")
             column = map(field, column)
-        columns.append(column)
-    line = ",".join(formats) + "\n"
-    fields = tuple(chain.from_iterable(zip(*columns)))
-    body = line * (len(fields) // max(len(formats), 1)) % fields
+        fields[i::width] = column
+    body = (",".join(formats) + "\n") * rows % tuple(fields)
     return ",".join(map(field, header)) + "\n" + body
 
 
@@ -185,6 +187,20 @@ def _csv_rows(text):
         raise ParseError(str(exc), end + 1) from None
 
 
+def _bulk_fields(text, width):
+    """The fields after the header as floats in row order, or None unless
+    each later line holds ``width`` numbers split by commas, with no quote or
+    carriage return in the text and no line over the csv field size limit."""
+    lines = text.partition("\n")[2].removesuffix("\n").split("\n")
+    if ('"' in text or "\r" in text or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        return list(map(float, ",".join(lines).split(",")))
+    except ValueError:
+        return None
+
+
 def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None):
     """Float columns of CSV text (a string or file-like), in the order of
     ``required`` and then ``optional``.
@@ -197,6 +213,10 @@ def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None)
     Errors name the 1-based physical line of the first bad row, counting the
     header and skipped lines; in that row a wrong width comes first, then
     the ``record_fault`` finding, then the first field that is not a number.
+
+    A body of plain lines of numbers that obey ``record_fault`` is read in
+    one ``_bulk_fields`` pass.  Any other goes through the per-row reader,
+    which alone reads a quoted or blank row and gives every error.
     """
     text = source if isinstance(source, str) else source.read()
     rows = _csv_rows(text)
@@ -215,6 +235,11 @@ def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None)
     if len(names) not in (len(required), len(required + optional)):
         raise ParseError(f"columns {','.join(optional)} come together or not at all", 1)
     order = [names.index(name) for name in required + optional if name in names]
+    values = _bulk_fields(text, len(names))
+    if values is not None:
+        columns = [values[i::len(names)] for i in order]
+        if not (record_fault and record_fault(*columns)):
+            return columns
     columns, fault = [[] for _ in names], None
     for line, row in rows:
         if len(row) != len(names):
@@ -247,8 +272,7 @@ def write_csv(sample):
     columns = [sample.times.tolist(), sample.status.tolist()]
     if sample.has_arms:
         columns.append(sample.arms.tolist())
-    header = ("time", "status", "arm")[:len(columns)]
-    return _csv_text(header, zip(*columns))
+    return _csv_text(("time", "status", "arm")[:len(columns)], columns)
 
 
 @dataclass(frozen=True)
@@ -263,10 +287,20 @@ class ValidationReport:
         return not self.fatal
 
 
-def _event_censor_tie_times(times, status):
-    event_times = set(np.asarray(times)[np.asarray(status) == 1].tolist())
-    censor_times = set(np.asarray(times)[np.asarray(status) == 0].tolist())
-    return sorted(event_times & censor_times)
+def _event_censor_tie_times(sample):
+    """The sorted distinct times with both an event and a censoring, a tie
+    at zero signed as the intersection of the event and censoring time sets
+    signed it: as the first record there of the kind with fewer distinct
+    times, or censored when both have as many."""
+    from .km import _sort_sample  # km imports stepfun, which imports this module
+
+    summary = _sort_sample(sample)
+    events, censored = summary.event_columns, summary.censored_columns
+    ties = summary.distinct[np.intersect1d(events, censored, assume_unique=True)]
+    if ties.size and ties[0] == 0.0:
+        kind = int(censored.size > events.size)
+        ties[0] = sample.times[(sample.times == 0.0) & (sample.status == kind)][0]
+    return ties.tolist()
 
 
 def validate(sample):
@@ -280,7 +314,7 @@ def validate(sample):
         fatal.append("observation at time 0: follow-up times must be positive")
     if sample.n_events == 0:
         fatal.append("no events: cure-rate and latency estimators are undefined")
-    ties = _event_censor_tie_times(sample.times, sample.status)
+    ties = _event_censor_tie_times(sample)
     if ties:
         shown = ", ".join(repr(t) for t in ties[:5])
         warnings.append(

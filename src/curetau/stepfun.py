@@ -109,7 +109,7 @@ def write_curve_csv(curve, bands=None):
     columns = [[0.0, *curve.x.tolist()], [curve.initial_value, *curve.y.tolist()]]
     if bands is not None:
         columns += [np.asarray(band, dtype=float).tolist() for band in bands]
-    return _csv_text(("t", "value", "lo", "hi")[:len(columns)], zip(*columns))
+    return _csv_text(("t", "value", "lo", "hi")[:len(columns)], columns)
 
 
 def read_curve_csv(source):

@@ -376,7 +376,7 @@ def write_tau_csv(curve):
     if curve.sd is not None:
         columns += [curve.sd, curve.ci_low, curve.ci_high]
     columns = [np.asarray(column, dtype=float).tolist() for column in columns]
-    return _csv_text(("t", "value", "sd", "lo", "hi")[:len(columns)], zip(*columns))
+    return _csv_text(("t", "value", "sd", "lo", "hi")[:len(columns)], columns)
 
 
 def read_tau_csv(source, kind="overall"):

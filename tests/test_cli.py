@@ -70,6 +70,31 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
         "invalid continuation byte\n")
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, d1_file):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark; read it from the
+    # same path, so that report.json names the same input.
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        d1_file.write_bytes(prefix + D1_TEXT.encode())
+        out = tmp_path / name
+        assert main(["fit", "--input", str(d1_file), "--boot", "20", "--seed", "3",
+                     "--emit", "csv,svg,report", "--output-dir", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 1
+
+
+@pytest.mark.parametrize("text, error", [
+    ("\ufeff\ufefftime,status\n1,1\n", "line 1: missing required column 'time'"),
+    ("time,\ufeffstatus\n1,1\n", "line 1: missing required column 'status'"),
+    ("\ufefftime,status\n1,1\n\ufeff2,0\n", "line 3: malformed number '\\ufeff2' in column 'time'"),
+])
+def test_a_byte_order_mark_elsewhere_is_an_error(tmp_path, capsys, text, error):
+    path = tmp_path / "marks.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["fit", "--input", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_fit_no_events_exits_2(tmp_path, capsys):
     path = tmp_path / "allcensored.csv"
     path.write_text("time,status\n1,0\n2,0\n")

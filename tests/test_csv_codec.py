@@ -8,14 +8,22 @@ does, so CRLF line ends and quoted fields read like plain ones, takes the
 header's columns in any order and case, and skips a row whose fields are all
 blank.  A blank ``t`` field is an error everywhere except in the experiment
 reader, where it marks the cure-rate row.
+
+The reader's bulk path and its per-row reader must agree on every text, and
+the column writer must write what the row writer it replaced wrote.
 """
 
 import math
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curetau as ct
+from curetau import data
 from curetau.cli import read_experiment_csv
 from curetau.data import _csv_text
 from curetau.errors import ParseError
@@ -160,14 +168,158 @@ def test_columns_of_mixed_kinds_keep_the_per_value_formats():
             ("bc", 10 ** 20, np.int32(7), math.nan, 1e-300, 2.5, 0.5),
             ("", True, np.int64(0), -math.inf, np.float32(0.1), np.int64(4), math.inf)]
     header = ("s", "i", "j", "f", "g", "mixed", 0.25)
-    assert _csv_text(header, rows) == (
+    columns = list(zip(*rows))
+    assert _csv_text(header, columns) == (
         "s,i,j,f,g,mixed,0.25\n"
         "a,1,-2,0.1,2.0,3,\n"
         "bc,100000000000000000000,7,nan,1e-300,2.5,0.5\n"
         ",1,0,-inf,0.10000000149011612,4,inf\n")
-    assert _csv_text(header, iter(rows)) == _csv_text(header, rows)
+    assert _csv_text(header, iter(columns)) == _csv_text(header, columns)
 
 
 def test_an_empty_row_set_writes_the_header_alone():
     assert _csv_text(("t", "value"), []) == "t,value\n"
     assert _csv_text(("t", "value"), iter(())) == "t,value\n"
+
+
+COLUMN_READERS = {
+    "sample": (("time", "status"), ("arm",), data._record_fault, None,
+               ["time,status", "time,status,arm", "ARM,Time,status"]),
+    "curve": (("t", "value"), ("lo", "hi"), None, None, ["t,value", "value,t,hi,lo"]),
+    "experiment": (tuple(EXPERIMENT_HEADER.split(",")), (), None, math.nan, [EXPERIMENT_HEADER]),
+}
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "1.0", "-0.0", " 0.25", "3 ", "+2e-3", "1_0", "\u0661\u0662",
+                     "5e-324", "1e400", "inf", "-Infinity", "nan", "NaN"]),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr))
+ODD_FIELDS = st.sampled_from([
+    "", " ", "\t", "abc", '"1"', '"1,0"', '1"', "\x00", "1\x00", "\u20031\u3000", "1\x85",
+    "\u20282", "2\u2029", "\ufeff1", "9" * 200_001])
+
+
+@st.composite
+def csv_texts(draw, headers):
+    """Header lines with rows of numbers, or of numbers and odd fields, of
+    the header's width or, when drawn, of any width up to one more; the
+    lines end in LF, CRLF or CR, the last one or not."""
+    header = draw(st.sampled_from(headers))
+    width = header.count(",") + 1
+    field = draw(st.sampled_from([NUMBERS, st.one_of(NUMBERS, ODD_FIELDS)]))
+    row = st.lists(field, min_size=width, max_size=width)
+    row = draw(st.sampled_from([row, st.one_of(row, st.lists(field, max_size=width + 1))]))
+    lines = [header] + [",".join(fields) for fields in draw(st.lists(row, max_size=8))]
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def per_path_outcomes(name, text):
+    """``_csv_columns``'s outcome on ``text``, as it is and with the per-row
+    reader alone: the columns' bytes, or the ParseError's message and line."""
+    required, optional, record_fault, blank_t, _ = COLUMN_READERS[name]
+    outcomes = []
+    for bulk in (data._bulk_fields, lambda text, width: None):
+        with mock.patch.object(data, "_bulk_fields", bulk):
+            try:
+                columns = data._csv_columns(text, required, optional, record_fault, blank_t)
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line))
+            else:
+                outcomes.append([np.array(column, dtype=float).tobytes() for column in columns])
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_READERS))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_bulk_path_reads_what_the_per_row_reader_reads(name, data):
+    text = data.draw(csv_texts(COLUMN_READERS[name][-1]))
+    bulk, per_row = per_path_outcomes(name, text)
+    assert bulk == per_row
+
+
+@pytest.mark.parametrize("name, text", [
+    # A short and a long row whose field counts balance out.
+    pytest.param("curve", "t,value\n1.5,1\n2.0\n3.0,1,0\n", id="short-long-rows"),
+    pytest.param("sample", "time,status\n1.5,1\n2.0\n3.0,1,0", id="short-long-records"),
+    # A field over the csv module's field size limit, which float() reads as inf.
+    pytest.param("curve", "t,value\n0,1\n" + "9" * 200_001 + ",1\n", id="field-over-limit"),
+    pytest.param("curve", "t,value\n0,1\n1,\u2028\n", id="line-separator"),
+    pytest.param("curve", "t,value\n0,1\n1\x85,2\n", id="next-line"),
+    pytest.param("curve", "t,value\n", id="empty-body"),
+    pytest.param("curve", "t,value", id="header-alone"),
+    pytest.param("curve", "t,value\n\n", id="blank-body"),
+    pytest.param("sample", "time,status\n1,1\n2,1\n-1,0\n", id="record-fault"),
+    pytest.param("sample", "time,status\n1,1\n2,1\n3,\"0\"\n", id="quoted-status"),
+    pytest.param("experiment", f"{EXPERIMENT_HEADER}\n{EXPERIMENT_ROW}\n,{EXPERIMENT_ROW[4:]}\n",
+                 id="cure-rate-row"),
+])
+def test_bulk_path_traps_read_as_per_row(name, text):
+    bulk, per_row = per_path_outcomes(name, text)
+    assert bulk == per_row
+
+
+def test_bulk_path_takes_plain_lines_of_numbers_only():
+    values = data._bulk_fields("t,value\n0,1\n 1_0 ,nan\n", 2)
+    assert values[:3] == [0.0, 1.0, 10.0] and math.isnan(values[3])
+    assert data._bulk_fields("t,value\n0,1\n2,3", 2) == [0.0, 1.0, 2.0, 3.0]
+    for body in ["1.5,1\n2.0\n3.0,1,0\n", "0,1\n\n2,3\n", "0,1\r\n", '"0",1\n', "0,\n",
+                 " , \n", "0," + "9" * 200_001 + "\n"]:
+        assert data._bulk_fields("t,value\n" + body, 2) is None
+
+
+def rows_text(header, rows):
+    """The row writer that the column writer replaced: CSV text of a header
+    and data rows, the format of each column picked as ``_csv_text`` picks it."""
+
+    def field(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    columns, formats = [], []
+    for column in zip(*rows):
+        types = set(map(type, column))
+        if all(issubclass(t, (int, np.integer)) for t in types):
+            formats.append("%d")
+        elif not any(issubclass(t, (str, int, np.integer)) for t in types):
+            formats.append("%r")
+            column = map(float, column)
+        else:
+            formats.append("%s")
+            column = map(field, column)
+        columns.append(column)
+    line = ",".join(formats) + "\n"
+    fields = tuple(chain.from_iterable(zip(*columns)))
+    body = line * (len(fields) // max(len(formats), 1)) % fields
+    return ",".join(map(field, header)) + "\n" + body
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1]))
+WRITER_VALUES = [
+    st.integers(-10 ** 20, 10 ** 20), st.booleans(),
+    st.integers(-128, 127).map(np.int8), st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 2 ** 64 - 1).map(np.uint64),
+    FLOATS, FLOATS.map(np.float64), FLOATS.map(np.float32), st.text(st.characters(
+        blacklist_characters=",\"\r\n"), max_size=4)]
+
+
+@st.composite
+def writer_columns(draw):
+    """Columns of one length, each of one kind of value or of several."""
+    rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kinds = draw(st.lists(st.sampled_from(WRITER_VALUES), min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.one_of(kinds), min_size=rows, max_size=rows)))
+    return columns
+
+
+@settings(max_examples=300)
+@given(writer_columns(), st.lists(st.one_of(st.text(max_size=3), st.integers(), FLOATS),
+                                  min_size=1, max_size=5))
+def test_column_writer_writes_what_the_row_writer_wrote(columns, header):
+    assert _csv_text(header, columns) == rows_text(header, list(zip(*columns)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.errors import ParseError
@@ -82,6 +84,38 @@ def test_validate_event_censoring_tie_warns():
     report = ct.validate(ct.Sample([2, 2, 3], [1, 0, 1]))
     assert report.ok
     assert any("tie" in msg for msg in report.warnings)
+
+
+def set_scan_tie_warnings(times, status):
+    """The tie warning as the set intersection of event and censoring times
+    wrote it, for comparison."""
+    events = set(np.asarray(times)[np.asarray(status) == 1].tolist())
+    censored = set(np.asarray(times)[np.asarray(status) == 0].tolist())
+    ties = sorted(events & censored)
+    if not ties:
+        return []
+    shown = ", ".join(repr(t) for t in ties[:5])
+    return [f"event/censoring tie at time(s) {shown}: the theory assumes none; "
+            "events are placed before censorings"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+                          st.integers(0, 1)), min_size=1, max_size=40))
+def test_validate_tie_warning_is_the_set_scans(records):
+    # Up to 40 subjects, so that the sort behind the scan is not always stable.
+    times, status = map(list, zip(*records))
+    warnings = ct.validate(ct.Sample(times, status)).warnings
+    assert [w for w in warnings if w.startswith("event/censoring tie")] == (
+        set_scan_tie_warnings(times, status))
+
+
+@pytest.mark.parametrize("times, status, shown", [
+    ([0.0, -0.0], [1, 0], "-0.0"), ([-0.0, 0.0], [1, 0], "0.0"),
+    ([0.0, -0.0, 1.0], [1, 0, 0], "0.0"), ([-0.0, 0.0, -0.0, 2.0], [0, 1, 1, 1], "-0.0")])
+def test_validate_signs_a_tie_at_zero_as_before(times, status, shown):
+    warnings = ct.validate(ct.Sample(times, status)).warnings
+    assert warnings[0].startswith(f"event/censoring tie at time(s) {shown}: ")
 
 
 def test_validate_clean_two_arm_sample():

@@ -26,9 +26,15 @@ curves at every distinct time.  The whole-bootstrap cases run
 ``bootstrap_stats`` on the one-arm extrapolated statistic of
 ``bench/bench_bootstrap.py`` and on the ``mc-tau`` statistic of
 ``bench/bench_tau.py`` (R = 500, n = 200), point included, after a check
-that the point, SD and replicate matrix are the same bit for bit.  For each
-case it prints both sides' median and quartiles in milliseconds and the
-rounds the checked-out tree won.
+that the point, SD and replicate matrix are the same bit for bit.  The codec
+cases read the cli-large inputs (``arm0.csv`` and ``two_arm.csv`` of
+``perfbench/workloads.py``'s ``write_demo_inputs``, seed 1) with
+``parse_csv``, after a check that the two commits read the same columns, and
+write the arm-0 event curve with ``write_curve_csv`` and the overall tau
+curve of the two arms with ``write_tau_csv``, both with bands, after a check
+that the two commits write the same bytes.  For each case it prints both
+sides' median and quartiles in milliseconds and the rounds the checked-out
+tree won.
 """
 
 import argparse
@@ -88,8 +94,47 @@ def bootstrap_values(package, samples, statistic, bench):
     return np.asarray(result.point), np.asarray(result.sd), result.replicate_values
 
 
+def sample_columns(sample):
+    return [sample.times, sample.status] + ([sample.arms] if sample.has_arms else [])
+
+
+def codec_cases(packages):
+    """``(label, call per package)`` for the CSV reader and writers on the
+    cli-large inputs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads  # imports the checked-out curetau, already loaded
+
+    with tempfile.TemporaryDirectory() as inputs:
+        workloads.write_demo_inputs(1, Path(inputs), workloads.LARGE_N)
+        texts = {name: (Path(inputs) / name).read_text() for name in ("arm0.csv", "two_arm.csv")}
+    for name, text in texts.items():
+        if not all(map(same, *(sample_columns(package.parse_csv(text)) for package in packages))):
+            raise SystemExit(f"the commits read {name} differently")
+        yield (f"parse_csv {name} n={workloads.LARGE_N}",
+               [lambda parse=package.parse_csv, text=text: parse(text) for package in packages])
+    curves, taus = [], []
+    for package in packages:
+        two_arm = package.parse_csv(texts["two_arm.csv"])
+        curve = package.km_fit(package.parse_csv(texts["arm0.csv"]))
+        values = curve(np.concatenate(([0.0], curve.x)))
+        curves.append((curve, (0.9 * values, np.minimum(1.1 * values, 1.0))))
+        tau = package.tau_curve(*two_arm.split_arms())
+        spread = 0.01 + 0.1 * np.abs(tau.values)
+        taus.append(tau.with_bands(spread, tau.values - 2 * spread, tau.values + 2 * spread))
+    for label, calls in (
+            ("write_curve_csv with bands", [lambda write=package.write_curve_csv, curve=curve,
+                                            bands=bands: write(curve, bands)
+                                            for package, (curve, bands) in zip(packages, curves)]),
+            ("write_tau_csv with bands", [lambda write=package.write_tau_csv, tau=tau: write(tau)
+                                          for package, tau in zip(packages, taus)])):
+        if len({call() for call in calls}) != 1:
+            raise SystemExit(f"the commits' {label} bytes differ")
+        yield f"{label} n={workloads.LARGE_N}", calls
+
+
 def cases(packages):
     """``(label, call per package)`` for every case, on shared inputs."""
+    yield from codec_cases(packages)
     sys.path.insert(0, str(ROOT / "bench"))
     # These import the checked-out curetau, already loaded.
     import bench_bootstrap
