@@ -195,8 +195,10 @@ def _bulk_fields(text, width):
     if ('"' in text or "\r" in text or set(map(str.count, lines, repeat(","))) != {width - 1}
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
+    fields = ",".join(lines).split(",")
+    del lines  # the float pass is the peak: hold the fields alone
     try:
-        return list(map(float, ",".join(lines).split(",")))
+        return list(map(float, fields))
     except ValueError:
         return None
 
@@ -219,8 +221,8 @@ def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None)
     which alone reads a quoted or blank row and gives every error.
     """
     text = source if isinstance(source, str) else source.read()
-    rows = _csv_rows(text)
-    _, header = next(rows, (1, None))
+    # A reader of its own, freed at once: it holds a copy of the whole text.
+    _, header = next(_csv_rows(text), (1, None))
     if header is None:
         raise ParseError("empty input: missing header line", 1)
     names = tuple(name.strip().lower() for name in header)
@@ -241,7 +243,7 @@ def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None)
         if not (record_fault and record_fault(*columns)):
             return columns
     columns, fault = [[] for _ in names], None
-    for line, row in rows:
+    for line, row in islice(_csv_rows(text), 1, None):
         if len(row) != len(names):
             fault = ParseError(f"expected {len(names)} fields, got {len(row)}", line)
             break
