@@ -102,7 +102,7 @@ def set_scan_tie_warnings(times, status):
 @settings(max_examples=300)
 @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
                           st.integers(0, 1)), min_size=1, max_size=40))
-def test_validate_tie_warning_is_the_set_scans(records):
+def test_validate_tie_warning_matches_the_set_scan(records):
     # Up to 40 subjects, so that the sort behind the scan is not always stable.
     times, status = map(list, zip(*records))
     warnings = ct.validate(ct.Sample(times, status)).warnings
