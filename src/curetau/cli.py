@@ -15,6 +15,10 @@ and ``cure_rate_extrap_arm*``, ``cure_difference_extrapolated``,
 ``bootstrap_missing_extrapolated`` and ``extrapolation_notes``.  Each
 ``cure_difference*`` carries its test's ``n_missing``.  The arms' other
 curves use the tail cure rate.
+
+``fit``, ``compare`` and ``btune`` import numpy alone, not ``scipy.special``:
+only a Beta latency needs it, so only ``simulate`` on a Beta scenario loads
+it, at the first Beta call (see ``distributions``).
 """
 
 import argparse
@@ -265,7 +269,8 @@ def _run_compare(args):
                   for text, flag in ((args.b0, "--b0"), (args.b1, "--b1"))]
     sample = _read_sample(args.input)
     report = _gate_on_validation(sample)
-    arms = _split_two_arm(sample)
+    arms, n = _split_two_arm(sample), sample.n
+    del sample  # with its sort from the tie scan: the arms sort their own
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -307,7 +312,7 @@ def _run_compare(args):
     estimates = {f"cure_rate{run.suffix}_arm{label}": _cure_estimate_dict(eta)
                  for run in passes for label, eta in enumerate(run.etas)}
     payload = {
-        "inputs": _inputs(args, n=sample.n, n0=arms[0].n, n1=arms[1].n),
+        "inputs": _inputs(args, n=n, n0=arms[0].n, n1=arms[1].n),
         "estimates": {
             **estimates,
             "tau_end": float(tail.tau.values[-1]) if grid.size else 0.0,

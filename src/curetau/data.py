@@ -68,6 +68,18 @@ class Sample:
             index, column, message = fault
             value = (times, status, arms)[column][index]
             raise ValueError(f"record {index}: " + message.format(value))
+        self._hold(times, status, arms)
+
+    @classmethod
+    def _of_records(cls, times, status, arms=None):
+        """A sample of 1-d columns of one length that obey ``_record_fault``
+        already, as ``parse_csv`` reads them or a subset of a sample's
+        records: converted, but not checked again."""
+        sample = cls.__new__(cls)
+        sample._hold(np.asarray(times, dtype=float), status, arms)
+        return sample
+
+    def _hold(self, times, status, arms):
         self.times = times
         self.status = np.array(status, dtype=np.int64)
         self.arms = None if arms is None else np.array(arms, dtype=np.int64)
@@ -102,14 +114,14 @@ class Sample:
         out = []
         for label in (0, 1):
             mask = self.arms == label
-            out.append(Sample(self.times[mask], self.status[mask]))
+            out.append(Sample._of_records(self.times[mask], self.status[mask]))
         return tuple(out)
 
     def resampled(self, indices):
         """New sample made of the subjects at ``indices`` (bootstrap helper)."""
         idx = np.asarray(indices, dtype=np.intp)
         arms = self.arms[idx] if self.has_arms else None
-        return Sample(self.times[idx], self.status[idx], arms)
+        return Sample._of_records(self.times[idx], self.status[idx], arms)
 
     def __eq__(self, other):
         if not isinstance(other, Sample):
@@ -134,7 +146,7 @@ def parse_csv(source):
     The header is matched case-insensitively, columns may appear in any order
     and each row must hold a record; errors carry the 1-based line number.
     """
-    return Sample(*_csv_columns(source, ("time", "status"), ("arm",), _record_fault))
+    return Sample._of_records(*_csv_columns(source, ("time", "status"), ("arm",), _record_fault))
 
 
 def _csv_text(header, columns):
@@ -205,7 +217,8 @@ def _bulk_fields(text, width):
 
 def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None):
     """Float columns of CSV text (a string or file-like), in the order of
-    ``required`` and then ``optional``.
+    ``required`` and then ``optional``: lists, or with ``record_fault`` the
+    float arrays it checked.
 
     Fields split as in :mod:`csv`, so a quoted field reads as its contents.
     The header names, in any case and order, are all of ``required`` and all
@@ -240,6 +253,8 @@ def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None)
     values = _bulk_fields(text, len(names))
     if values is not None:
         columns = [values[i::len(names)] for i in order]
+        if record_fault:
+            columns = list(map(np.array, columns))
         if not (record_fault and record_fault(*columns)):
             return columns
     columns, fault = [[] for _ in names], None
@@ -258,7 +273,7 @@ def _csv_columns(source, required, optional=(), record_fault=None, blank_t=None)
                     f"malformed number {field.strip()!r} in column '{name}'", line)
         if fault:
             break
-    columns = [columns[i] for i in order]
+    columns = [np.array(columns[i]) if record_fault else columns[i] for i in order]
     bad = record_fault and record_fault(*columns)
     if bad:
         index, column, message = bad

@@ -8,25 +8,38 @@ survival over the other arm's quantiles.
 
 The Beta methods and the Weibull density evaluate the ``scipy.special`` and
 numpy forms that ``stats.beta`` and ``stats.weibull_min`` call, with the same
-support rule, so they equal ``scipy.stats`` bit for bit without importing it
-(an import that costs a CLI call about a second).  Where
+support rule, so they equal ``scipy.stats`` bit for bit without importing it.
+Only the ``BetaLatency`` methods need ``scipy.special``, and ``_forms``
+imports it at their first call, not with the package: a command that reads a
+CSV never loads it, while a Beta ``simulate`` or truth pays the same import
+at its first Beta call instead of at startup.  Where
 ``scipy.special._ufuncs`` lacks the two Beta forms, they are taken from
 ``stats.beta``, with the same values bit for bit.
 """
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-try:
-    from scipy.special._ufuncs import _beta_pdf, _beta_ppf
-except ImportError:  # older scipy: the same forms, reached through stats.beta
-    from scipy import stats
+_Forms = namedtuple("_Forms", "special pdf ppf through_stats")
 
-    _beta_pdf = stats.beta._pdf
-    _beta_ppf = stats.beta.ppf
+
+@functools.cache
+def _forms():
+    """``scipy.special``, the Beta density and quantile forms, and whether
+    these came through ``stats.beta``; imported on the first call."""
+    from scipy import special
+
+    try:
+        from scipy.special._ufuncs import _beta_pdf, _beta_ppf
+    except ImportError:  # older scipy: the same forms, reached through stats.beta
+        from scipy import stats
+
+        return _Forms(special, stats.beta._pdf, stats.beta.ppf, True)
+    return _Forms(special, _beta_pdf, _beta_ppf, False)
 
 
 def truncated_weibull_sample(shape, scale, t_b, u):
@@ -48,7 +61,7 @@ class BetaLatency:
     """Beta(alpha, beta) event times on [0, 1].
 
     Each method calls the ``scipy.special`` ufunc behind ``stats.beta``'s,
-    with its support rule.
+    with its support rule; the first call imports ``scipy.special``.
     """
 
     alpha: float
@@ -59,10 +72,10 @@ class BetaLatency:
         return 1.0
 
     def sf(self, t):
-        return special.betaincc(self.alpha, self.beta, np.clip(t, 0.0, 1.0))
+        return _forms().special.betaincc(self.alpha, self.beta, np.clip(t, 0.0, 1.0))
 
     def cdf(self, t):
-        return special.betainc(self.alpha, self.beta, np.clip(t, 0.0, 1.0))
+        return _forms().special.betainc(self.alpha, self.beta, np.clip(t, 0.0, 1.0))
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -71,16 +84,18 @@ class BetaLatency:
         # the whole call; there the density is taken in log form instead.
         subnormal = (x > 0.0) & (x < np.finfo(float).tiny)
         a, b = self.alpha, self.beta
+        forms = _forms()
         with np.errstate(over="ignore"):
-            dens = _beta_pdf(np.where(subnormal, 0.5, x), a, b)
+            dens = forms.pdf(np.where(subnormal, 0.5, x), a, b)
             if subnormal.any():
+                special = forms.special
                 log = (special.xlogy(a - 1.0, x) + special.xlog1py(b - 1.0, -x)
                        - special.betaln(a, b))
                 dens = np.where(subnormal, np.exp(log), dens)
         return np.where((t < 0.0) | (t > 1.0), 0.0, dens)[()]
 
     def ppf(self, q):
-        return _beta_ppf(q, self.alpha, self.beta)
+        return _forms().ppf(q, self.alpha, self.beta)
 
     def label(self):
         return f"beta({self.alpha:g},{self.beta:g})"

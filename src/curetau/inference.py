@@ -4,7 +4,10 @@ Resampling is nonparametric and within-arm, so two-sample statistics condition
 on the arm sizes.  Intervals are normal approximations built from the
 bootstrap standard deviation, which matches the convention that makes the
 reported confidence interval symmetric about the point estimate and its
-p-value the two-sided normal tail.
+p-value the two-sided normal tail.  The normal quantile and tail are
+``_normal``'s ports of the Cephes routines that ``scipy.special.ndtri`` and
+``erfc`` compile, equal to them bit for bit, so this module imports nothing
+from scipy.
 """
 
 import math
@@ -12,8 +15,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._normal import erfc, ndtri
 from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
 from .km import COUNT_CHUNK_ELEMENTS, _count_chunks, _km_rows, _sort_sample, km_fit
@@ -26,7 +29,7 @@ def z_quantile(p):
     """Standard-normal quantile (inverse CDF)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    return float(special.ndtri(p))
+    return ndtri(p)
 
 
 def normal_interval(point, sd, level=0.95):
@@ -45,7 +48,7 @@ def two_sided_p(point, sd):
         raise ValueError("sd must be non-negative")
     if sd == 0:
         return 1.0 if point == 0 else 0.0
-    return float(special.erfc(abs(point) / sd / math.sqrt(2.0)))
+    return erfc(abs(point) / sd / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -23,26 +23,48 @@ def test_all_lists_exactly_the_public_names():
     assert set(namespace) - {"__builtins__"} == set(listed)
 
 
-def test_import_loads_neither_scipy_stats_nor_integrate():
-    """A CLI call pays only for ``numpy`` and ``scipy.special``, and the
-    quadrature truths load neither heavy module either."""
+def test_import_loads_neither_scipy_stats_nor_integrate(tmp_path):
+    """A command that reads a CSV pays only for ``numpy``: importing the CLI,
+    the normal quantile and tail, and whole ``fit``, ``compare`` and
+    ``btune`` calls leave ``scipy.special`` unloaded.  A Beta truth then
+    loads it, but neither heavy module."""
     child = """
 import json, sys
+import numpy as np
 import curetau.cli
 import curetau
-heavy = ("scipy.stats", "scipy.integrate")
-before = [name for name in heavy if name in sys.modules]
+from curetau.inference import normal_interval, two_sided_p, z_quantile
+watched = ("scipy.special", "scipy.stats", "scipy.integrate")
+loaded = lambda: [name for name in watched if name in sys.modules]
+seen = {"import": loaded()}
+z_quantile(0.975), normal_interval(0.1, 0.2), two_sided_p(0.1, 0.2)
+seen["normal"] = loaded()
+rng = np.random.default_rng(5)
+latency = np.where(rng.random(80) < 0.3, np.inf, rng.beta(1.0, 3.0, 80))
+censor = rng.uniform(0.05, 1.5, 80)
+times, status = np.minimum(latency, censor), latency <= censor
+directory = sys.argv[1]
+with open(f"{directory}/two_arm.csv", "w") as fh:
+    fh.write(curetau.write_csv(curetau.Sample(times, status, np.arange(80) % 2)))
+with open(f"{directory}/arm.csv", "w") as fh:
+    fh.write(curetau.write_csv(curetau.Sample(times, status)))
+codes = [curetau.cli.main([command, "--input", f"{directory}/{name}", "--boot", "20",
+                           "--output-dir", f"{directory}/{command}", *extra])
+         for command, name, extra in (("fit", "arm.csv", ()),
+                                      ("compare", "two_arm.csv", ("--eta-method", "extrapolate")),
+                                      ("btune", "arm.csv", ()))]
+seen["commands"] = loaded()
 value = curetau.true_tau_quadrature(curetau.BetaLatency(1, 4), curetau.BetaLatency(1, 2),
                                     0.2, 0.2, 0.5)
-print(json.dumps({"before": before, "value": value,
-                  "after": [name for name in heavy if name in sys.modules]}))
+print(json.dumps({**seen, "codes": codes, "value": value, "beta": loaded()}))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                          text=True, check=True)
-    seen = json.loads(done.stdout)
-    assert seen["before"] == []
-    assert seen["after"] == []
+    done = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == seen["normal"] == seen["commands"] == []
+    assert seen["codes"] == [0, 0, 0]
+    assert seen["beta"] == ["scipy.special"]
     assert seen["value"] == ct.true_tau_quadrature(ct.BetaLatency(1, 4), ct.BetaLatency(1, 2),
                                                    0.2, 0.2, 0.5)
 
@@ -65,7 +87,6 @@ if sys.argv[1] == "fallback":
     builtins.__import__ = hiding_import
 import curetau as ct
 from curetau import distributions
-builtins.__import__ = real_import
 
 points = np.concatenate(([-0.5, 0.0, 1e-12], np.linspace(0.0, 1.0, 201),
                          [1.0 - 2.0 ** -53, 1.0, 1.5]))
@@ -79,7 +100,8 @@ arm0, arm1 = design.arm0, design.arm1
 for kind in ("susceptible", "overall"):
     values[kind] = [ct.true_tau_quadrature(arm0.latency, arm1.latency, arm0.eta, arm1.eta,
                                            t / 10, kind=kind) for t in range(1, 11)]
-print(json.dumps({"fallback": hasattr(distributions, "stats"),
+builtins.__import__ = real_import
+print(json.dumps({"fallback": distributions._forms().through_stats,
                   "values": {key: [float(v).hex() for v in value]
                              for key, value in values.items()}}))
 """
@@ -88,9 +110,10 @@ print(json.dumps({"fallback": hasattr(distributions, "stats"),
 def test_beta_fallback_through_scipy_stats_is_bit_identical():
     """Where ``scipy.special._ufuncs`` lacks ``_beta_pdf``/``_beta_ppf``,
     ``BetaLatency`` reaches the same forms through ``scipy.stats.beta``: an
-    import hook hides the two names in a child process, and the four methods
-    and the table4 truths, which call ``ppf``, equal the default path bit for
-    bit."""
+    import hook hides the two names in a child process until the values are
+    computed, since the forms are imported at the first Beta call, and the
+    four methods and the table4 truths, which call ``ppf``, equal the default
+    path bit for bit."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     seen = {}
     for path in ("default", "fallback"):
