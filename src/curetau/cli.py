@@ -160,26 +160,25 @@ def _run_fit(args):
     grid = np.concatenate(([0.0], survival.x))
     boot = bootstrap_stats(sample, _one_arm_statistic(sample, grid, eta.b), R=args.boot,
                            seed=seed_tuple(args.seed) + (0,))
+    # The bootstrap's point is S and S_a at the grid, then the cure rate.
     k = grid.size
-    sd_s, sd_lat, sd_eta = boot.sd[:k], boot.sd[k:2 * k], float(boot.sd[-1])
-    s_vals = survival(grid)
-    lat_vals = latency.curve(grid)
+    s_bands, lat_bands = (_bands(boot.point[part], boot.sd[part], args.level)
+                          for part in (slice(k), slice(k, 2 * k)))
+    sd_eta = float(boot.sd[-1])
     if "csv" in emit:
-        _write_text(outdir, "survival.csv",
-                    write_curve_csv(survival, bands=_bands(s_vals, sd_s, args.level)))
+        _write_text(outdir, "survival.csv", write_curve_csv(survival, bands=s_bands))
         _write_text(outdir, "censoring_survival.csv", write_curve_csv(censoring))
         _write_text(outdir, "latency_survival.csv",
-                    write_curve_csv(latency.curve, bands=_bands(lat_vals, sd_lat, args.level)))
+                    write_curve_csv(latency.curve, bands=lat_bands))
         _write_text(outdir, "susceptible_in_riskset.csv", write_curve_csv(phi))
     if "svg" in emit:
         _write_text(outdir, "survival.svg", step_plot_svg(
-            [("event survival", survival.x, survival.y, 1.0,
-              _bands(survival.y, sd_s[1:], args.level)),
+            [("event survival", survival.x, survival.y, 1.0, [band[1:] for band in s_bands]),
              ("censoring survival", censoring.x, censoring.y, 1.0, None)],
             title="Survival curves", y_label="survival"))
         _write_text(outdir, "latency_survival.svg", step_plot_svg(
             [("latency survival", latency.curve.x, latency.curve.y, 1.0,
-              _bands(lat_vals[1:], sd_lat[1:], args.level))],
+              [band[1:] for band in lat_bands])],
             title="Latency (susceptible) survival", y_label="survival"))
         _write_text(outdir, "susceptible_in_riskset.svg", step_plot_svg(
             [("susceptible share of risk set", phi.x, phi.y, phi.initial_value, None)],

@@ -19,7 +19,8 @@ import numpy as np
 from ._normal import erfc, ndtri
 from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import COUNT_CHUNK_ELEMENTS, _count_chunks, _km_rows, _sort_sample, km_fit
+from .km import (COUNT_CHUNK_ELEMENTS, _check_no_jump_at_zero, _count_chunks, _km_rows,
+                 _sort_sample, km_fit)
 from .seeding import seed_tuple, stream
 from .susceptible import _latency_rows
 from .tau import _tau_rows
@@ -274,7 +275,8 @@ def cure_difference_test(sample0, sample1, method="tail", b0=None, b1=None,
     as rows of each arm's cell counts, a chunk of rows at a time
     (see ``bootstrap_stats``); each replicate's difference is bit-identical
     to ``eta_tail``/``eta_extrapolated`` on its resampled arms, and a
-    replicate is missing exactly where those raise.
+    replicate is missing exactly where those raise.  An event at time 0 on
+    either arm raises ``km_fit``'s ``ValueError``; a censoring there is kept.
     """
     if method == "tail":
         b0 = b1 = None
@@ -284,6 +286,8 @@ def cure_difference_test(sample0, sample1, method="tail", b0=None, b1=None,
     else:
         raise ValueError(f"method must be 'tail' or 'extrapolated', got {method!r}")
     arms = (_sort_sample(sample0), _sort_sample(sample1))
+    for arm in arms:
+        _check_no_jump_at_zero(arm.distinct, arm.ones()[0, 1::2], "event")
 
     def difference(cells0, cells1):
         return (_cure_rate_rows(_km_rows(arms[1], cells1), b1)

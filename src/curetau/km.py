@@ -93,7 +93,7 @@ def _check_no_jump_at_zero(distinct, jumps, target):
     """A survival curve starts at 1 at time 0, so it cannot jump there:
     ``ValueError`` when ``jumps`` (one row of event or censoring counts at
     the sample's ``distinct`` times) holds one at time 0."""
-    if distinct[0] == 0.0 and jumps[0] > 0:
+    if distinct.size and distinct[0] == 0.0 and jumps[0] > 0:
         kind = "an event" if target == "event" else "a censoring"
         raise ValueError(f"{kind} at time 0: the {target} curve cannot jump at time 0")
 
@@ -109,9 +109,12 @@ def _check_no_observation_at_zero(*samples):
 def km_fit(sample, target="event"):
     """Product-limit survival curve for the event or the censoring distribution.
 
-    With ties between an event and a censoring at the same time, events are
-    taken to precede censorings: both curves divide by the full number at
-    risk at that time.
+    At a time with both events and censorings, both curves divide by the
+    full number at risk Y(t): the event curve counts the censored subjects
+    as at risk (censorings after events), and the censoring curve counts
+    the failed ones (events after censorings).  So S(t-) G(t-) = Y(t) / n
+    fails just after such a time.  ROADMAP.md's open item 1 moves both to
+    censorings after events, with Y(t) - d(t) for the censoring curve.
     """
     if target not in ("event", "censoring"):
         raise ValueError(f"target must be 'event' or 'censoring', got {target!r}")

@@ -7,6 +7,7 @@ repeats draw/estimate/bootstrap cycles and aggregates the usual table rows:
 average bias, mean bootstrap SD, empirical SD, CI coverage, and CI length.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -137,17 +138,8 @@ def _latency_grid(scenario, times, levels):
     return np.asarray(scenario.latency.ppf(1.0 - np.asarray(levels)), dtype=float)
 
 
-@dataclass
-class _RunOutcome:
-    index: int
-    point: np.ndarray = None
-    sd: np.ndarray = None
-    failed: bool = False
-
-
-def _run_one_arm(scenario, grid, R, seed, index, eta_method, b, b_grid,
-                 select_replicates):
-    """One draw/estimate/bootstrap cycle.
+def _run_one_arm(scenario, grid, R, seed, eta_method, b, b_grid, select_replicates, index):
+    """One draw/estimate/bootstrap cycle: ``(point, sd)``, or None when it fails.
 
     The cure-rate method is settled once on the drawn sample by
     ``resolve_cure_rate`` (a fallback to the tail estimate holds for the
@@ -161,14 +153,15 @@ def _run_one_arm(scenario, grid, R, seed, index, eta_method, b, b_grid,
         boot = bootstrap_stats(sample, _one_arm_statistic(sample, grid, eta.b), R=R,
                                seed=seed_tuple(seed) + (index, 2))
     except EstimationError:
-        return _RunOutcome(index=index, failed=True)
+        return None
     # Keep the latency and cure-rate columns; the event survival is not studied.
-    return _RunOutcome(index=index, point=boot.point[grid.size:], sd=boot.sd[grid.size:])
+    return boot.point[grid.size:], boot.sd[grid.size:]
 
 
 def _run_two_arm(scenario, grid, R, seed, index):
-    """One draw/estimate/bootstrap cycle: the point is ``tau_a_curve`` itself,
-    the SD that of its count-row bootstrap (equal to it within rounding)."""
+    """One draw/estimate/bootstrap cycle: ``(point, sd)``, or None when it
+    fails.  The point is ``tau_a_curve`` itself, the SD that of its count-row
+    bootstrap (equal to it within rounding)."""
     try:
         s0 = _draw_with_rng(scenario.arm0, stream(seed, index, 0))
         s1 = _draw_with_rng(scenario.arm1, stream(seed, index, 1))
@@ -177,18 +170,17 @@ def _run_two_arm(scenario, grid, R, seed, index):
         boot = bootstrap_stats((s0, s1), _two_arm_statistic(s0, s1, grid), R=R,
                                seed=seed_tuple(seed) + (index, 2))
     except EstimationError:
-        return _RunOutcome(index=index, failed=True)
-    return _RunOutcome(index=index, point=point, sd=boot.sd)
+        return None
+    return point, boot.sd
 
 
 def _aggregate(outcomes, estimands, grid, truths, runs, R, level):
     z = z_quantile((1.0 + level) / 2.0)
-    kept = [o for o in sorted(outcomes, key=lambda o: o.index) if not o.failed]
+    kept = [outcome for outcome in outcomes if outcome is not None]
     n_failed = runs - len(kept)
     if not kept:
         raise EstimationError("every simulation run failed")
-    points = np.vstack([o.point for o in kept])
-    sds = np.vstack([o.sd for o in kept])
+    points, sds = (np.vstack(column) for column in zip(*kept))
     rows = []
     for j, (estimand, t, truth) in enumerate(zip(estimands, grid, truths)):
         covered = np.abs(points[:, j] - truth) <= z * sds[:, j]
@@ -248,27 +240,22 @@ def run_experiment(scenario, runs=200, R=500, seed=0, times=None,
             for t in grid
         ]
         estimands = ["tau_susceptible"] * grid.size
-        run_args = [(scenario, grid, R, seed, i) for i in range(runs)]
-        runner = _run_two_arm
+        runner = functools.partial(_run_two_arm, scenario, grid, R, seed)
     else:
         grid_times = _latency_grid(scenario, times, levels)
         grid = np.append(grid_times, math.nan)
         truths = list(np.asarray(scenario.latency.sf(grid_times), dtype=float))
         truths.append(scenario.eta)
         estimands = ["latency_survival"] * grid_times.size + ["cure_rate"]
-        run_args = [
-            (scenario, grid_times, R, seed, i, eta_method, b, b_grid,
-             select_replicates)
-            for i in range(runs)
-        ]
-        runner = _run_one_arm
+        runner = functools.partial(_run_one_arm, scenario, grid_times, R, seed, eta_method, b,
+                                   b_grid, select_replicates)
 
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(runner, *zip(*run_args)))
+            outcomes = list(pool.map(runner, range(runs)))
     else:
-        outcomes = [runner(*args) for args in run_args]
+        outcomes = list(map(runner, range(runs)))
 
     rows, points = _aggregate(outcomes, estimands, grid, truths, runs, R, level)
     if collect_points:

@@ -159,18 +159,15 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
     summaries = [_sort_sample(sample) for sample in samples]
     # Fixed by the original data, per arm: the times of its events, and the
     # padded censoring-curve columns of its own and the other arm's left
-    # limits there (an event past the other arm's last time pairs with no
-    # one, and reads its last left limit); the other arm's first column
-    # observed strictly later; and its event times with someone observed
-    # later in the other arm.
+    # limits there; the other arm's first column observed strictly later (K
+    # past its last time, where the pair mass is 0); and its event times with
+    # someone observed later in the other arm.
     places = []
     for own, other in (summaries, summaries[::-1]):
         times = own.distinct[own.event_columns]
-        before = np.searchsorted(other.distinct, times, side="left")
         beyond = np.searchsorted(other.distinct, times, side="right")
         places.append((times, own.column(times, "censoring", "left"),
-                       other.column(other.distinct[np.minimum(before, other.distinct.size - 1)],
-                                    "censoring", "left"),
+                       other.column(times, "censoring", "left"),
                        beyond, times[beyond < other.distinct.size]))
     if grid is None:
         grid = np.unique(np.concatenate([place[4] for place in places]))

@@ -303,8 +303,9 @@ WRITER_VALUES = [
     st.integers(-10 ** 20, 10 ** 20), st.booleans(),
     st.integers(-128, 127).map(np.int8), st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 2 ** 64 - 1).map(np.uint64),
-    FLOATS, FLOATS.map(np.float64), FLOATS.map(np.float32), st.text(st.characters(
-        blacklist_characters=",\"\r\n"), max_size=4)]
+    FLOATS, FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.text(st.characters(blacklist_characters=",\"\r\n"), max_size=4)]
 
 
 @st.composite

@@ -191,6 +191,18 @@ def test_cure_difference_extrapolated_requires_b(d1):
         ct.cure_difference_test(d1, d1, method="extrapolated", R=10, seed=0)
 
 
+@pytest.mark.parametrize("method", ["tail", "extrapolated"])
+def test_cure_difference_rejects_an_event_at_time_0(method):
+    # km_fit's error on either arm; a censoring at time 0 is still accepted.
+    zero = ct.Sample([0, 1, 2, 3, 4], [1, 1, 0, 1, 0])
+    other = ct.Sample([1, 2, 3, 4, 5], [1, 0, 1, 0, 0])
+    for arms in ((zero, other), (other, zero)):
+        with pytest.raises(ValueError, match="^an event at time 0: the event curve cannot jump"):
+            ct.cure_difference_test(*arms, method=method, b0=0.5, b1=0.5, R=20, seed=1)
+    censored = ct.Sample([0, 1, 2, 3, 4], [0, 1, 0, 1, 0])
+    assert np.isfinite(ct.cure_difference_test(censored, other, R=20, seed=1).difference)
+
+
 def test_test_result_fields():
     scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 80)
     s0 = ct.draw_sample(scenario, (13, 0))

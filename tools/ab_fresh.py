@@ -36,7 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from ab_common import ROOT, export, quartiles
+
 ROUNDS = 7
 SIZES = (200, 5000)
 BOOT = "200"
@@ -50,11 +51,6 @@ usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"code": code, "wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024,
                   "minflt": usage.ru_minflt, "special": "scipy.special" in sys.modules}))
 """
-
-
-def export(rev, tree):
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
 
 
 def cases(inputs):
@@ -93,11 +89,6 @@ def run(src, argv, outdir):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     report["digest"] = (report.pop("code"), digest.hexdigest())
     return report
-
-
-def quartiles(values):
-    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
-    return median, low, high
 
 
 def main(argv=None):

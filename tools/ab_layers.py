@@ -1,5 +1,4 @@
-"""Time the bootstrap draw and kernel layers of two commits in one process,
-call by call.
+"""Time the layers of two commits in one process, call by call.
 
 Run from a checkout, naming the commit to compare the checked-out tree with:
 
@@ -11,36 +10,43 @@ BASE is exported with ``git archive`` into a temporary directory and its
 inputs and calls them in turn for ``ROUNDS`` rounds, the one that goes first
 alternating from round to round, so a drift in the machine's load falls on
 both alike (timing one commit per process cannot show a 10-30 % change on a
-loaded host).
+loaded host).  With BASE the checked-out commit, both sides run the same
+code and each gives that commit's own timings.
 
-The draw cases are those of ``bench/bench_draws.py``: ``km._count_chunks``
-drawing all R replicates of one arm, or of two arms of the same size, for
-each n, and ``seeding._pcg64_states`` for each count.  A ``_count_chunks``
-call is timed over all its chunks, after a check that the two commits draw
-the same rows.  The kernel cases take one chunk of count rows at each n of
-``bench/bench_bootstrap.py`` through ``km._km_rows`` and the one-arm
-statistic, and at each n of ``bench/bench_tau.py`` through the two-arm tau
-kernel, after a check that the two commits give the same values bit for
-bit: the statistics' rows, and ``_km_rows``' at-risk counts and event
-curves at every distinct time.  The whole-bootstrap cases run
-``bootstrap_stats`` on the one-arm extrapolated statistic of
-``bench/bench_bootstrap.py`` and on the ``mc-tau`` statistic of
-``bench/bench_tau.py`` (R = 500, n = 200), point included, after a check
-that the point, SD and replicate matrix are the same bit for bit.  The codec
-cases read the cli-large inputs (``arm0.csv`` and ``two_arm.csv`` of
-``perfbench/workloads.py``'s ``write_demo_inputs``, seed 1) with
-``parse_csv``, after a check that the two commits read the same columns, and
-write the arm-0 event curve with ``write_curve_csv`` and the overall tau
-curve of the two arms with ``write_tau_csv``, both with bands, after a check
-that the two commits write the same bytes.  For each case it prints both
-sides' median and quartiles in milliseconds and the rounds the checked-out
-tree won.
+Before timing a case it checks that the two commits give the same results
+bit for bit: arrays by dtype, shape and bytes, other results field by field.
+The cases, with the inputs of ``tests/layer_cases.py`` (its docstring gives
+their sizes and seeds):
+
+- the CSV codec on the cli-large inputs (``arm0.csv`` and ``two_arm.csv`` of
+  ``perfbench/workloads.py``'s ``write_demo_inputs``, seed 1): ``parse_csv``
+  of both, and ``write_curve_csv`` of the arm-0 event curve and
+  ``write_tau_csv`` of the overall tau curve of the two arms, both with
+  bands;
+- ``km._count_chunks`` drawing all R replicates of one arm, or of two arms
+  of the same size, timed over all its chunks and checked on the rows it
+  draws; and ``seeding._pcg64_states`` for each count;
+- the one-sample layers and ``parse_csv`` (``layer_calls``): ``km_fit``,
+  ``risk_table``, ``eta_tail``, ``eta_extrapolated`` and
+  ``self_consistency_residual``, at n = 200, 2 000 and 20 000;
+- the one-arm bootstrap (``bootstrap_calls``) at each n: ``km._km_rows`` on
+  one chunk of count rows, checked on its at-risk counts and event curves
+  at every distinct time; ``select_b``; the bootstrap with R = 200; and the
+  one-arm statistic on that chunk;
+- the tau kernel (``tau_calls``) at each n: ``tau_a_curve``, and one chunk
+  of count rows through ``compare``'s kernel;
+- whole calls (``fixed_calls``): the bootstraps of one ``mc-extrap`` and
+  one ``mc-tau`` run, point included; ``select_b`` and ``compare``'s tau
+  bootstrap on the 5 000-subject ``two-arm-demo`` arms; and the four
+  quadrature truths.
+
+For each case it prints both sides' median and quartiles in milliseconds
+and the rounds the checked-out tree won.
 """
 
 import argparse
+import dataclasses
 import importlib.util
-import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -49,7 +55,8 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from ab_common import ROOT, export, quartiles
+
 ROUNDS = 31
 
 
@@ -63,21 +70,28 @@ def import_package(name, source):
     return module
 
 
-def export(rev, tree):
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+def fingerprint(value):
+    """``value`` as nested tuples of text and bytes, equal for two commits'
+    results exactly where they hold the same values bit for bit.  Cached
+    attributes (a leading ``_``) are left out."""
+    if isinstance(value, (float, np.ndarray, np.generic)):
+        value = np.asarray(value)
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    elif hasattr(value, "__slots__"):
+        value = [getattr(value, name) for name in value.__slots__]
+    elif hasattr(value, "__dict__"):
+        value = sorted(item for item in vars(value).items() if not item[0].startswith("_"))
+    if isinstance(value, (tuple, list)):
+        return tuple(map(fingerprint, value))
+    return repr(value)
 
 
 def draw_all(package, summaries, seed, count):
     """Every chunk of ``count`` replicates, stacked per arm."""
     chunks = [cells for _, cells in package.km._count_chunks(summaries, seed, count)]
     return [np.concatenate(arm) for arm in zip(*chunks)]
-
-
-def same(*arrays):
-    """Whether the arrays hold the same values bit for bit."""
-    return all(a.shape == arrays[0].shape and a.tobytes() == arrays[0].tobytes()
-               for a in arrays)
 
 
 def km_values(package, summary, cells):
@@ -87,20 +101,16 @@ def km_values(package, summary, cells):
     return km.at_risk[:, :shape[1]], km.at(np.broadcast_to(summary.distinct, shape))
 
 
-def bootstrap_values(package, samples, statistic, bench):
-    """``bootstrap_stats``' point, SD and replicate matrix, with the number
-    of replicates and the seed of ``bench`` (a bench module)."""
-    result = package.bootstrap_stats(samples, statistic, R=bench.MC_R, seed=bench.MC_SEED)
-    return np.asarray(result.point), np.asarray(result.sd), result.replicate_values
-
-
-def sample_columns(sample):
-    return [sample.times, sample.status] + ([sample.arms] if sample.has_arms else [])
+def table(packages, calls, *args, suffix=""):
+    """``(label, call per package)`` for each case that ``calls`` (a
+    ``layer_cases`` function) gives."""
+    tables = [calls(package, *args) for package in packages]
+    for name in tables[0]:
+        yield name + suffix, [own[name] for own in tables]
 
 
 def codec_cases(packages):
-    """``(label, call per package)`` for the CSV reader and writers on the
-    cli-large inputs."""
+    """The CSV reader and writers on the cli-large inputs."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads  # imports the checked-out curetau, already loaded
 
@@ -108,8 +118,6 @@ def codec_cases(packages):
         workloads.write_demo_inputs(1, Path(inputs), workloads.LARGE_N)
         texts = {name: (Path(inputs) / name).read_text() for name in ("arm0.csv", "two_arm.csv")}
     for name, text in texts.items():
-        if not all(map(same, *(sample_columns(package.parse_csv(text)) for package in packages))):
-            raise SystemExit(f"the commits read {name} differently")
         yield (f"parse_csv {name} n={workloads.LARGE_N}",
                [lambda parse=package.parse_csv, text=text: parse(text) for package in packages])
     curves, taus = [], []
@@ -121,69 +129,48 @@ def codec_cases(packages):
         tau = package.tau_curve(*two_arm.split_arms())
         spread = 0.01 + 0.1 * np.abs(tau.values)
         taus.append(tau.with_bands(spread, tau.values - 2 * spread, tau.values + 2 * spread))
-    for label, calls in (
-            ("write_curve_csv with bands", [lambda write=package.write_curve_csv, curve=curve,
-                                            bands=bands: write(curve, bands)
-                                            for package, (curve, bands) in zip(packages, curves)]),
-            ("write_tau_csv with bands", [lambda write=package.write_tau_csv, tau=tau: write(tau)
-                                          for package, tau in zip(packages, taus)])):
-        if len({call() for call in calls}) != 1:
-            raise SystemExit(f"the commits' {label} bytes differ")
-        yield f"{label} n={workloads.LARGE_N}", calls
+    yield (f"write_curve_csv with bands n={workloads.LARGE_N}",
+           [lambda write=package.write_curve_csv, curve=curve, bands=bands: write(curve, bands)
+            for package, (curve, bands) in zip(packages, curves)])
+    yield (f"write_tau_csv with bands n={workloads.LARGE_N}",
+           [lambda write=package.write_tau_csv, tau=tau: write(tau)
+            for package, tau in zip(packages, taus)])
 
 
 def cases(packages):
-    """``(label, call per package)`` for every case, on shared inputs."""
+    """``(label, calls)`` for every case, one call per package on shared
+    inputs; a case whose timed calls' results are not the ones to check
+    adds the calls that give those."""
     yield from codec_cases(packages)
-    sys.path.insert(0, str(ROOT / "bench"))
-    # These import the checked-out curetau, already loaded.
-    import bench_bootstrap
-    import bench_draws as bench
-    import bench_tau
+    sys.path.insert(0, str(ROOT / "tests"))
+    import layer_cases as lc  # imports the checked-out curetau, already loaded
 
-    for n, arms, R in product(bench.SIZES, bench.ARMS, bench.REPLICATES):
-        sample = bench.arm_sample(n)
-        summaries = [(package.km._sort_sample(package.Sample(sample.times, sample.status)),)
-                     * arms for package in packages]
-        drawn = [draw_all(package, own, 1, R) for package, own in zip(packages, summaries)]
-        if not all(map(np.array_equal, *drawn)):
-            raise SystemExit(f"the commits draw different rows at n = {n}, {arms} arm(s), R = {R}")
+    for n, arms, R in product(lc.SIZES, lc.ARMS, lc.REPLICATES):
+        summaries = [(package.km._sort_sample(lc.own(package, lc.arm_sample(n))),) * arms
+                     for package in packages]
         yield (f"_count_chunks n={n} arms={arms} R={R}",
                [lambda chunks=package.km._count_chunks, own=own, R=R: sum(
-                   1 for _ in chunks(own, 1, R)) for package, own in zip(packages, summaries)])
-    for count in bench.STATE_COUNTS:
+                   1 for _ in chunks(own, 1, R)) for package, own in zip(packages, summaries)],
+               [lambda package=package, own=own, R=R: draw_all(package, own, 1, R)
+                for package, own in zip(packages, summaries)])
+    for count in lc.STATE_COUNTS:
         yield (f"_pcg64_states R={count}",
                [lambda states=package.seeding._pcg64_states, count=count: states(
-                   bench.STATE_SEED, count) for package in packages])
-    for n in bench_bootstrap.SIZES:
-        built = [bench_bootstrap.one_arm_chunk(package, n) for package in packages]
-        rows = built[0][1].shape[0]
-        if not (all(map(same, *(km_values(package, statistic.summaries[0], cells)
-                                for package, (statistic, cells) in zip(packages, built))))
-                and same(*(statistic.evaluate(cells) for statistic, cells in built))):
-            raise SystemExit(f"the commits' one-arm chunks differ at n = {n}")
-        yield (f"_km_rows n={n} rows={rows}",
+                   lc.STATE_SEED, count) for package in packages])
+    for n in lc.LAYER_SIZES:
+        yield from table(packages, lc.layer_calls, n, suffix=f" n={n}")
+    for n in lc.SIZES:
+        built = [lc.one_arm_chunk(package, n) for package in packages]
+        yield (f"_km_rows n={n}",
                [lambda rows=package.km._km_rows, summary=statistic.summaries[0], cells=cells:
-                rows(summary, cells) for package, (statistic, cells) in zip(packages, built)])
-        yield (f"one-arm chunk n={n} rows={rows}",
-               [lambda statistic=statistic, cells=cells: statistic.evaluate(cells)
-                for statistic, cells in built])
-    for n in bench_tau.SIZES:
-        built = [bench_tau.kernel_chunk(package, n) for package in packages]
-        if not same(*(statistic.evaluate(*cells) for statistic, cells in built)):
-            raise SystemExit(f"the commits' tau kernel chunks differ at n = {n}")
-        yield (f"tau kernel chunk n={n} rows={built[0][1][0].shape[0]}",
-               [lambda statistic=statistic, cells=cells: statistic.evaluate(*cells)
-                for statistic, cells in built])
-    for label, bench in (("one-arm extrapolated", bench_bootstrap), ("mc-tau", bench_tau)):
-        built = [bench.mc_bootstrap(package) for package in packages]
-        if not all(map(same, *(bootstrap_values(package, samples, statistic, bench)
-                               for package, (samples, statistic) in zip(packages, built)))):
-            raise SystemExit(f"the commits' {label} bootstraps differ")
-        yield (f"bootstrap_stats {label} n={bench.MC_N} R={bench.MC_R}",
-               [lambda package=package, samples=samples, statistic=statistic, bench=bench:
-                bootstrap_values(package, samples, statistic, bench)
-                for package, (samples, statistic) in zip(packages, built)])
+                rows(summary, cells) for package, (statistic, cells) in zip(packages, built)],
+               [lambda package=package, summary=statistic.summaries[0], cells=cells:
+                km_values(package, summary, cells)
+                for package, (statistic, cells) in zip(packages, built)])
+        yield from table(packages, lc.bootstrap_calls, n, suffix=f" n={n} R={lc.R}")
+    for n in lc.SIZES:
+        yield from table(packages, lc.tau_calls, n, suffix=f" n={n}")
+    yield from table(packages, lc.fixed_calls)
 
 
 def race(calls):
@@ -197,11 +184,6 @@ def race(calls):
     return times
 
 
-def quartiles(values):
-    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
-    return median, low, high
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the commit to compare the checked-out tree with")
@@ -212,7 +194,10 @@ def main(argv=None):
         change = import_package("curetau", ROOT / "src" / "curetau")
         print(f"base {args.base} against the checked-out tree, {ROUNDS} rounds; "
               "median [quartiles] in ms")
-        for label, (change_call, base_call) in cases((change, base)):
+        for label, calls, *checks in cases((change, base)):
+            if len({fingerprint(check()) for check in (checks[0] if checks else calls)}) != 1:
+                raise SystemExit(f"{label}: the commits' results differ")
+            change_call, base_call = calls
             change_call(), base_call()  # warm up
             base_times, change_times = race((base_call, change_call))
             won = sum(c < b for b, c in zip(base_times, change_times))

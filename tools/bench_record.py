@@ -33,13 +33,13 @@ import argparse
 import json
 import platform
 import re
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from ab_common import ROOT, export, quartiles
+
 SEEDS = range(1, 11)
 BLOCK_MEDIAN = re.compile(r"reference block median ([0-9.]+) s")
 
@@ -58,11 +58,6 @@ def cpu_model():
     return platform.processor() or "unknown"
 
 
-def export(sha, tree):
-    tree.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(tree)], input=git("archive", sha).stdout, check=True)
-
-
 def run_once(tree, workload, seed, seconds):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -79,12 +74,6 @@ def run_once(tree, workload, seed, seconds):
     match = next(filter(None, map(BLOCK_MEDIAN.search, lines)), None)
     run["reference_block_median_s"] = float(match.group(1)) if match else None
     return run, env and json.loads(env[len("environment: "):])
-
-
-def quartiles(values):
-    """Median and the lower and upper quartiles (linear interpolation)."""
-    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
-    return median, low, high
 
 
 def summarize(benchmark, base, change):
