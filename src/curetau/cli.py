@@ -38,6 +38,7 @@ from .errors import CureTauError, EstimationError, ParseError
 from .inference import (
     _one_arm_statistic,
     _two_arm_statistic,
+    _valid_level,
     bootstrap_stats,
     cure_difference_test,
     normal_interval,
@@ -520,7 +521,7 @@ def main(argv=None):
     for problem, bad in (("seed must be non-negative", args.seed < 0),
                          (f"--boot must be at least {args.min_boot}", args.boot < args.min_boot),
                          ("--runs must be at least 2", getattr(args, "runs", 2) < 2),
-                         ("--level must lie strictly inside (0, 1)", not 0.0 < args.level < 1.0),
+                         ("--level must lie strictly inside (0, 1)", not _valid_level(args.level)),
                          ("--jobs must be at least 1", getattr(args, "jobs", 1) < 1)):
         if bad:
             print(f"error: {problem}", file=sys.stderr)

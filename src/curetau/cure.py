@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindowError, NoEventsError, SelectionFailedError
-from .km import (_check_no_jump_at_zero, _count_chunks, _count_rows, _km_rows, _sort_sample,
-                 km_fit)
+from .km import _count_chunks, _count_rows, _km_rows, km_fit
 
 DEFAULT_B_GRID = tuple(np.round(np.arange(0.10, 0.91, 0.05), 2))
 
@@ -194,13 +193,9 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     grid = sorted(float(b) for b in grid)
-    if sample.n == 0:
-        raise ValueError("sample is empty")
-    ones = _count_rows(sample)
+    ones = _count_rows(sample)  # km_fit's errors, so t_k > 0 below
     if not ones.has_events[0]:
         raise NoEventsError("no events: the adjusted risk table is undefined")
-    # km_fit's error.  So t_k > 0 below.
-    _check_no_jump_at_zero(ones.distinct, ones.events[0], "event")
     for b in grid:
         _check_b(b)
     t_k = float(ones.last_event_time[0])
@@ -229,7 +224,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     if not live:
         raise SelectionFailedError("every grid point is degenerate on this sample")
 
-    summary = _sort_sample(sample)
+    summary = ones.summary
     boot_values = np.empty((replicates, len(live)))
     for start, (cells,) in _count_chunks((summary,), seed, replicates):
         boot_values[start:start + cells.shape[0]] = _cure_rate_rows(

@@ -19,8 +19,7 @@ import numpy as np
 from ._normal import erfc, ndtri
 from .cure import _cure_rate, _cure_rate_rows
 from .errors import EstimationError, UnstableStatisticError
-from .km import (COUNT_CHUNK_ELEMENTS, _check_no_jump_at_zero, _count_chunks, _km_rows,
-                 _sort_sample, km_fit)
+from .km import COUNT_CHUNK_ELEMENTS, _checked, _count_chunks, _km_rows, _sort_sample, km_fit
 from .seeding import seed_tuple, stream
 from .susceptible import _latency_rows
 from .tau import _tau_rows
@@ -33,11 +32,18 @@ def z_quantile(p):
     return ndtri(p)
 
 
+def _valid_level(level):
+    """Whether the upper quantile ``(1 + level) / 2`` of a confidence level
+    lies in (0, 1), as ``z_quantile`` needs: the level lies in (0, 1) and
+    does not round that quantile to 1."""
+    return 0.0 < level and (1.0 + level) / 2.0 < 1.0
+
+
 def normal_interval(point, sd, level=0.95):
     """Symmetric normal interval ``point +- z * sd`` at the given level."""
     if sd < 0:
         raise ValueError("sd must be non-negative")
-    if not 0.0 < level < 1.0:
+    if not _valid_level(level):
         raise ValueError(f"level must lie in (0, 1), got {level}")
     half = z_quantile((1.0 + level) / 2.0) * sd
     return (point - half, point + half)
@@ -101,7 +107,7 @@ def _one_arm_statistic(sample, grid, b=None):
     replicate's first event: ``S`` reads its padded column 0, and ``S_a`` is
     ``(1 - eta) / (1 - eta)`` there.
     """
-    summary = _sort_sample(sample)
+    summary = _checked(sample)
     columns = summary.column(grid)
 
     def evaluate(cells):
@@ -275,8 +281,9 @@ def cure_difference_test(sample0, sample1, method="tail", b0=None, b1=None,
     as rows of each arm's cell counts, a chunk of rows at a time
     (see ``bootstrap_stats``); each replicate's difference is bit-identical
     to ``eta_tail``/``eta_extrapolated`` on its resampled arms, and a
-    replicate is missing exactly where those raise.  An event at time 0 on
-    either arm raises ``km_fit``'s ``ValueError``; a censoring there is kept.
+    replicate is missing exactly where those raise.  An empty arm or an
+    event at time 0 on either arm raises ``km_fit``'s ``ValueError``; a
+    censoring there is kept.
     """
     if method == "tail":
         b0 = b1 = None
@@ -285,9 +292,7 @@ def cure_difference_test(sample0, sample1, method="tail", b0=None, b1=None,
             raise ValueError("extrapolated method requires b0 and b1")
     else:
         raise ValueError(f"method must be 'tail' or 'extrapolated', got {method!r}")
-    arms = (_sort_sample(sample0), _sort_sample(sample1))
-    for arm in arms:
-        _check_no_jump_at_zero(arm.distinct, arm.ones()[0, 1::2], "event")
+    arms = (_checked(sample0), _checked(sample1))
 
     def difference(cells0, cells1):
         return (_cure_rate_rows(_km_rows(arms[1], cells1), b1)

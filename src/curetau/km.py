@@ -82,51 +82,44 @@ def _sort_sample(sample):
     return sample._sorted
 
 
-def _count_rows(sample):
-    """The sample's own counts and event curve: ``_km_rows`` on its row of
-    ones (a ``_KMRows`` of one row)."""
+def _checked(sample, targets=("event",)):
+    """The sample's ``_SortedSample``, once it is checked for the curves in
+    ``targets`` ("event", "censoring"): each starts at 1 at time 0, so
+    ``ValueError`` on an empty sample, then on a jump at time 0 of each
+    curve in turn."""
+    if sample.n == 0:
+        raise ValueError("sample is empty")
     summary = _sort_sample(sample)
+    for target in targets:
+        columns = summary.event_columns if target == "event" else summary.censored_columns
+        if summary.distinct[0] == 0.0 and columns.size and columns[0] == 0:
+            kind = "an event" if target == "event" else "a censoring"
+            raise ValueError(f"{kind} at time 0: the {target} curve cannot jump at time 0")
+    return summary
+
+
+def _count_rows(sample, targets=("event",)):
+    """The checked sample's own counts and event curve: ``_km_rows`` on its
+    row of ones (a ``_KMRows`` of one row)."""
+    summary = _checked(sample, targets)
     return _km_rows(summary, summary.ones())
-
-
-def _check_no_jump_at_zero(distinct, jumps, target):
-    """A survival curve starts at 1 at time 0, so it cannot jump there:
-    ``ValueError`` when ``jumps`` (one row of event or censoring counts at
-    the sample's ``distinct`` times) holds one at time 0."""
-    if distinct.size and distinct[0] == 0.0 and jumps[0] > 0:
-        kind = "an event" if target == "event" else "a censoring"
-        raise ValueError(f"{kind} at time 0: the {target} curve cannot jump at time 0")
-
-
-def _check_no_observation_at_zero(*samples):
-    """Estimators of both curves reject time 0: ``km_fit``'s event message if
-    a sample has an event there, else its censoring message."""
-    for target, status in (("event", 1), ("censoring", 0)):
-        for summary in map(_sort_sample, samples):
-            _check_no_jump_at_zero(summary.distinct, summary.ones()[0, status::2], target)
 
 
 def km_fit(sample, target="event"):
     """Product-limit survival curve for the event or the censoring distribution.
 
-    At a time with both events and censorings, both curves divide by the
-    full number at risk Y(t): the event curve counts the censored subjects
-    as at risk (censorings after events), and the censoring curve counts
-    the failed ones (events after censorings).  So S(t-) G(t-) = Y(t) / n
-    fails just after such a time.  ROADMAP.md's open item 1 moves both to
-    censorings after events, with Y(t) - d(t) for the censoring curve.
+    At a tied time the censorings come after the events: the event curve
+    divides by the full number at risk Y(t), and the censoring curve by
+    Y(t) - d(t), those still at risk once the events at t are out.  So
+    S(t-) G(t-) = Y(t) / n holds at every time.
     """
     if target not in ("event", "censoring"):
         raise ValueError(f"target must be 'event' or 'censoring', got {target!r}")
-    if sample.n == 0:
-        raise ValueError("sample is empty")
-    rows = _count_rows(sample)
+    rows = _count_rows(sample, (target,))
     if target == "event":
-        jumps, columns, curve = rows.events, rows.summary.event_columns, rows.surv
+        columns, curve = rows.summary.event_columns, rows.surv
     else:
-        jumps, columns, curve = (rows.censored, rows.summary.censored_columns,
-                                 rows.censoring_curve())
-    _check_no_jump_at_zero(rows.distinct, jumps[0], target)
+        columns, curve = rows.summary.censored_columns, rows.censoring_curve()
     return StepFunction(rows.distinct[columns], curve[0, 1:], initial_value=1.0)
 
 
@@ -182,17 +175,14 @@ class RiskTable:
 
 def risk_table(sample):
     """Build the adjusted risk table; needs an event and no observation at time 0."""
-    if sample.n == 0:
-        raise ValueError("sample is empty")
-    _check_no_observation_at_zero(sample)
+    rows = _count_rows(sample, ("event", "censoring"))
     if sample.n_events == 0:
         raise NoEventsError("no events: the adjusted risk table is undefined")
-    rows = _count_rows(sample)
     summary = rows.summary
     times = rows.distinct[summary.event_columns]
     d = rows.jumps[0]
     y = rows.at_risk[0, summary.event_columns]
-    # Positive: each censoring factor 1 - c_j/Y_j >= Y_(j+1)/Y_j, so G(t-) >= Y(t)/n.
+    # Positive: each censoring factor 1 - c_j/(Y_j - d_j) >= Y_(j+1)/Y_j, so G(t-) >= Y(t)/n.
     g_left = rows.censoring_curve()[0, summary.column(times, "censoring", "left")]
     d_tilde = d / g_left
     y_tilde = np.cumsum(d_tilde[::-1])[::-1]
@@ -280,11 +270,11 @@ class _KMRows:
     to a cumprod over all K distinct times).  So the last column,
     ``surv[:, -1]``, is each replicate's curve at its largest event time.
     ``summary.column`` gives the column that holds a time's value.
-    ``cells`` are the replicate's cell counts, ``events`` and ``censored``
-    its event and censoring counts at each distinct time, and ``jumps`` and
-    ``censored_counts`` those at the event and censored columns alone (E
-    and C).  ``has_events`` marks the rows with an event, and ``last_event``
-    is the column of each row's largest event time, 0 where it has none.
+    ``cells`` are the replicate's cell counts, and ``jumps`` and
+    ``censored_counts`` its event and censoring counts at the event and
+    censored columns alone (E and C).  ``has_events`` marks the rows with
+    an event, and ``last_event`` is the column of each row's largest event
+    time, 0 where it has none.
     ``censored_counts``, ``has_events`` and ``last_event`` are found on
     first read and kept, so each is computed once and only where it is
     read: the tail cure rate needs no ``last_event``, and the extrapolated
@@ -303,14 +293,6 @@ class _KMRows:
     @property
     def distinct(self):
         return self.summary.distinct
-
-    @property
-    def events(self):
-        return self.cells[:, 1::2]
-
-    @property
-    def censored(self):
-        return self.cells[:, 0::2]
 
     @functools.cached_property
     def censored_counts(self):
@@ -344,9 +326,13 @@ class _KMRows:
     def censoring_curve(self):
         """Each row's censoring KM curve, padded as ``surv`` is: (rows x
         |C| + 1), over the censored columns (``summary.column(t,
-        "censoring")``)."""
-        return _padded_curve(self.censored_counts,
-                             self.at_risk.take(self.summary.censored_columns, axis=1))
+        "censoring")``).  The censorings at a time come after its events, so
+        they divide by Y(t) - d(t): the count still at risk just after t plus
+        the censorings at t."""
+        censored = self.censored_counts
+        divisor = self.at_risk.take(self.summary.censored_columns + 1, axis=1)
+        divisor += censored
+        return _padded_curve(censored, divisor)
 
 
 def _km_rows(summary, cells):

@@ -19,7 +19,8 @@ from .cure import DEFAULT_B_GRID, eta_tail_from_sample, resolve_cure_rate
 from .data import Sample
 from .distributions import BetaLatency, TruncatedWeibullLatency, latency_from_dict
 from .errors import EstimationError
-from .inference import _one_arm_statistic, _two_arm_statistic, bootstrap_stats, z_quantile
+from .inference import (_one_arm_statistic, _two_arm_statistic, _valid_level,
+                        bootstrap_stats, z_quantile)
 from .seeding import seed_tuple, stream
 from .tau import tau_a_curve, true_tau_quadrature
 
@@ -219,6 +220,8 @@ def run_experiment(scenario, runs=200, R=500, seed=0, times=None,
     """
     if runs < 2 or R < 2:
         raise ValueError("runs and R must both be at least 2")
+    if not _valid_level(level):
+        raise ValueError(f"level must lie in (0, 1), got {level}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if eta_method not in ("tail", "extrapolate"):

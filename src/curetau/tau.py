@@ -35,7 +35,7 @@ import numpy as np
 from .cure import _cure_rate_rows
 from .data import _csv_columns, _csv_text
 from .errors import EstimationError, ToleranceError
-from .km import _check_no_observation_at_zero, _km_rows, _sort_sample, _suffix_sums
+from .km import _checked, _km_rows, _sort_sample, _suffix_sums
 from .susceptible import _latency_rows
 
 
@@ -83,7 +83,7 @@ def censoring_weight_factor(latency_survival_at_x, eta_value):
 
 def _checked_grid(grid):
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or (grid.size and np.any(np.diff(grid) <= 0)):
+    if grid.ndim != 1 or np.isnan(grid).any() or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a 1-d strictly increasing array")
     return grid
 
@@ -149,7 +149,9 @@ def _tau_rows(sample0, sample1, grid=None, etas=None, refit=False, overall=False
     """
     if sample0.n == 0 or sample1.n == 0:
         raise ValueError("both samples must be non-empty")
-    _check_no_observation_at_zero(sample0, sample1)
+    for target in ("event", "censoring"):
+        for sample in (sample0, sample1):
+            _checked(sample, (target,))
     if etas is not None and max(eta.value for eta in etas) >= 1.0:
         raise EstimationError("degenerate mixture: cure rate at or above 1")
     etas = (None, None) if etas is None else tuple(etas)

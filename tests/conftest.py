@@ -58,15 +58,3 @@ def tied_samples(draw):
     status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     status[draw(st.integers(0, n - 1))] = 1
     return ct.Sample(times, status)
-
-
-@st.composite
-def cross_tie_free_samples(draw):
-    """1-12 subjects, at least one event: events on the whole times 1-6 and
-    censorings on the half times 1.5-6.5, so events tie with events and
-    censorings with censorings but never with each other."""
-    n = draw(st.integers(1, 12))
-    slots = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    status[draw(st.integers(0, n - 1))] = 1
-    return ct.Sample([slot + 0.5 * (1 - s) for slot, s in zip(slots, status)], status)

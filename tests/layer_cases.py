@@ -14,7 +14,8 @@ its cases as calls of no arguments, by name.  The inputs:
 - ``layer_calls``, at each n of ``LAYER_SIZES``: ``fitted(package, n)``, a
   ``table1-eta02`` draw with its event curve, tail cure rate (the
   extrapolated one takes b = ``B`` at the largest event time) and latency
-  curve; and ``two_arm_csv(n)``, the ``write_csv`` text of a
+  curve, for ``phi_hat`` at that cure rate among the others; and
+  ``two_arm_csv(n)``, the ``write_csv`` text of a
   ``table3-eta02`` draw of n subjects, half in each arm.
 - ``bootstrap_calls``, at each n of ``SIZES``: ``arm(n)``, a short-follow-up
   ``table2-eta02`` draw; ``select_b`` and the bootstrap take ``R``
@@ -32,7 +33,10 @@ its cases as calls of no arguments, by name.  The inputs:
   ``simlab.DEFAULT_TAU_GRID``); ``select_b`` on arm 0 of ``two-arm-demo`` at
   ``DEMO_N`` (the shape of ``fit --eta-method extrapolate`` and ``btune`` on
   the cli-large inputs) and ``compare``'s tau bootstrap on both its arms,
-  each with ``DEMO_R`` replicates; and ``true_tau_quadrature`` at t = 0.5
+  each with ``DEMO_R`` replicates; ``cure_difference_test``, tail and
+  extrapolated at b = ``B`` in both arms, on the ``mc-tau`` arms with
+  ``MC_R`` replicates and the ``two-arm-demo`` ones with ``DEMO_R``; and
+  ``true_tau_quadrature`` at t = 0.5
   for each kind of process on the ``table3-eta02`` arms (Beta(1, 4) against
   Beta(1, 2)) and the ``table4-eta02`` ones (against Beta(0.5, 1.5), whose
   density is singular at 0).
@@ -98,6 +102,7 @@ def layer_calls(package, n):
     return {
         "km_fit": lambda: package.km_fit(sample, "event"),
         "risk_table": lambda: package.risk_table(sample),
+        "phi_hat": lambda: package.phi_hat(sample, eta),
         "eta_tail": lambda: package.eta_tail(curve),
         "eta_extrapolated": lambda: package.eta_extrapolated(curve, B, curve.x[-1]),
         "self_consistency_residual":
@@ -189,6 +194,11 @@ def fixed_calls(package):
         f"compare bootstrap two-arm-demo n={DEMO_N} R={DEMO_R}":
             lambda: package.bootstrap_stats(pair, compare, R=DEMO_R, seed=1),
     }
+    for method in ("tail", "extrapolated"):
+        for label, samples, R in (("mc-tau", mc_tau, MC_R), ("two-arm-demo", pair, DEMO_R)):
+            calls[f"cure_difference_test {method} {label} n={samples[0].n} R={R}"] = (
+                functools.partial(package.cure_difference_test, *samples, method=method,
+                                  b0=B, b1=B, R=R, seed=1))
     for name in ("table3-eta02", "table4-eta02"):
         design, _ = package.preset(name)
         for kind in ("overall", "susceptible"):

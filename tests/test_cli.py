@@ -412,7 +412,10 @@ def test_btune_rerun_byte_identical(tmp_path, two_arm_file):
     ("fit", ["--boot", "-3"], "--boot must be at least 2"),
     ("fit", ["--level", "1.5"], "--level must lie strictly inside (0, 1)"),
     ("compare", ["--boot", "1"], "--boot must be at least 2"),
+    ("fit", ["--level", "0.9999999999999999"], "--level must lie strictly inside (0, 1)"),
     ("compare", ["--level", "0"], "--level must lie strictly inside (0, 1)"),
+    ("compare", ["--level", "0.9999999999999999"], "--level must lie strictly inside (0, 1)"),
+    ("simulate", ["--level", "nan"], "--level must lie strictly inside (0, 1)"),
     ("simulate", ["--runs", "1"], "--runs must be at least 2"),
     ("simulate", ["--boot", "1"], "--boot must be at least 2"),
     ("btune", ["--boot", "0"], "--boot must be at least 1"),

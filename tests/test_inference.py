@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,15 @@ def test_normal_interval_symmetry_and_width():
     assert high - low == pytest.approx(2 * z * 0.2, abs=1e-12)
     narrow = ct.normal_interval(1.7, 0.2, 0.5)
     assert narrow[1] - narrow[0] < high - low
+
+
+@pytest.mark.parametrize("level", [0.0, -0.5, 1.0, 1.5, math.nan, 0.9999999999999999])
+def test_normal_interval_refuses_a_level_whose_quantile_leaves_0_1(level):
+    # 0.9999999999999999 lies in (0, 1), but (1 + level) / 2 rounds to 1.
+    with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\), got "):
+        ct.normal_interval(0.0, 1.0, level)
+    low, high = ct.normal_interval(0.0, 1.0, np.nextafter(0.9999999999999999, 0.0))
+    assert math.isfinite(high) and low == -high
 
 
 def test_z_quantile_accuracy():

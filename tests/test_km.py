@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import curetau as ct
 from curetau.cure import _cure_rate_rows
-from curetau.errors import NoEventsError
+from curetau.errors import EstimationError, NoEventsError
+from curetau.inference import _one_arm_statistic
 from curetau.km import _count_chunks, _km_rows, _sort_sample
 from conftest import sample_corpus, tied_samples
 
@@ -98,29 +99,73 @@ BOTH_CURVE_ESTIMATORS = {
     "tau_a_curve arm 0": lambda sample: ct.tau_a_curve(sample, CLEAN, ETA, ETA),
     "tau_a_curve arm 1": lambda sample: ct.tau_a_curve(CLEAN, sample, ETA, ETA),
 }
+# A sample on which every estimator of the event curve alone is defined,
+# select_b and the extrapolated cure rates included.
+PLATEAU = ct.Sample([3, 3, 8, 8, 3, 6, 8, 5], [1, 0, 0, 0, 1, 0, 0, 1])
 
 
-@pytest.mark.parametrize("entry", list(BOTH_CURVE_ESTIMATORS))
+def difference_test(method, arm=None):
+    """``cure_difference_test`` of two arms, or with ``arm`` of one: the
+    sample is that arm, and ``PLATEAU`` the other."""
+    def call(*arms):
+        if arm is not None:
+            arms = (arms[0], PLATEAU) if arm == 0 else (PLATEAU, arms[0])
+        return ct.cure_difference_test(*arms, method=method, b0=0.8, b1=0.8, R=20, seed=1)
+    return call
+
+
+EVENT_CURVE_ESTIMATORS = {
+    "km_fit": lambda sample: ct.km_fit(sample, "event"),
+    "select_b": lambda sample: ct.select_b(sample, replicates=20, seed=1),
+    "one-arm statistic": lambda sample: ct.bootstrap_stats(
+        sample, _one_arm_statistic(sample, [1.0, 4.0], 0.8), R=20, seed=1),
+    **{f"cure_difference_test {method} arm {arm}": difference_test(method, arm)
+       for method in ("tail", "extrapolated") for arm in (0, 1)},
+}
+ESTIMATORS = {**BOTH_CURVE_ESTIMATORS, **EVENT_CURVE_ESTIMATORS}
+
+
+def value_error(call, sample):
+    """The message of the ``ValueError`` that ``call(sample)`` raises, else
+    None; an ``EstimationError`` of a tiny sample passes."""
+    try:
+        call(sample)
+    except ValueError as exc:
+        return str(exc)
+    except EstimationError:
+        pass
+    return None
+
+
+@pytest.mark.parametrize("entry", list(ESTIMATORS))
 @pytest.mark.parametrize("sample, message", [
     (ct.Sample([0, 1, 2, 3], [1, 1, 0, 1]), EVENT_AT_0),
     (ct.Sample([0, 1, 2, 3], [0, 1, 0, 1]), CENSORING_AT_0),
     (ct.Sample([0, 0, 1, 2], [0, 1, 0, 1]), EVENT_AT_0),  # the event message first
+    (ct.Sample([], []), "sample is empty"),
 ])
 def test_estimators_of_both_curves_name_an_observation_at_time_0(entry, sample, message):
-    """Unlike ``km_fit``, which reads one curve, these reject any observation
-    at time 0 with ``km_fit``'s messages."""
-    with pytest.raises(ValueError) as info:
-        BOTH_CURVE_ESTIMATORS[entry](sample)
-    assert str(info.value) == message
-    BOTH_CURVE_ESTIMATORS[entry](CLEAN)
+    """Unlike ``km_fit``, which reads one curve, the estimators of both
+    curves reject any observation at time 0 with ``km_fit``'s messages.
+    Those of the event curve alone reject an event there and keep a
+    censoring, and every one rejects an empty sample."""
+    if entry in EVENT_CURVE_ESTIMATORS and message == CENSORING_AT_0:
+        message = None
+    elif entry.startswith("tau") and sample.n == 0:
+        message = "both samples must be non-empty"
+    assert value_error(ESTIMATORS[entry], sample) == message
+    ESTIMATORS[entry](PLATEAU if entry in EVENT_CURVE_ESTIMATORS else CLEAN)
 
 
 def test_two_arms_name_an_event_at_time_0_before_a_censoring():
     censoring = ct.Sample([0, 1, 2], [0, 1, 1])
     event = ct.Sample([0, 1, 2], [1, 1, 0])
-    for arms in ((censoring, event), (event, censoring)):
-        with pytest.raises(ValueError, match="^an event at time 0"):
-            ct.tau_curve(*arms)
+    entries = [ct.tau_curve, lambda *arms: ct.tau_a_curve(*arms, ETA, ETA)]
+    entries += [difference_test(method) for method in ("tail", "extrapolated")]
+    for entry in entries:
+        for arms in ((censoring, event), (event, censoring)):
+            with pytest.raises(ValueError, match="^an event at time 0"):
+                entry(*arms)
 
 
 @settings(max_examples=300)
@@ -165,11 +210,11 @@ def resampled_rows(draw):
 def full_width_curves(cells):
     """The at-risk counts and the event and censoring curves at every
     distinct time: each a cumprod over all K columns, factors of 1.0 where
-    nothing happens."""
+    nothing happens.  The censorings at a time come after its events."""
     censored, events = cells[:, 0::2], cells[:, 1::2]
     at_risk = np.cumsum((censored + events)[:, ::-1], axis=1)[:, ::-1]
     return (at_risk, np.cumprod(1.0 - events / np.maximum(at_risk, 1), axis=1),
-            np.cumprod(1.0 - censored / np.maximum(at_risk, 1), axis=1))
+            np.cumprod(1.0 - censored / np.maximum(at_risk - events, 1), axis=1))
 
 
 def same(a, b):
@@ -226,12 +271,13 @@ def test_tied_event_times_supported():
 
 
 def test_event_censor_tie_convention():
-    # events divide by the full risk set; the same-time censoring also sees it
+    # At a tied time the censorings come after the events: the event divides
+    # by the full risk set Y = 3, the censoring by the Y - d = 2 left after it.
     sample = ct.Sample([1, 1, 2], [1, 0, 1])
     event = ct.km_fit(sample, "event")
     assert event(1.0) == pytest.approx(2 / 3, abs=1e-15)
     censor = ct.km_fit(sample, "censoring")
-    assert censor(1.0) == pytest.approx(2 / 3, abs=1e-15)
+    assert censor(1.0) == pytest.approx(1 / 2, abs=1e-15)
 
 
 class TestCorpusIdentities:

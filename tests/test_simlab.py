@@ -296,6 +296,18 @@ def test_run_experiment_serial_matches_parallel():
     assert _rows_identical(serial, parallel)
 
 
+@pytest.mark.parametrize("two_arm", [False, True])
+@pytest.mark.parametrize("level", [0.0, 1.5, math.nan, 0.9999999999999999])
+def test_run_experiment_checks_the_level_before_any_run(monkeypatch, two_arm, level):
+    # 0.9999999999999999 lies in (0, 1), but its upper quantile rounds to 1.
+    for runner in ("_run_one_arm", "_run_two_arm"):
+        monkeypatch.setattr(simlab, runner, lambda *args: pytest.fail("a run started"))
+    scenario = (ct.preset("table3-eta02")[0] if two_arm
+                else ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 30))
+    with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\), got "):
+        ct.run_experiment(scenario, runs=2, R=2, seed=1, level=level)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_run_experiment_rejects_jobs_below_one(jobs):
     scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 30)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import curetau as ct
 from curetau.errors import EstimationError
 from curetau.susceptible import _phi_after, _sample_rows
-from conftest import cross_tie_free_samples, sample_corpus, tied_samples
+from conftest import sample_corpus, tied_samples
 
 
 def phi_right_limits(sample, eta, censored_times):
@@ -179,14 +179,18 @@ def test_self_consistency_zero_over_zero_names_the_same_time():
     assert str(fast.value) == "0/0 outside the stated convention at time 3.0"
 
 
-def test_undefined_susceptible_proportion_names_the_time():
-    # Nobody is left after the censoring at 2 while the cure rate is positive.
+def test_susceptible_proportion_is_1_past_the_last_time():
+    # Nobody is left after the censoring at 2 while the cure rate is positive,
+    # but that censoring comes after the event at 2, so G(2) = 0 and phi just
+    # after 2 resolves its 0/0 to 1: the residual is finite.
     sample = ct.Sample([1, 2, 2], [1, 1, 0])
     eta = ct.CureRateEstimate(value=0.3, method="tail", raw_value=0.3)
+    assert phi_right_limits(sample, eta, np.array([2.0])).tolist() == [1.0]
     candidate = ct.product_limit_latency_curve(ct.risk_table(sample))
-    with pytest.raises(EstimationError) as error:
-        ct.self_consistency_residual(candidate, sample, eta)
-    assert str(error.value) == "susceptible proportion undefined just after 2.0"
+    report = ct.self_consistency_residual(candidate, sample, eta)
+    # n (1 - eta) S_a(1) - n H1a(1) at 1, with S_a(1) = 1/2 and H1a(1) = 2/3 - eta.
+    assert report.residuals == pytest.approx([3 * 0.7 * 0.5 - 3 * (2 / 3 - 0.3), 0.0],
+                                             abs=1e-15)
 
 
 def test_self_consistency_at_large_n():
@@ -279,8 +283,8 @@ def test_censoring_products_match_refitted_censoring_curve(sample, eta):
 
 
 @settings(max_examples=300)
-@given(sample=cross_tie_free_samples())
-def test_forms_agree_and_self_consistent_without_event_censoring_ties(sample):
+@given(sample=tied_samples())
+def test_forms_agree_and_self_consistent_on_tied_samples(sample):
     eta = ct.eta_tail_from_sample(sample)
     assert ct.susceptible_curve(sample, eta).form_divergence <= 1e-12
     candidate = ct.product_limit_latency_curve(ct.risk_table(sample))

@@ -27,7 +27,7 @@ their sizes and seeds):
   of the same size, timed over all its chunks and checked on the rows it
   draws; and ``seeding._pcg64_states`` for each count;
 - the one-sample layers and ``parse_csv`` (``layer_calls``): ``km_fit``,
-  ``risk_table``, ``eta_tail``, ``eta_extrapolated`` and
+  ``risk_table``, ``phi_hat``, ``eta_tail``, ``eta_extrapolated`` and
   ``self_consistency_residual``, at n = 200, 2 000 and 20 000;
 - the one-arm bootstrap (``bootstrap_calls``) at each n: ``km._km_rows`` on
   one chunk of count rows, checked on its at-risk counts and event curves
@@ -37,8 +37,9 @@ their sizes and seeds):
   of count rows through ``compare``'s kernel;
 - whole calls (``fixed_calls``): the bootstraps of one ``mc-extrap`` and
   one ``mc-tau`` run, point included; ``select_b`` and ``compare``'s tau
-  bootstrap on the 5 000-subject ``two-arm-demo`` arms; and the four
-  quadrature truths.
+  bootstrap on the 5 000-subject ``two-arm-demo`` arms;
+  ``cure_difference_test``, tail and extrapolated, on the ``mc-tau`` arms
+  and the ``two-arm-demo`` ones; and the four quadrature truths.
 
 For each case it prints both sides' median and quartiles in milliseconds
 and the rounds the checked-out tree won.
