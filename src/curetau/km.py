@@ -1,8 +1,8 @@
 """Kaplan-Meier estimation and the censoring-adjusted risk table.
 
 Both the event-time survival curve and the censoring-time survival curve are
-product-limit estimates over their own jump times, with the number at risk
-counting every subject still under observation.  The risk table carries, for
+product-limit estimates over their own jump times, the censorings at a tied
+time coming after its events (see ``km_fit``).  The risk table carries, for
 each distinct event time, the raw counts together with the
 inverse-probability-of-censoring adjusted counts used by the latency
 (susceptible-survival) estimators.
