@@ -18,7 +18,8 @@ curves use the tail cure rate.
 
 ``fit``, ``compare`` and ``btune`` import numpy alone, not ``scipy.special``:
 only a Beta latency needs it, so only ``simulate`` on a Beta scenario loads
-it, at the first Beta call (see ``distributions``).
+its compiled ``_ufuncs``, and not the package, at the first Beta call (see
+``distributions``).
 """
 
 import argparse

@@ -9,16 +9,25 @@ survival over the other arm's quantiles.
 The Beta methods and the Weibull density evaluate the ``scipy.special`` and
 numpy forms that ``stats.beta`` and ``stats.weibull_min`` call, with the same
 support rule, so they equal ``scipy.stats`` bit for bit without importing it.
-Only the ``BetaLatency`` methods need ``scipy.special``, and ``_forms``
-imports it at their first call, not with the package: a command that reads a
-CSV never loads it, while a Beta ``simulate`` or truth pays the same import
-at its first Beta call instead of at startup.  Where
-``scipy.special._ufuncs`` lacks the two Beta forms, they are taken from
+Only the ``BetaLatency`` methods need those ufuncs, and ``_forms`` loads them
+at their first call, not with the package: a command that reads a CSV never
+loads them, and a Beta call loads the compiled ``scipy.special._ufuncs``
+alone, not the ``scipy.special`` package and its array-API layer.  While the
+package is not loaded, a placeholder parent (a package module whose
+``__init__`` never runs) stands in ``sys.modules`` for that one import and is
+removed after it.  A later ``import scipy.special`` runs the real
+``__init__``, which reuses the loaded ``_ufuncs``, so its ufuncs are the
+objects ``_forms`` holds; only the compiled modules that ``_ufuncs`` loaded
+under the placeholder are not attributes of it, though ``from scipy.special
+import`` still finds them.  Where that import fails, the package is imported
+whole.  Where ``_ufuncs`` lacks the two Beta forms, they are taken from
 ``stats.beta``, with the same values bit for bit.
 """
 
 import functools
+import importlib.util
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -27,19 +36,34 @@ import numpy as np
 _Forms = namedtuple("_Forms", "special pdf ppf through_stats")
 
 
+def _ufuncs():
+    """``scipy.special._ufuncs``, under a placeholder parent while the
+    ``scipy.special`` package is not loaded, else through the package."""
+    if "scipy.special" not in sys.modules:
+        placeholder = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+        sys.modules["scipy.special"] = placeholder
+        try:
+            return importlib.import_module("scipy.special._ufuncs")
+        except ImportError:
+            pass  # loaded below with the whole package, as ``from scipy import special`` does
+        finally:
+            if sys.modules.get("scipy.special") is placeholder:
+                del sys.modules["scipy.special"]
+    return importlib.import_module("scipy.special._ufuncs")
+
+
 @functools.cache
 def _forms():
-    """``scipy.special``, the Beta density and quantile forms, and whether
-    these came through ``stats.beta``; imported on the first call."""
-    from scipy import special
-
+    """The ``scipy.special._ufuncs`` module, the Beta density and quantile
+    forms, and whether these came through ``stats.beta``; loaded on the first
+    call (see the module docstring for the placeholder parent)."""
+    special = _ufuncs()
     try:
-        from scipy.special._ufuncs import _beta_pdf, _beta_ppf
-    except ImportError:  # older scipy: the same forms, reached through stats.beta
+        return _Forms(special, special._beta_pdf, special._beta_ppf, False)
+    except AttributeError:  # older scipy: the same forms, reached through stats.beta
         from scipy import stats
 
         return _Forms(special, stats.beta._pdf, stats.beta.ppf, True)
-    return _Forms(special, _beta_pdf, _beta_ppf, False)
 
 
 def truncated_weibull_sample(shape, scale, t_b, u):
@@ -61,7 +85,8 @@ class BetaLatency:
     """Beta(alpha, beta) event times on [0, 1].
 
     Each method calls the ``scipy.special`` ufunc behind ``stats.beta``'s,
-    with its support rule; the first call imports ``scipy.special``.
+    with its support rule; the first call loads ``scipy.special._ufuncs``
+    alone, not the ``scipy.special`` package (see ``_forms``).
     """
 
     alpha: float

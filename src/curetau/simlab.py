@@ -10,7 +10,6 @@ average bias, mean bootstrap SD, empirical SD, CI coverage, and CI length.
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,6 +254,8 @@ def run_experiment(scenario, runs=200, R=500, seed=0, times=None,
 
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(runner, range(runs)))
     else:

@@ -73,7 +73,7 @@ def accumulate(times, masses, has_pairs, grid, normalizer):
         grid = np.unique(times[has_pairs])
     else:
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or (grid.size and np.any(np.diff(grid) <= 0)):
+        if grid.ndim != 1 or np.isnan(grid).any() or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be a 1-d strictly increasing array")
     bucket = np.searchsorted(grid, times, side="left")
     sums = np.bincount(bucket, weights=masses, minlength=grid.size + 1)[: grid.size]

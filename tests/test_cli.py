@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import curetau as ct
-from curetau import cli, simlab
+from curetau import cli
 from curetau.cli import main, read_experiment_csv
 
 D1_TEXT = "time,status\n1,1\n2,0\n3,1\n4,0\n5,0\n"
@@ -478,7 +479,7 @@ def test_simulate_jobs_at_least_one_and_at_most_the_cpus(tmp_path, capsys, monke
         calls.append(max_workers)
         raise _Recorded
 
-    monkeypatch.setattr(simlab, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
     out = tmp_path / "out"
     argv = ["simulate", "--scenario", "table1-eta02", "--runs", "2", "--boot", "2",
             "--jobs", jobs, "--output-dir", str(out)]

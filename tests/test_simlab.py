@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 
@@ -327,7 +328,7 @@ def test_run_experiment_caps_workers_at_the_cpus(monkeypatch):
         workers.append(max_workers)
         raise _PoolStarted
 
-    monkeypatch.setattr(simlab, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
     scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.2, 1.0, 30)
     monkeypatch.setattr(simlab.os, "cpu_count", lambda: 3)
     for jobs in (2, 3, 4, 100_000):

@@ -9,20 +9,23 @@ is one CLI call, run as a new ``python3`` process with ``PYTHONPATH`` set to
 one side's ``src``, so it pays for the interpreter, the imports and the work
 as a user's command does: ``fit``, ``compare`` and ``btune`` on the
 ``arm0.csv`` and ``two_arm.csv`` that ``perfbench/workloads.py``'s
-``write_demo_inputs`` writes (seed 1) at n = 200 and 5 000 per arm, and
-``simulate --scenario table3-eta02 --runs 2 --boot 500``.  The two sides
+``write_demo_inputs`` writes (seed 1) at n = 200 and 5 000 per arm,
+``simulate --scenario table3-eta02 --runs 2 --boot 500`` (shaped like the
+mc-tau workload) and ``simulate --scenario table2-eta02 --eta-method
+extrapolate --runs 2 --boot 500`` (shaped like mc-extrap).  The two sides
 take turns for ``ROUNDS`` rounds, the one that goes first alternating from
 round to round, so a drift in the machine's load falls on both alike.
 
 Each child reports its own wall time, from before ``import curetau.cli`` to
 the end of ``main``, and its own ``ru_maxrss`` and ``ru_minflt``
 (``RUSAGE_SELF``: ``RUSAGE_CHILDREN`` would give the parent the maximum over
-all its children), and whether ``scipy.special`` was imported.  After a check
+all its children), and whether the ``scipy.special`` package and its
+compiled ``scipy.special._ufuncs`` were loaded.  After a check
 that both sides exited alike and wrote the same bytes, on stdout and in every
 artifact, it prints for each case both sides' median and quartiles of the
 wall time, their median peak RSS and minor faults, the rounds the
-checked-out tree won on wall time, and which sides imported
-``scipy.special``.
+checked-out tree won on wall time, and for each side which of the two
+``scipy.special`` modules it loaded.
 """
 
 import argparse
@@ -49,7 +52,9 @@ code = curetau.cli.main(sys.argv[1:])
 wall = time.perf_counter() - start
 usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"code": code, "wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024,
-                  "minflt": usage.ru_minflt, "special": "scipy.special" in sys.modules}))
+                  "minflt": usage.ru_minflt,
+                  "special": [name for name in ("scipy.special", "scipy.special._ufuncs")
+                              if name in sys.modules]}))
 """
 
 
@@ -67,8 +72,11 @@ def cases(inputs):
                               ("compare", ("--input", two, *emit)),
                               ("btune", ("--input", one))):
             yield f"{command} n={n}", (command, *argv, "--boot", BOOT, "--seed", "1")
-    yield ("simulate table3-eta02 runs=2", ("simulate", "--scenario", "table3-eta02",
-                                           "--runs", "2", "--boot", "500", "--seed", "1"))
+    for scenario, extra in (("table3-eta02", ()),
+                            ("table2-eta02", ("--eta-method", "extrapolate"))):
+        yield (" ".join(("simulate", scenario, *extra[1:], "runs=2")),
+               ("simulate", "--scenario", scenario, *extra, "--runs", "2", "--boot", "500",
+                "--seed", "1"))
 
 
 def run(src, argv, outdir):
@@ -115,7 +123,8 @@ def main(argv=None):
                 text.append("%.3f [%.3f, %.3f] s, " % quartiles([r["wall_s"] for r in side])
                             + "%.1f MB, %d faults" % tuple(statistics.median(r[key] for r in side)
                                                            for key in ("maxrss_mb", "minflt"))
-                            + ", scipy.special" * any(r["special"] for r in side))
+                            + "".join(f", {name}" for name in sorted(
+                                {name for r in side for name in r["special"]})))
             print(f"{label}: {text[0]} -> {text[1]}; won {won} of {ROUNDS}", flush=True)
     return 0
 
