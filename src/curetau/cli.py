@@ -4,17 +4,18 @@ Every artifact write is deterministic given the command line (including the
 seed): floats are serialized with ``repr`` and JSON keys are sorted, so
 repeated invocations produce byte-identical files.
 
-``compare`` makes one two-arm pass (``_two_arm_pass``) per cure-rate method,
-seeded by ``--seed`` extended as shown.  The tail pass, tau bootstrap (0,) and
-test (1,), writes ``tau``, ``tau_susceptible``, ``latency_survival_arm*`` and
-``latency_survival_both``, and the report's ``cure_rate_arm*``, ``tau_end``,
-``tau_susceptible_end``, ``cure_difference`` and ``bootstrap_missing``.  The
-extrapolated pass, b selection (3, arm), tau bootstrap (4,) and test (2,),
-writes the two latency files and ``tau_susceptible`` with ``_extrap`` added,
-and ``cure_rate_extrap_arm*``, ``cure_difference_extrapolated``,
-``bootstrap_missing_extrapolated`` and ``extrapolation_notes``.  Each
-``cure_difference*`` carries its test's ``n_missing``.  The arms' other
-curves use the tail cure rate.
+Each random stream is ``--seed`` extended as shown: ``fit`` bootstraps on (0,)
+and selects b on (1,), ``btune`` selects b on the seed alone, and ``compare``
+makes one two-arm pass (``_two_arm_pass``) per cure-rate method.  The tail
+pass, tau bootstrap (0,) and test (1,), writes ``tau``, ``tau_susceptible``,
+``latency_survival_arm*`` and ``latency_survival_both``, and the report's
+``cure_rate_arm*``, ``tau_end``, ``tau_susceptible_end``, ``cure_difference``
+and ``bootstrap_missing``.  The extrapolated pass, b selection (3, arm), tau
+bootstrap (4,) and test (2,), writes the two latency files and
+``tau_susceptible`` with ``_extrap`` added, and ``cure_rate_extrap_arm*``,
+``cure_difference_extrapolated``, ``bootstrap_missing_extrapolated`` and
+``extrapolation_notes``.  Each ``cure_difference*`` carries its test's
+``n_missing``.  The arms' other curves use the tail cure rate.
 
 ``fit``, ``compare`` and ``btune`` import numpy alone, not ``scipy.special``:
 only a Beta latency needs it, so only ``simulate`` on a Beta scenario loads
@@ -23,6 +24,7 @@ its compiled ``_ufuncs``, and not the package, at the first Beta call (see
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -68,22 +70,21 @@ def _write_text(directory, name, text):
     return path
 
 
-def _read_sample(path):
+def _validated_sample(path):
+    """The sample in the CSV file at ``path`` and its validation report,
+    refused when the file cannot be read or the report is fatal."""
     try:
         # utf-8-sig drops a leading byte-order mark, as spreadsheets write.
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return parse_csv(fh)
+            sample = parse_csv(fh)
     except OSError as exc:
         raise _ValidationFailure(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise _ValidationFailure(f"cannot read {path}: {exc}") from exc
-
-
-def _gate_on_validation(sample):
     report = validate(sample)
     if not report.ok:
         raise _ValidationFailure("; ".join(report.fatal))
-    return report
+    return sample, report
 
 
 def _emit_set(text):
@@ -125,11 +126,6 @@ def _json_report(directory, payload):
                        json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cure_estimate_dict(est):
-    return {name: getattr(est, name)
-            for name in ("value", "method", "raw_value", "b", "b_gamma_check")}
-
-
 def _inputs(args, **sizes):
     return {"command": args.subcommand, "path": str(args.input), **sizes,
             "eta_method": args.eta_method, "seed": args.seed, "boot": args.boot,
@@ -149,8 +145,7 @@ def _bands(values, sd, level):
 def _run_fit(args):
     emit = _emit_set(args.emit)
     b = _parse_b(args.b)
-    sample = _read_sample(args.input)
-    report = _gate_on_validation(sample)
+    sample, report = _validated_sample(args.input)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -192,7 +187,7 @@ def _run_fit(args):
         _json_report(outdir, {
             "inputs": _inputs(args, n=sample.n, n_events=sample.n_events),
             "estimates": {
-                "cure_rate": _cure_estimate_dict(eta),
+                "cure_rate": dataclasses.asdict(eta),
                 "latency_form_divergence": latency.form_divergence,
                 "latency_clamped": latency.clamped,
             },
@@ -268,8 +263,7 @@ def _run_compare(args):
     b = _parse_b(args.b)
     b_settings = [b if text is None else _parse_b(text, flag)
                   for text, flag in ((args.b0, "--b0"), (args.b1, "--b1"))]
-    sample = _read_sample(args.input)
-    report = _gate_on_validation(sample)
+    sample, report = _validated_sample(args.input)
     arms, n = _split_two_arm(sample), sample.n
     del sample  # with its sort from the tie scan: the arms sort their own
     outdir = Path(args.output_dir)
@@ -310,7 +304,7 @@ def _run_compare(args):
             _write_text(outdir, f"tau_susceptible{run.suffix}.svg", tau_to_svg(
                 run.tau_a, "susceptible tau", title=tau_title, y_label="tau"))
 
-    estimates = {f"cure_rate{run.suffix}_arm{label}": _cure_estimate_dict(eta)
+    estimates = {f"cure_rate{run.suffix}_arm{label}": dataclasses.asdict(eta)
                  for run in passes for label, eta in enumerate(run.etas)}
     payload = {
         "inputs": _inputs(args, n=n, n0=arms[0].n, n1=arms[1].n),
@@ -440,8 +434,7 @@ def _run_simulate(args):
 
 
 def _run_btune(args):
-    sample = _read_sample(args.input)
-    _gate_on_validation(sample)
+    sample, _ = _validated_sample(args.input)
     grid = _parse_grid(args.grid) if args.grid else DEFAULT_B_GRID
     if not all(0.0 < b < 1.0 for b in grid):
         raise _ValidationFailure("b grid values must lie strictly inside (0, 1)")

@@ -176,11 +176,13 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
     comparison uses common random numbers and is invariant to grid order).
     Ties break toward the larger ``b``.  Returns ``(b_star, diagnostics)``.
 
-    The whole grid is read in one pass: every original-sample estimate from
-    the sample's row of ones (``km._count_rows``), and each chunk of
-    replicates with one ``_cure_rate_rows`` call over the live grid points.
-    Replicate ``r`` is the resample drawn from ``stream(seed, r)``, held as
-    its row of cell counts (``km._count_chunks``); rows are evaluated at most
+    The sample's row of ones (``km._count_rows``) gives every original
+    estimate and decides each point once: live, or skipped with a reason.
+    Each chunk of replicates fills the live columns of one (replicates x
+    grid) NaN matrix with one ``_cure_rate_rows`` call; a live point whose
+    column is all NaN is skipped too.  Replicate ``r`` is the resample drawn
+    from ``stream(seed, r)``, held as its row of cell counts
+    (``km._count_chunks``); rows are evaluated at most
     ``km.COUNT_CHUNK_ELEMENTS // n`` at a time (81 at n = 200), so memory
     stays at a few (rows x n) arrays.  Every estimate, the original and each
     replicate's, is bit-identical to ``eta_extrapolated`` on ``km_fit`` of
@@ -204,8 +206,7 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
         ones.surv[0, -1], ones.at(factors[None] * t_k),
         ones.at((factors * factors)[None] * t_k)))
 
-    originals = {}
-    reasons = {}
+    reasons = []  # None for a live point
     for j, b in enumerate(grid):
         reason = _window_fault(flat[j], unit[j], b, t_k)
         # The correction extrapolates a geometric decay of tail-window mass,
@@ -216,42 +217,30 @@ def select_b(sample, grid=DEFAULT_B_GRID, replicates=500, seed=0):
             reason = "window ratio at or below 1: tail mass is not decaying"
         if reason is None and not 0.0 < raw[j] < 1.0:
             reason = "corrected cure rate saturates outside (0, 1)"
-        if reason is None:
-            originals[b] = float(_clamp_unit(raw[j]))
-        else:
-            reasons[b] = reason
-    live = [b for b in grid if b in originals]
-    if not live:
+        reasons.append(reason)
+    live = np.array([reason is None for reason in reasons])
+    if not live.any():
         raise SelectionFailedError("every grid point is degenerate on this sample")
 
-    summary = ones.summary
-    boot_values = np.empty((replicates, len(live)))
-    for start, (cells,) in _count_chunks((summary,), seed, replicates):
-        boot_values[start:start + cells.shape[0]] = _cure_rate_rows(
-            _km_rows(summary, cells), live)
+    boot_values = np.full((replicates, len(grid)), np.nan)
+    for start, (cells,) in _count_chunks((ones.summary,), seed, replicates):
+        boot_values[start:start + cells.shape[0], live] = _cure_rate_rows(
+            _km_rows(ones.summary, cells), factors[live])
 
-    diagnostics = []
-    best = None
-    for b in grid:
-        if b not in originals:
-            diagnostics.append(
-                BGridPoint(b, np.nan, np.nan, np.nan, replicates, True, reasons[b])
-            )
-            continue
-        column = boot_values[:, live.index(b)]
+    diagnostics, best = [], None
+    for b, reason, column, value in zip(grid, reasons, boot_values.T, raw):
         defined = column[~np.isnan(column)]
-        n_missing = replicates - defined.size
-        if defined.size == 0:
-            diagnostics.append(
-                BGridPoint(b, originals[b], np.nan, np.nan, n_missing, True,
-                           "estimate undefined on every resample")
-            )
+        # For 0 < raw < 1 the clamp returns raw unchanged.
+        original = np.nan if reason else float(value)
+        if reason is None and defined.size == 0:
+            reason = "estimate undefined on every resample"
+        if reason:
+            diagnostics.append(BGridPoint(b, original, np.nan, np.nan, replicates, True, reason))
             continue
         boot_mean = float(defined.mean())
-        criterion = abs(originals[b] - boot_mean)
-        diagnostics.append(
-            BGridPoint(b, originals[b], boot_mean, criterion, n_missing, False)
-        )
+        criterion = abs(original - boot_mean)
+        diagnostics.append(BGridPoint(b, original, boot_mean, criterion,
+                                      replicates - defined.size, False))
         if best is None or criterion <= best[0]:
             best = (criterion, b)
     if best is None:

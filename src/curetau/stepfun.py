@@ -65,8 +65,7 @@ class StepFunction:
         if self.x.size == 0:
             values = np.full(t_arr.shape, self.initial_value)
         else:
-            search_side = "right" if side == "right" else "left"
-            idx = np.searchsorted(self.x, t_arr, side=search_side) - 1
+            idx = np.searchsorted(self.x, t_arr, side=side) - 1
             values = np.where(idx < 0, self.initial_value, self.y[np.maximum(idx, 0)])
         return float(values[0]) if scalar else values
 

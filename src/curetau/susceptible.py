@@ -113,13 +113,8 @@ def _phi_curve(rows, censoring, n, eta):
                         domain_end=float(rows.distinct[-1]))
 
 
-def _beyond(rows):
-    """Number still at risk just after each distinct time."""
-    return rows.at_risk[0, 1:]
-
-
 def _h1a_curve(rows, censoring, n, eta):
-    values = _beyond(rows) / n - eta.value * censoring
+    values = rows.at_risk[0, 1:] / n - eta.value * censoring
     return StepFunction(rows.distinct, values, initial_value=1.0 - eta.value)
 
 
@@ -163,7 +158,7 @@ def _phi_after(rows, censoring, n, eta, at):
     them); that 0/0 is resolved to phi = 1, and the corresponding term in
     the self-consistency sum is annihilated by the candidate being 0 there.
     """
-    beyond = _beyond(rows)[at]
+    beyond = rows.at_risk[0, 1:][at]  # still at risk just after each time
     numerator = eta.value * censoring[at]
     out = np.ones_like(numerator)
     live = beyond > 0

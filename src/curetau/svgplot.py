@@ -7,11 +7,8 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 58, 16, 30, 44
 _COLORS = ("#1b6ca8", "#c0392b", "#2e8540", "#8e44ad")
 
 
-def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return [float(f"{v:.4g}") for v in raw]
+def _ticks(lo, hi):
+    return [float(f"{v:.4g}") for v in np.linspace(lo, hi, 5)]
 
 
 class _Frame:
@@ -57,7 +54,6 @@ def step_plot_svg(curves, title="", x_label="time", y_label="value", zero_line=F
             candidates += np.asarray(band, dtype=float).ravel().tolist()
         lo = min(lo, min(candidates))
         hi = max(hi, max(candidates))
-    hi = hi if hi > lo else lo + 1.0
     frame = _Frame((0.0, x_end), (lo, hi))
 
     parts = [

@@ -293,6 +293,26 @@ def test_select_b_matches_loop(sample, replicates, seed, grid):
         assert same(batched[1], looped[1])
 
 
+def test_a_point_undefined_on_every_resample_is_skipped_as_the_loop_skips_it():
+    sample = ct.Sample([3.1, 2.5, 3.8, 3.8, 2.8, 3.1, 2.9, 4.1], [1, 1, 0, 1, 1, 1, 1, 0])
+    batched = ct.select_b(sample, replicates=1, seed=808)
+    assert same(batched, looped_select_b(sample, DEFAULT_B_GRID, 1, 808))
+    point = next(point for point in batched[1] if point.b == 0.85)
+    assert point.skipped and point.reason == "estimate undefined on every resample"
+    curve = ct.km_fit(sample, "event")
+    assert point.eta_check == ct.eta_extrapolated(
+        curve, 0.85, ct.risk_table(sample).last_event_time).value
+    assert point.n_missing == 1
+
+
+def test_no_defined_bootstrap_mean_fails_as_the_loop_fails():
+    sample = ct.Sample([2.3, 3.8, 3.1, 0.5, 3.3, 0.9], [1, 0, 0, 1, 0, 1])
+    for select in (ct.select_b, functools.partial(looped_select_b, grid=DEFAULT_B_GRID)):
+        with pytest.raises(SelectionFailedError,
+                           match="no grid point has a defined bootstrap mean"):
+            select(sample, replicates=1, seed=1813)
+
+
 @settings(max_examples=100)
 @given(sample=any_sample, seed=st.integers(0, 1000), R=st.integers(1, 100),
        grid=st.sampled_from([DEFAULT_B_GRID, (0.3, 0.6, 0.9)]))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -116,6 +117,42 @@ def test_observation_at_time_zero_exits_2(tmp_path, capsys, command, status):
     assert "time 0" in capsys.readouterr().err
 
 
+def test_fit_numeric_b_writes_the_extrapolated_estimate(tmp_path):
+    scenario, _ = ct.preset("table2-eta02")
+    path = tmp_path / "sample.csv"
+    path.write_text(ct.write_csv(ct.draw_sample(scenario, 2)))
+    out = tmp_path / "fit"
+    assert main(["fit", "--input", str(path), "--eta-method", "extrapolate", "--b", "0.8",
+                 "--boot", "20", "--output-dir", str(out)]) == 0
+    sample = ct.parse_csv(path.read_text())
+    expected = ct.eta_extrapolated(ct.km_fit(sample), 0.8,
+                                   ct.risk_table(sample).last_event_time)
+    report = json.loads((out / "report.json").read_text())
+    assert report["estimates"]["cure_rate"] == dataclasses.asdict(expected)
+    assert report["diagnostics"]["fallback"] is None
+
+
+@pytest.mark.parametrize("text, b, reason", [
+    # b * t_K rounds back to the subnormal t_K, so the outer window is flat.
+    ("time,status\n5e-324,1\n1,0\n2,0\n", "0.8",
+     "flat tail window: curve equal at 5e-324 and 5e-324"),
+    ("time,status\n1,1\n2,1\n3,0\n4,0\n", "0.5",
+     "window ratio equals one; correction undefined"),
+])
+def test_fit_numeric_b_on_a_degenerate_window_falls_back(tmp_path, capsys, text, b, reason):
+    path = tmp_path / "sample.csv"
+    path.write_text(text)
+    out = tmp_path / "fit"
+    assert main(["fit", "--input", str(path), "--eta-method", "extrapolate", "--b", b,
+                 "--boot", "20", "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    tail = ct.eta_tail_from_sample(ct.parse_csv(text))
+    assert report["estimates"]["cure_rate"] == dataclasses.asdict(tail)
+    note = f"extrapolation fell back to the tail estimate: {reason}"
+    assert report["diagnostics"]["fallback"] == note
+    assert capsys.readouterr().err == f"note: {note}\n"
+
+
 def test_fit_bad_b_rejected(tmp_path, d1_file, capsys):
     rc = main(["fit", "--input", str(d1_file), "--eta-method", "extrapolate",
                "--b", "1.5", "--output-dir", str(tmp_path)])
@@ -181,6 +218,20 @@ def test_compare_extrapolated_rerun_byte_identical(tmp_path, two_arm_file, mixed
     notes = json.loads(outputs[0]["report.json"])["diagnostics"]["extrapolation_notes"]
     assert any(note.startswith("arm 1: extrapolation fell back") for note in notes) == mixed
     assert not any(note.startswith("arm 0:") for note in notes)
+
+
+def test_compare_gives_each_arm_its_own_b(tmp_path, two_arm_file):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--input", str(two_arm_file), "--eta-method", "extrapolate",
+                 "--b0", "0.7", "--b1", "0.8", "--boot", "20",
+                 "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    arms = ct.parse_csv(two_arm_file.read_text()).split_arms()
+    for label, (arm, b) in enumerate(zip(arms, (0.7, 0.8))):
+        expected = ct.eta_extrapolated(ct.km_fit(arm), b, ct.risk_table(arm).last_event_time)
+        assert report["estimates"][f"cure_rate_extrap_arm{label}"] == dataclasses.asdict(expected)
+    interval = report["intervals"]["cure_difference_extrapolated"]
+    assert (interval["b0"], interval["b1"], interval["method"]) == (0.7, 0.8, "extrapolated")
 
 
 def test_compare_reports_every_bootstraps_missing_count(tmp_path, two_arm_file):
@@ -394,6 +445,18 @@ def test_btune_selection_failure_exits_3(tmp_path, capsys):
         "estimation error: every grid point is degenerate on this sample\n"
 
 
+def test_btune_without_a_defined_bootstrap_mean_exits_3(tmp_path, capsys):
+    # With one resample, every live grid point is undefined on it.
+    path = tmp_path / "six.csv"
+    path.write_text("time,status\n2.3,1\n3.8,0\n3.1,0\n0.5,1\n3.3,0\n0.9,1\n")
+    out = tmp_path / "bt"
+    assert main(["btune", "--input", str(path), "--boot", "1", "--seed", "1813",
+                 "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "estimation error: no grid point has a defined bootstrap mean\n"
+    assert not out.exists()
+
+
 def test_btune_rerun_byte_identical(tmp_path, two_arm_file):
     scenario, _ = ct.preset("table2-eta02")
     sample = ct.draw_sample(scenario, 6)
@@ -429,6 +492,48 @@ def test_out_of_range_flags_exit_2_before_any_work(tmp_path, two_arm_file, capsy
     assert main([command, *source, *flags, "--output-dir", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--input", "{sample}", "--emit", "csv,pdf"], "unknown emit target(s): pdf"),
+    (["simulate", "--scenario", "table1-eta02", "--grid", "0.2,abc"],
+     "malformed grid '0.2,abc'"),
+    (["simulate", "--scenario", "table1-eta02", "--grid", "0.4,0.2"],
+     "grid must be strictly increasing"),
+    (["simulate", "--scenario-file", "{missing}"],
+     "cannot read {missing}: No such file or directory"),
+    (["simulate", "--scenario-file", "{malformed}"],
+     "bad scenario file: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (["simulate", "--scenario", "table3-eta02", "--eta-method", "extrapolate"],
+     "two-arm experiments use the tail estimator"),
+    (["btune", "--input", "{sample}", "--grid", "0.5,1.2"],
+     "b grid values must lie strictly inside (0, 1)"),
+    (["compare", "--input", "{one_arm}"], "no subjects in arm 1"),
+])
+def test_bad_input_exits_2_with_its_message(tmp_path, d1_file, capsys, argv, message):
+    (tmp_path / "malformed.json").write_text("{")
+    (tmp_path / "one_arm.csv").write_text("time,status,arm\n1,1,0\n2,0,0\n3,1,0\n")
+    names = {"sample": d1_file, "missing": tmp_path / "nope.json",
+             "malformed": tmp_path / "malformed.json", "one_arm": tmp_path / "one_arm.csv"}
+    out = tmp_path / "out"
+    assert main([arg.format(**names) for arg in argv] + ["--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+    assert not out.exists()
+
+
+def test_full_profile_runs_500_runs_of_2000_resamples(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(scenario, **kwargs):
+        calls.append(kwargs)
+        raise _Recorded
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    with pytest.raises(_Recorded):
+        main(["simulate", "--scenario", "table1-eta02", "--full-profile",
+              "--runs", "3", "--boot", "4", "--output-dir", str(tmp_path / "out")])
+    assert [(call["runs"], call["R"]) for call in calls] == [(500, 2000)]
 
 
 def test_repeated_calls_print_the_same_help_version_and_usage_errors(d1_file, capsys):

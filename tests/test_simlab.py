@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import warnings
 
@@ -287,6 +288,28 @@ def _rows_identical(lhs, rhs):
         if not (a.t == b.t or (math.isnan(a.t) and math.isnan(b.t))):
             return False
     return True
+
+
+def test_failed_runs_are_counted_and_left_out_of_every_row():
+    # Four subjects with a cure rate of 0.8: a draw without an event fails.
+    scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.8, 1.0, 4)
+    rows = ct.run_experiment(scenario, runs=30, R=20, seed=3, times=[0.3])
+    grid = np.array([0.3])
+    outcomes = [simlab._run_one_arm(scenario, grid, 20, 3, "tail", "auto",
+                                    simlab.DEFAULT_B_GRID, 500, index) for index in range(30)]
+    kept = [outcome for outcome in outcomes if outcome is not None]
+    assert len(kept) == 12
+    assert all(row.runs + row.n_failed == 30 and row.n_failed == 18 for row in rows)
+    truths = [float(scenario.latency.sf(0.3)), 0.8]
+    expected, _ = simlab._aggregate(kept, ["latency_survival", "cure_rate"],
+                                    np.append(grid, math.nan), truths, len(kept), 20, 0.95)
+    assert _rows_identical(rows, [dataclasses.replace(row, n_failed=18) for row in expected])
+
+
+def test_every_run_failing_raises():
+    scenario = ct.Scenario(ct.BetaLatency(1, 3), 0.999, 1.0, 2)
+    with pytest.raises(ct.EstimationError, match="every simulation run failed"):
+        ct.run_experiment(scenario, runs=30, R=20, seed=3, times=[0.3])
 
 
 def test_run_experiment_serial_matches_parallel():
